@@ -4,8 +4,7 @@
 Times a healthy noise-free k=5 pipeline (with replicated modules, dyadic
 durations — the regime where cycle leaping is provably bit-exact) at
 n = 1e4 / 1e5 / 1e6 data sets on the event engine, the scalar fast path,
-and the leaping fast path, plus the calendar-queue backend of the event
-engine.  **Asserts the fast path's completion and injection arrays are
+and the leaping fast path.  **Asserts the fast path's completion and injection arrays are
 bit-identical to the event engine's** on every compared size, and that the
 n=1e6 speedup clears the 50x acceptance bar.  Results are written to
 ``BENCH_sim.json`` at the repo root.
@@ -117,15 +116,6 @@ def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
             f"n={n}: fast busy fractions differ from the event engine"
         )
         assert event.events_processed == fast.events_processed
-
-        t_cal, cal = _timed(
-            lambda: simulate(chain, mapping, n_datasets=n, engine="event",
-                             queue="calendar")
-        )
-        row["event_calendar_s"] = t_cal
-        assert np.array_equal(cal.completions, event.completions), (
-            f"n={n}: calendar queue changed the event order"
-        )
     return row
 
 
@@ -160,8 +150,7 @@ def main(argv=None):
             f"fast {row['fast_s']*1e3:8.2f} ms  "
             f"scalar {row['fast_noleap_s']*1e3:8.2f} ms  "
             f"speedup {row['speedup']:8.1f}x "
-            f"(scalar {row['speedup_noleap']:5.1f}x)  "
-            f"calendar {row['event_calendar_s']:6.2f} s"
+            f"(scalar {row['speedup_noleap']:5.1f}x)"
         )
 
     final = report["grid"][-1]

@@ -1,64 +1,58 @@
 #!/usr/bin/env python
 """Dynamic remapping: re-map the pipeline when its behaviour drifts.
 
-The paper motivates its fast greedy heuristic with dynamic mapping (§4).
-This example streams four program *phases* through the runtime loop: in
-phase 2 the workload character flips (the solver gets cheap, the reduction
-gets expensive) and the tool — profiling, warm-starting greedy from the
-current allocation, and applying a remap-hysteresis threshold — catches it
-and recovers most of the lost throughput.
+The paper motivates fast mapping with dynamic mapping (§4): when a
+program's costs drift at run time, the mapping chosen at start-up stops
+being optimal.  This example streams 6000 data sets through a four-task
+chain whose computation slows with every data set while communication
+holds steady (differential drift).  An adaptive controller watches each
+500-data-set epoch, re-solves the DP incrementally once the observed rate
+leaves its dead band, and remaps only when the modelled gain repays the
+remap downtime.  A monitor-only controller on the same stream is the
+static baseline.
 
 Run:  python examples/dynamic_remapping.py
 """
 
-from repro.core import (
-    Edge,
-    PolynomialEComm,
-    PolynomialExec,
-    Task,
-    TaskChain,
+from repro.experiments.drift_study import MACHINE_PROCS, study_chain
+from repro.sim import (
+    AdaptiveController,
+    ControllerConfig,
+    DriftNoiseModel,
+    simulate,
 )
-from repro.machine import sp2_16
-from repro.tools import format_mapping, run_phases
+from repro.tools import format_mapping
+
+N_DATASETS = 6_000
 
 
-def phase(solve_work: float, reduce_work: float) -> TaskChain:
-    """One program phase; only the work coefficients drift."""
-    return TaskChain(
-        tasks=[
-            Task("ingest", PolynomialExec(0.005, 1.0)),
-            Task("solve", PolynomialExec(0.01, solve_work)),
-            Task("reduce", PolynomialExec(0.02, reduce_work, 0.02),
-                 replicable=False),
-        ],
-        edges=[
-            Edge(ecom=PolynomialEComm(0.01, 0.5, 0.5, 0.001, 0.001)),
-            Edge(ecom=PolynomialEComm(0.01, 0.3, 0.3, 0.001, 0.001)),
-        ],
-        name="drifting-pipeline",
+def run(adapt: bool):
+    chain = study_chain()
+    ctrl = AdaptiveController(
+        chain, MACHINE_PROCS,
+        config=ControllerConfig(epoch_datasets=500, remap_latency=60.0,
+                                adapt=adapt),
     )
+    # Execution slows by 0.02% per data set; communication does not drift.
+    noise = DriftNoiseModel(seed=7, jitter=0.0, comm_interference=0.0,
+                            drift=2e-4, comm_drift=0.0)
+    result = simulate(chain, None, N_DATASETS, noise=noise, controller=ctrl)
+    return chain, ctrl, result
 
 
 def main() -> None:
-    phases = [
-        phase(20.0, 2.0),   # steady state: solver-dominated
-        phase(20.0, 2.0),
-        phase(4.0, 10.0),   # drift: the reduction becomes the bottleneck
-        phase(4.0, 10.0),
-    ]
-    report = run_phases(phases, sp2_16(), threshold=0.08)
-
-    chain = phases[0]
-    for o in report.outcomes:
-        action = "REMAP " if o.remapped else "keep  "
+    chain, ctrl, adaptive = run(adapt=True)
+    for rec in ctrl.records:
+        action = "REMAP " if rec.action == "remap" else "keep  "
         print(
-            f"phase {o.phase}: {action} "
-            f"inherited {o.measured_before:6.3f}/s -> "
-            f"running {o.measured_after:6.3f}/s   "
-            f"{format_mapping(o.mapping, chain)}"
+            f"epoch {rec.epoch:2d} [{rec.start:5d}, {rec.stop:5d}): {action} "
+            f"observed {rec.rate:6.4f}/s  predicted {rec.predicted:6.4f}/s  "
+            f"{format_mapping(rec.mapping, chain)}"
         )
-    print(f"\nremaps: {report.remap_count}, "
-          f"aggregate gain vs never remapping: {report.total_gain():.2f}x")
+    _, _, static = run(adapt=False)
+    gain = static.makespan / adaptive.makespan
+    print(f"\nremaps: {ctrl.remap_count}, DP solves: {ctrl.resolves}, "
+          f"stream time vs never remapping: {gain:.2f}x faster")
 
 
 if __name__ == "__main__":

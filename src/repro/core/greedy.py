@@ -62,14 +62,8 @@ def greedy_assignment(
     slowest_only: bool = False,
     backtracking: bool = False,
     max_backtrack_rounds: int = 64,
-    initial_totals: list[int] | None = None,
 ) -> GreedyResult:
     """Run the §4.1 greedy heuristic on a module chain.
-
-    ``initial_totals`` warm-starts the search from an existing allocation
-    (clamped up to the per-module minimums, shedding processors greedily if
-    the allocation no longer fits) — the dynamic-remapping use case the
-    paper cites as the heuristic's motivation.
 
     Raises :class:`InfeasibleError` when even the per-module minimums do not
     fit on the machine.
@@ -79,29 +73,13 @@ def greedy_assignment(
     l = len(mchain)
     P = int(total_procs)
 
-    # Step 1: minimum (or warm-start) allocation.
+    # Step 1: minimum allocation.
     minimums = [info.p_min for info in mchain.infos]
     if sum(minimums) > P:
         raise InfeasibleError(
             f"modules need at least {sum(minimums)} processors, machine has {P}"
         )
-    if initial_totals is None:
-        totals = list(minimums)
-    else:
-        if len(initial_totals) != l:
-            raise InfeasibleError(
-                f"warm start has {len(initial_totals)} entries for {l} modules"
-            )
-        totals = [max(m, int(t)) for m, t in zip(minimums, initial_totals)]
-        # Shed processors (from the least-loaded modules first) until the
-        # warm start fits the machine.
-        while sum(totals) > P:
-            _, eff = throughput_of_totals(mchain, totals)
-            candidates = [
-                i for i in range(l) if totals[i] > minimums[i]
-            ]
-            best = min(candidates, key=lambda i: eff[i])
-            totals[best] -= 1
+    totals = list(minimums)
     spare = P - sum(totals)
 
     best_tp, _ = throughput_of_totals(mchain, totals)

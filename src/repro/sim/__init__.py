@@ -16,9 +16,13 @@ from .faults import (
     ProcessorFailure,
     RemapRecord,
 )
-from .fastpath import simulate_fast
 from .noise import DriftNoiseModel, NoiseModel
-from .pipeline import SimulationResult, simulate, simulate_fault_tolerant
+from .pipeline import (
+    SimulationResult,
+    simulate,
+    simulate_fast,
+    simulate_fault_tolerant,
+)
 from .svg import trace_to_svg, write_trace_svg
 from .trace import TraceEvent, TraceLog, render_gantt
 

@@ -5,21 +5,10 @@ A minimal, deterministic event-driven core: a clock, a priority queue of
 two runs with the same seed must produce identical traces — so ties are
 broken by insertion order, never by callback identity.
 
-Two interchangeable queue backends are available (``Simulator(queue=...)``):
-
-``heap``
-    The classic ``heapq`` binary heap.  O(log n) push/pop with a C inner
-    loop; the right default for the small pending sets a pipeline run keeps
-    (a handful of in-flight phase and transfer completions).
-``calendar``
-    An array-backed calendar/bucket queue (R. Brown, CACM 1988): events
-    hash into time-indexed buckets of width ``w`` and pops scan the bucket
-    of the current "day".  Amortised O(1) per operation when the width
-    matches the mean inter-event gap; it trims the tuple-comparison
-    overhead of deep heaps when thousands of events are pending at once.
-    Pop order is **identical** to the heap — the total order is always
-    (time, sequence) — so simulations are byte-for-byte reproducible across
-    backends; the test suite checks this.
+Events live in a ``heapq`` binary heap keyed on ``(time, sequence)``:
+O(log n) push/pop with a C inner loop, the right structure for the small
+pending sets a pipeline run keeps (a handful of in-flight phase and
+transfer completions).
 """
 
 from __future__ import annotations
@@ -36,163 +25,11 @@ __all__ = ["Simulator"]
 _Event = tuple  # (float, int, Callable[[], None])
 
 
-class _HeapQueue:
-    """heapq-backed event queue (the default backend)."""
-
-    __slots__ = ("_heap",)
+class Simulator:
+    """An event queue with a clock."""
 
     def __init__(self):
         self._heap: list[_Event] = []
-
-    def push(self, event: _Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def pop(self) -> _Event:
-        return heapq.heappop(self._heap)
-
-    def peek_time(self) -> float:
-        return self._heap[0][0]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class _CalendarQueue:
-    """Array-backed calendar/bucket queue with (time, seq) total order.
-
-    Buckets partition the time axis into "days" of ``width`` seconds;
-    bucket ``i`` holds every event whose day index hashes to ``i`` modulo
-    the number of buckets (one "year").  A pop scans the current day for
-    the earliest event, advancing day by day; a push drops the event into
-    its day's bucket and rewinds the scan pointer if the event lands before
-    the current day.  The structure resizes (doubling days, re-estimating
-    the width from the live events' spread) when buckets get crowded.
-
-    Each stored entry carries its integer day index, and the pop scan
-    accepts entries by day index — never by a recomputed float window
-    bound — so boundary rounding cannot strand an event: the day map is a
-    monotone function of time, hence the minimum of the current day is the
-    global minimum.  Pops are monotone non-decreasing (the
-    :class:`Simulator` never schedules into the past), which is what makes
-    the day pointer sound.
-    """
-
-    __slots__ = ("_buckets", "_nbuckets", "_width", "_size", "_day", "_stash")
-
-    _MIN_WIDTH = 1e-12
-
-    def __init__(self, width: float = 1.0, nbuckets: int = 16):
-        self._nbuckets = nbuckets
-        # Entries are (time, seq, day, callback); (time, seq) is unique so
-        # comparisons never reach the callback.
-        self._buckets: list[list[tuple]] = [[] for _ in range(nbuckets)]
-        self._width = max(float(width), self._MIN_WIDTH)
-        self._size = 0
-        self._day = 0            # absolute day index currently being scanned
-        self._stash: _Event | None = None  # peeked-but-not-consumed minimum
-
-    def __len__(self) -> int:
-        return self._size + (1 if self._stash is not None else 0)
-
-    # -- internals ---------------------------------------------------------
-    def _day_of(self, t: float) -> int:
-        return int(t / self._width) if t > 0.0 else 0
-
-    def _push_raw(self, event: _Event) -> None:
-        time, seq, callback = event
-        day = self._day_of(time)
-        self._buckets[day % self._nbuckets].append((time, seq, day, callback))
-        self._size += 1
-        if day < self._day:
-            # Event lands before the current scan day: rewind the pointer
-            # so the scan cannot walk past it.
-            self._day = day
-
-    def _resize(self) -> None:
-        entries = [e for b in self._buckets for e in b]
-        entries.sort()
-        # Re-estimate the day width from the mean inter-event gap so that
-        # roughly one event lands per day (Brown's sizing rule, simplified).
-        sample = entries[: min(len(entries), 64)]
-        if len(sample) >= 2 and sample[-1][0] > sample[0][0]:
-            span = sample[-1][0] - sample[0][0]
-            width = max(span / (len(sample) - 1) * 2.0, self._MIN_WIDTH)
-        else:
-            width = self._width
-        self._nbuckets *= 2
-        self._width = width
-        self._buckets = [[] for _ in range(self._nbuckets)]
-        self._size = 0
-        self._day = self._day_of(entries[0][0]) if entries else 0
-        for time, seq, _, callback in entries:
-            self._push_raw((time, seq, callback))
-
-    def _pop_min(self) -> _Event:
-        scanned = 0
-        while True:
-            bucket = self._buckets[self._day % self._nbuckets]
-            best = None
-            for e in bucket:
-                if e[2] <= self._day and (best is None or e < best):
-                    best = e
-            if best is not None:
-                bucket.remove(best)
-                self._size -= 1
-                return (best[0], best[1], best[3])
-            self._day += 1
-            scanned += 1
-            if scanned > self._nbuckets:
-                # A whole empty year: jump straight to the global minimum
-                # instead of crawling day by day across a sparse horizon.
-                best = min(e for b in self._buckets for e in b)
-                self._buckets[best[2] % self._nbuckets].remove(best)
-                self._size -= 1
-                self._day = best[2]
-                return (best[0], best[1], best[3])
-
-    # -- queue protocol ----------------------------------------------------
-    def push(self, event: _Event) -> None:
-        if self._stash is not None and event < self._stash:
-            stash, self._stash = self._stash, None
-            self._push_raw(stash)
-        if self._stash is None and self._size == 0:
-            # Empty queue: adopt the event directly (also avoids scanning
-            # from a stale day pointer far behind the new event).
-            self._stash = event
-            return
-        self._push_raw(event)
-        if self._size > 4 * self._nbuckets:
-            self._resize()
-
-    def pop(self) -> _Event:
-        if self._stash is not None:
-            event, self._stash = self._stash, None
-            return event
-        return self._pop_min()
-
-    def peek_time(self) -> float:
-        if self._stash is None:
-            self._stash = self._pop_min()
-        return self._stash[0]
-
-
-_QUEUES = {"heap": _HeapQueue, "calendar": _CalendarQueue}
-
-
-class Simulator:
-    """An event queue with a clock.
-
-    ``queue`` selects the backend: ``"heap"`` (default) or ``"calendar"``
-    (see the module docstring).  Both produce identical event orderings.
-    """
-
-    def __init__(self, queue: str = "heap"):
-        try:
-            self._queue = _QUEUES[queue]()
-        except KeyError:
-            raise SimulationError(
-                f"unknown event queue {queue!r}: expected one of {sorted(_QUEUES)}"
-            ) from None
         self._seq = 0
         self.now = 0.0
         self.events_processed = 0
@@ -202,7 +39,7 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} seconds into the past")
-        self._queue.push((self.now + delay, self._seq, callback))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, callback))
         self._seq += 1
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
@@ -219,7 +56,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time}: clock is already at {self.now}"
             )
-        self._queue.push((max(time, self.now), self._seq, callback))
+        heapq.heappush(self._heap, (max(time, self.now), self._seq, callback))
         self._seq += 1
 
     def stop(self) -> None:
@@ -240,14 +77,14 @@ class Simulator:
         """
         processed = 0
         self._stopped = False
-        queue = self._queue
-        while len(queue) and not self._stopped:
-            if until is not None and queue.peek_time() > until:
+        heap = self._heap
+        while heap and not self._stopped:
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 break
             if max_events is not None and processed >= max_events:
                 break
-            time, _, callback = queue.pop()
+            time, _, callback = heapq.heappop(heap)
             if time < self.now - 1e-12:
                 raise SimulationError("event queue corrupted: time went backwards")
             self.now = max(self.now, time)
@@ -258,4 +95,4 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        return len(self._heap)

@@ -47,8 +47,11 @@ translation is provably self-sustaining and the extrapolation stays
 bit-identical to the event engine; with general costs the detector simply
 never fires (double-rounding makes exact translation astronomically
 unlikely) and the run stays on the — still exact — scalar recurrence.
-Fault and remap windows never get here at all: ``simulate(engine="auto")``
-routes any faulted or non-stationary run to the event engine unchanged.
+Faulted runs never get here at all: ``simulate(engine="auto")`` routes
+them, like any run with random or contention-dependent noise, to the event
+engine.  The stream runner in :mod:`repro.sim.pipeline` calls
+:func:`run_segment` once per segment — once for a plain run, once per
+epoch for a controlled one.
 """
 
 from __future__ import annotations
@@ -58,12 +61,11 @@ from math import gcd, isfinite, lcm
 
 import numpy as np
 
-from ..core.exceptions import SimulationError
 from ..core.mapping import Mapping
 from ..core.task import TaskChain
 from .noise import NoiseModel
 
-__all__ = ["simulate_fast"]
+__all__ = ["run_segment"]
 
 #: Snapshot lags (in hyper-period blocks) tried by the periodicity detector.
 #: Steady states with max-plus cyclicity > 1 repeat at a multiple of the
@@ -324,63 +326,26 @@ def _certified(pipe: _Pipeline, state, delta: float, reps: int) -> bool:
     return horizon / unit < (1 << 53)
 
 
-def simulate_fast(
-    chain: TaskChain,
-    mapping: Mapping,
-    n_datasets: int,
-    noise: NoiseModel,
-    warmup_fraction: float = 0.2,
-    placements=None,
-    hop_penalty: float = 0.0,
-    leap: bool = True,
-    stats: dict | None = None,
-    first_dataset: int = 0,
-    start_time: float = 0.0,
-):
-    """Measure a healthy pipeline via the timing recurrence.
+def run_segment(pipe: _Pipeline, completions, injections, datasets: range,
+                t0: float, noise: NoiseModel, busy: dict, leap: bool = False,
+                stats: dict | None = None) -> int:
+    """Advance the recurrence over the contiguous ``datasets``, every
+    instance released at ``t0``; returns the events the event engine would
+    have processed.
 
-    Same contract and result type as :func:`repro.sim.simulate` with
-    ``engine="event"`` on a healthy run; ``stats`` (optional dict) receives
+    Busy seconds are added into ``busy`` for every instance that served a
+    data set.  ``leap`` enables cycle leaping on noise-free segments that
+    start on a hyper-period boundary; ``stats`` (optional dict) receives
     fast-path diagnostics (``leaped``, ``scalar_datasets``, ``period``).
-    Callers normally go through ``simulate(engine=...)``, which validates
-    eligibility; this function assumes a validated healthy configuration.
-
-    ``first_dataset`` offsets the noise context: local data set ``i`` is
-    priced as global data set ``first_dataset + i`` (drift indexing), and
-    ``start_time`` releases every instance at an absolute time — together
-    they let the adaptive drive loop run epochs of a longer stream through
-    the recurrence with the same arithmetic the event engine would use.
     """
-    # Imported here: pipeline.py imports this module lazily inside
-    # simulate(), so a top-level back-import would be circular.
-    from .pipeline import (
-        SimulationResult,
-        _default_warmup,
-        _epochs_from,
-        _measure_throughput,
-    )
-
-    if not noise.batchable:
-        raise SimulationError(
-            "fast engine needs batchable noise (stationary, or context-"
-            "keyed like DriftNoiseModel); use engine='event'"
-        )
-    if noise.comm_interference > 0:
-        raise SimulationError(
-            "fast engine cannot model transfer interference "
-            "(contention depends on event-time overlap); use engine='event'"
-        )
-    pipe = _Pipeline(chain, mapping, placements, hop_penalty)
-    n = n_datasets
-    completions = np.empty(n)
-    injections = np.empty(n)
-    ready = [[start_time] * r for r in pipe.replicas]
-    busy = [[0.0] * r for r in pipe.replicas]
+    d0, d1 = datasets.start, datasets.stop
+    ready = [[t0] * r for r in pipe.replicas]
+    lbusy = [[0.0] * r for r in pipe.replicas]
 
     noisy = noise.active
     L = pipe.L
-    leap = leap and not noisy and n >= 3 * L
-    done = 0
+    leap = leap and not noisy and d1 - d0 >= 3 * L and d0 % L == 0
+    done = d0
     leaped = 0
     period_used = None
 
@@ -390,19 +355,19 @@ def simulate_fast(
         # (data set, is-transfer) context for non-stationary models.
         block = max(1, 65536 // max(pipe.events_per_dataset, 1)) * 256
         epd = pipe.events_per_dataset
-        while done < n:
-            stop = min(done + block, n)
-            ds = np.repeat(np.arange(done, stop) + first_dataset, epd)
+        while done < d1:
+            stop = min(done + block, d1)
+            ds = np.repeat(np.arange(done, stop), epd)
             cm = np.tile(pipe.comm_template, stop - done)
             draws = noise.factors((stop - done) * epd, datasets=ds, comm=cm)
-            _run_scalar(pipe, ready, busy, completions, injections,
+            _run_scalar(pipe, ready, lbusy, completions, injections,
                         done, stop, factors=iter(draws.tolist()))
             done = stop
     else:
         snapshots: list[tuple[float, ...]] = []
-        while done < n:
-            stop = min(done + L, n)
-            _run_scalar(pipe, ready, busy, completions, injections, done, stop)
+        while done < d1:
+            stop = min(done + L, d1)
+            _run_scalar(pipe, ready, lbusy, completions, injections, done, stop)
             done = stop
             if not leap or done % L != 0:
                 continue
@@ -413,7 +378,7 @@ def simulate_fast(
             if hit is None:
                 continue
             period, delta = hit
-            remaining = n - done
+            remaining = d1 - done
             if remaining <= 0:
                 break
             reps = -(-remaining // period)
@@ -424,8 +389,8 @@ def simulate_fast(
             shifts = np.arange(1, reps + 1) * delta
             base_c = completions[done - period:done]
             base_i = injections[done - period:done]
-            completions[done:] = (base_c[None, :] + shifts[:, None]).ravel()[:remaining]
-            injections[done:] = (base_i[None, :] + shifts[:, None]).ravel()[:remaining]
+            completions[done:d1] = (base_c[None, :] + shifts[:, None]).ravel()[:remaining]
+            injections[done:d1] = (base_i[None, :] + shifts[:, None]).ravel()[:remaining]
             # Busy time of the leaped region: periodic durations, so one
             # period's per-instance totals scale by the whole periods and a
             # short walk covers the ragged tail.
@@ -433,47 +398,22 @@ def simulate_fast(
             if full:
                 per_block = _block_busy(pipe, period)
                 for (i, c), v in per_block.items():
-                    busy[i][c] += v * full
+                    lbusy[i][c] += v * full
             if tail:
                 for (i, c), v in _block_busy(pipe, tail).items():
-                    busy[i][c] += v
+                    lbusy[i][c] += v
             leaped = remaining
             period_used = period
-            done = n
+            done = d1
             break
 
     if stats is not None:
         stats["leaped"] = leaped
-        stats["scalar_datasets"] = n - leaped
+        stats["scalar_datasets"] = d1 - d0 - leaped
         stats["period"] = period_used
         stats["hyperperiod"] = L
-
-    warmup = _default_warmup(n, pipe.k, warmup_fraction)
-    throughput = _measure_throughput(completions, mapping, n, warmup)
-    latencies = completions[warmup:] - injections[warmup:]
-    makespan = float(completions.max())
-    busy_time = {
-        (i, c): busy[i][c]
-        for i in range(pipe.k)
-        for c in range(pipe.replicas[i])
-        if c < n  # instances that never saw a data set have no busy entry
-    }
-    busy_fractions = {
-        key: b / makespan if makespan > 0 else 0.0
-        for key, b in sorted(busy_time.items())
-    }
-    return SimulationResult(
-        n_datasets=n,
-        makespan=makespan,
-        throughput=float(throughput),
-        mean_latency=float(latencies.mean()),
-        completions=completions,
-        injections=injections,
-        warmup=warmup,
-        events_processed=n * pipe.events_per_dataset,
-        engine="fast",
-        busy_fractions=busy_fractions,
-        trace=None,
-        epochs=_epochs_from(completions, [], [], makespan),
-        final_mapping=mapping,
-    )
+    for i, r in enumerate(pipe.replicas):
+        # Instances that never saw a data set get no busy entry.
+        for c in sorted({d % r for d in range(d0, min(d1, d0 + r))}):
+            busy[(i, c)] = busy.get((i, c), 0.0) + lbusy[i][c]
+    return (d1 - d0) * pipe.events_per_dataset

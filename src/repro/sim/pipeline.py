@@ -49,16 +49,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.exceptions import SimulationError
+from ..core.exceptions import InfeasibleError, SimulationError
 from ..core.mapping import Mapping
+from ..core.remap import RemapPlanner
 from ..core.task import TaskChain
 from ..core.validate import ensure_valid_plan
+from .controller import EpochObservation
 from .engine import Simulator
+from .fastpath import _Pipeline, run_segment
 from .faults import EpochStats, FaultEvent, FaultModel, RemapRecord
 from .noise import NoiseModel
 from .trace import TraceEvent, TraceLog
 
-__all__ = ["SimulationResult", "simulate", "simulate_fault_tolerant"]
+__all__ = [
+    "SimulationResult", "simulate", "simulate_fast", "simulate_fault_tolerant",
+]
 
 
 @dataclass
@@ -116,7 +121,7 @@ class SimulationResult:
                 f", availability={self.availability:.4f}"
             )
         return (
-            f"SimulationResult(throughput={self.throughput:.4g}/s, "
+            f"{type(self).__name__}(throughput={self.throughput:.4g}/s, "
             f"latency={self.mean_latency:.4g}s, n={self.n_datasets}{extra})"
         )
 
@@ -273,13 +278,12 @@ class _Run:
                  dead: set | None = None,
                  start_time: float = 0.0,
                  busy_time: dict | None = None,
-                 placements=None, hop_penalty: float = 0.0,
-                 queue: str = "heap"):
+                 placements=None, hop_penalty: float = 0.0):
         self.chain = chain
         self.mapping = mapping
         self.noise = noise
         self.trace = trace
-        self.sim = Simulator(queue=queue)
+        self.sim = Simulator()
         self.sim.now = start_time
         self.completions = completions
         self.injections = injections
@@ -637,50 +641,347 @@ def _default_warmup(n_datasets: int, n_modules: int, warmup_fraction: float) -> 
     )
 
 
-def _resolve_engine(engine: str, noise: NoiseModel,
-                    faults: FaultModel | None, collect_trace: bool) -> str:
-    """Pick (or validate) a simulation engine for one ``simulate`` call.
+def _pick_engine(engine: str, noise: NoiseModel, faults: FaultModel | None,
+                 collect_trace: bool) -> str:
+    """Pick (or validate) the engine that runs every segment of a stream.
 
-    ``"auto"`` is deliberately conservative: it takes the fast path only
-    when the run is *provably equivalent* — no faults, no active noise, no
-    trace — so the default engine never changes any observable result, bit
-    for bit.  ``"fast"`` additionally admits batchable noise — stationary
-    jitter (batched draws: statistically, not bitwise, equivalent) and
-    dataset-indexed drift (bit-identical when jitter-free, see
-    :class:`~repro.sim.noise.DriftNoiseModel`) — and raises for anything
-    the recurrence cannot represent.
+    ``"auto"`` takes the fast path exactly when it is bit-identical to the
+    event engine: no active faults, no trace, and noise that is silent or
+    both batchable and deterministic (jitter-free, interference-free
+    :class:`~repro.sim.noise.DriftNoiseModel` drift).  ``"fast"``
+    additionally admits stationary jitter — batched draws, statistically
+    rather than bitwise equivalent — and raises for anything the recurrence
+    cannot represent.
     """
-    faults_active = faults is not None and faults.active
     if engine == "event":
         return "event"
-    if engine == "fast":
-        if faults_active:
-            raise SimulationError(
-                "fast engine cannot inject faults; use engine='event' or "
-                "simulate_fault_tolerant()"
-            )
-        if collect_trace:
-            raise SimulationError(
-                "fast engine does not record traces; use engine='event'"
-            )
-        if not noise.batchable:
-            raise SimulationError(
-                "fast engine needs batchable noise (stationary, or "
-                "context-keyed like DriftNoiseModel); use engine='event'"
-            )
-        if noise.comm_interference > 0:
-            raise SimulationError(
-                "fast engine cannot model transfer interference; use "
-                "engine='event'"
-            )
-        return "fast"
-    if engine != "auto":
+    if engine not in ("auto", "fast"):
         raise SimulationError(
             f"unknown engine {engine!r}: expected 'auto', 'event' or 'fast'"
         )
-    if faults_active or collect_trace or noise.active:
-        return "event"
-    return "fast"
+    problem = None
+    if faults is not None and faults.active:
+        problem = ("fast engine cannot inject faults; use engine='event' or "
+                   "simulate_fault_tolerant()")
+    elif collect_trace:
+        problem = "fast engine does not record traces; use engine='event'"
+    elif not noise.batchable:
+        problem = ("fast engine needs batchable noise (stationary, or "
+                   "context-keyed like DriftNoiseModel); use engine='event'")
+    elif noise.comm_interference > 0:
+        problem = ("fast engine cannot model transfer interference; use "
+                   "engine='event'")
+    if engine == "fast":
+        if problem is not None:
+            raise SimulationError(problem)
+        return "fast"
+    if problem is None and (not noise.active or noise.deterministic):
+        return "fast"
+    return "event"
+
+
+@dataclass
+class _Segment:
+    """One uninterrupted stretch of the stream on one mapping."""
+
+    mapping: Mapping
+    datasets: range | list           # ascending global data-set indices
+    t0: float = 0.0                  # release time of every instance
+    dead: set = field(default_factory=set)   # instances that start dead
+    busy: dict | None = None         # busy-seconds sink (None: the stream's)
+
+
+class _Stream:
+    """The shared state every segment of one stream writes into."""
+
+    def __init__(self, chain: TaskChain, n: int, noise: NoiseModel,
+                 engine: str, trace: TraceLog | None,
+                 faults: FaultModel | None, placements, hop_penalty: float,
+                 leap: bool, stats: dict | None):
+        self.chain = chain
+        self.noise = noise
+        self.engine = engine
+        self.trace = trace
+        self.faults = faults if faults is not None and faults.active else None
+        self.placements = placements
+        self.hop_penalty = hop_penalty
+        self.leap = leap
+        self.stats = stats
+        self.completions = np.full(n, np.nan)
+        self.injections = np.full(n, np.nan)
+        self.busy: dict[tuple[int, int], float] = {}
+        self.events = 0
+        self.failures: list[FaultEvent] = []
+        self.remaps: list[RemapRecord] = []
+        self._pipes: dict[Mapping, _Pipeline] = {}
+
+    def run(self, seg: _Segment) -> _Run | None:
+        """Execute one segment; returns its event-engine state (``None``
+        for a fast segment, which cannot fail)."""
+        busy = self.busy if seg.busy is None else seg.busy
+        if self.engine == "fast":
+            pipe = self._pipes.get(seg.mapping)
+            if pipe is None:
+                pipe = self._pipes[seg.mapping] = _Pipeline(
+                    self.chain, seg.mapping, self.placements, self.hop_penalty)
+            self.events += run_segment(
+                pipe, self.completions, self.injections, seg.datasets,
+                seg.t0, self.noise, busy, leap=self.leap, stats=self.stats)
+            return None
+        run = _Run(self.chain, seg.mapping, seg.datasets, self.noise,
+                   self.trace, completions=self.completions,
+                   injections=self.injections, faults=self.faults,
+                   dead=seg.dead, start_time=seg.t0, busy_time=busy,
+                   placements=self.placements, hop_penalty=self.hop_penalty)
+        if run.remap_needed is None:
+            run.start()
+            run.sim.run()
+        self.events += run.sim.events_processed
+        self.failures.extend(run.faults_injected)
+        return run
+
+
+class _Once:
+    """No policy: the stream is one segment, and whatever that segment
+    cannot absorb (a lost last instance, a dropped data set) raises."""
+
+    drains = False       # epoch boundaries drain the pipeline
+    epochs = None        # policy-kept epoch accounting (None: by faults)
+    controller = None
+
+    def __init__(self, mapping: Mapping, n: int):
+        self.mapping = mapping
+        self.n = n
+
+    def first(self) -> _Segment:
+        return _Segment(self.mapping, range(self.n))
+
+    def next(self, stream: _Stream, seg: _Segment, run) -> None:
+        if run is None:
+            return None
+        if run.remap_needed is not None:
+            t, module, _ = run.remap_needed
+            raise SimulationError(
+                f"module {module} lost its only instance at t={t:.4g}; use "
+                f"simulate_fault_tolerant() for DP-driven remapping"
+            )
+        if run.dropped:
+            raise SimulationError(
+                f"{len(run.dropped)} data sets were dropped during degradation "
+                f"and need an end-of-stream replay; use simulate_fault_tolerant()"
+            )
+        return None
+
+
+class _FaultReplan(_Once):
+    """Fault re-plan: replay dropped data sets under the degraded mapping,
+    or re-solve on the survivors when a module loses its last instance."""
+
+    def __init__(self, mapping: Mapping, n: int, faults: FaultModel,
+                 machine_procs: int, remap_latency: float,
+                 mem_per_proc_mb: float, planner, method: str,
+                 max_segments: int):
+        super().__init__(mapping, n)
+        self.faults = faults
+        self.machine_procs = machine_procs
+        self.remap_latency = remap_latency
+        self.mem_per_proc_mb = mem_per_proc_mb
+        self.planner = planner
+        self.method = method
+        self.max_segments = max_segments
+        self.segments = 0
+
+    def _segment(self, mapping, datasets, t0=0.0, dead=None) -> _Segment:
+        if self.segments >= self.max_segments:
+            raise SimulationError(
+                f"stream did not drain within {self.max_segments} segments "
+                f"({len(datasets)} data sets outstanding)"
+            )
+        self.segments += 1
+        self.mapping = mapping
+        return _Segment(mapping, datasets, t0, dead if dead is not None else set())
+
+    def first(self) -> _Segment:
+        return self._segment(self.mapping, range(self.n))
+
+    def next(self, stream: _Stream, seg: _Segment, run) -> _Segment | None:
+        if run is None:
+            return None
+        dead = seg.dead
+        for f in run.faults_injected:
+            if f.kind == "proc_fail":
+                dead.add((f.module, f.instance))
+        unfinished = [d for d in seg.datasets
+                      if np.isnan(stream.completions[d])]
+        if not unfinished:
+            return None  # drained (a fatal failure may strike afterwards)
+        # Unfinished data sets replay end to end: forget their injections.
+        stream.injections[unfinished] = np.nan
+        if run.remap_needed is None:
+            # Dropped during degradation: replay at the tail of the stream
+            # under the same (degraded) mapping.
+            return self._segment(seg.mapping, unfinished, run.sim.now, dead)
+        t_fail, module, _ = run.remap_needed
+        surviving = self.machine_procs - self.faults.procs_lost
+        if self.planner is None:
+            self.planner = RemapPlanner(
+                stream.chain, mem_per_proc_mb=self.mem_per_proc_mb,
+                method=self.method,
+            )
+        try:
+            plan = self.planner.plan(surviving)
+        except InfeasibleError as exc:
+            raise SimulationError(
+                f"stream aborted at t={t_fail:.4g}: chain no longer fits "
+                f"on the {surviving} surviving processors ({exc})"
+            ) from exc
+        resume = t_fail + self.remap_latency
+        stream.remaps.append(
+            RemapRecord(
+                time=t_fail,
+                resume_time=resume,
+                failed_module=module,
+                surviving_procs=surviving,
+                old_mapping=seg.mapping,
+                new_mapping=plan.mapping,
+                predicted_throughput=plan.throughput,
+                datasets_replayed=len(unfinished),
+            )
+        )
+        if stream.trace is not None:
+            stream.trace.record(
+                TraceEvent(-1, 0, "remap", f"remap@P={surviving}", -1,
+                           t_fail, resume)
+            )
+        # The new mapping only uses surviving processors: nobody starts dead.
+        return self._segment(plan.mapping, unfinished, resume)
+
+
+class _Controlled(_Once):
+    """Adaptive control: the stream runs in epochs that drain at every
+    boundary; the controller observes each epoch and may remap."""
+
+    drains = True
+
+    def __init__(self, mapping: Mapping, n: int, controller):
+        super().__init__(mapping, n)
+        self.controller = controller
+        self.epochs: list[EpochStats] = []
+
+    def _epoch(self, mapping: Mapping, d0: int, t0: float) -> _Segment:
+        size = self.controller.config.epoch_datasets
+        self.mapping = mapping
+        # A fresh busy sink per epoch: the controller observes epoch totals.
+        return _Segment(mapping, range(d0, min(d0 + size, self.n)), t0,
+                        busy={})
+
+    def first(self) -> _Segment:
+        return self._epoch(self.mapping, 0, 0.0)
+
+    def next(self, stream: _Stream, seg: _Segment, run) -> _Segment | None:
+        ctrl = self.controller
+        for key, v in seg.busy.items():
+            stream.busy[key] = stream.busy.get(key, 0.0) + v
+        d0, d1 = seg.datasets.start, seg.datasets.stop
+        t_end = float(np.max(stream.completions[d0:d1]))
+        decision = ctrl.observe(EpochObservation(
+            index=len(self.epochs), start=d0, stop=d1, t_start=seg.t0,
+            t_end=t_end, busy=seg.busy, remaining=self.n - d1,
+        ))
+        self.epochs.append(
+            EpochStats(seg.t0, t_end, d1 - d0, (d1 - d0) / (t_end - seg.t0),
+                       decision.action)
+        )
+        mapping, t0 = seg.mapping, t_end
+        if decision.remap:
+            ensure_valid_plan(
+                stream.chain, decision.mapping, total_procs=ctrl.total_procs,
+                mem_per_proc_mb=ctrl.planner.mem_per_proc_mb,
+            )
+            t0 = t_end + ctrl.config.remap_latency
+            stream.remaps.append(
+                RemapRecord(
+                    time=t_end,
+                    resume_time=t0,
+                    failed_module=-1,  # no failure: drift-triggered remap
+                    surviving_procs=ctrl.total_procs,
+                    old_mapping=mapping,
+                    new_mapping=decision.mapping,
+                    predicted_throughput=decision.predicted_rate,
+                    datasets_replayed=0,
+                )
+            )
+            mapping = decision.mapping
+        return self._epoch(mapping, d1, t0) if d1 < self.n else None
+
+
+def _run_stream(chain: TaskChain, policy: _Once, n: int, noise: NoiseModel,
+                engine: str, warmup_fraction: float,
+                faults: FaultModel | None = None, collect_trace: bool = False,
+                placements=None, hop_penalty: float = 0.0, leap: bool = True,
+                stats: dict | None = None) -> SimulationResult:
+    """Run a stream segment by segment under ``policy``; summarise it.
+
+    Every segment runs on the one engine :func:`_pick_engine` chose and
+    writes into the stream's shared ``completions``/``injections``/busy
+    state; at each boundary the policy decides the next segment (mapping,
+    data sets, release time) or ends the stream.
+    """
+    eng = _pick_engine(engine, noise, faults, collect_trace)
+    stream = _Stream(chain, n, noise, eng, TraceLog() if collect_trace else None,
+                     faults, placements, hop_penalty,
+                     leap and not policy.drains, stats)
+    start = policy.mapping
+    seg = policy.first()
+    while seg is not None:
+        seg = policy.next(stream, seg, stream.run(seg))
+    return _finish(stream, policy, n, start, warmup_fraction)
+
+
+def _finish(stream: _Stream, policy: _Once, n: int, start: Mapping,
+            warmup_fraction: float) -> SimulationResult:
+    """The one result builder: warm-up, throughput, epochs, availability."""
+    completions, injections = stream.completions, stream.injections
+    if np.isnan(completions).any():
+        raise SimulationError("simulation deadlocked: some data sets never completed")
+    warmup = _default_warmup(n, len(start), warmup_fraction)
+    final = policy.mapping
+    if policy.drains or any(f.kind == "proc_fail" for f in stream.failures):
+        # Drained epochs and degraded instances break per-instance
+        # periodicity: rate the pooled completion stream instead.
+        throughput = _pooled_throughput(completions, warmup)
+    else:
+        throughput = _measure_throughput(completions, final, n, warmup)
+    latencies = completions[warmup:] - injections[warmup:]
+    makespan = float(completions.max())
+    downtime = sum(r.downtime for r in stream.remaps)
+    busy_fractions = {
+        key: busy / makespan if makespan > 0 else 0.0
+        for key, busy in sorted(stream.busy.items())
+    }
+    epochs = policy.epochs
+    if epochs is None:
+        epochs = _epochs_from(completions, stream.failures, stream.remaps,
+                              makespan)
+    return SimulationResult(
+        n_datasets=n,
+        makespan=makespan,
+        throughput=float(throughput),
+        mean_latency=float(latencies.mean()),
+        completions=completions,
+        injections=injections,
+        warmup=warmup,
+        events_processed=stream.events,
+        engine=stream.engine,
+        busy_fractions=busy_fractions,
+        trace=stream.trace,
+        failures=stream.failures,
+        remaps=stream.remaps,
+        epochs=epochs,
+        availability=1.0 - (downtime / makespan if makespan > 0 else 0.0),
+        final_mapping=final,
+        controller=policy.controller,
+    )
 
 
 def simulate(
@@ -694,7 +995,6 @@ def simulate(
     hop_penalty: float = 0.0,
     faults: FaultModel | None = None,
     engine: str = "auto",
-    queue: str = "heap",
     controller=None,
 ) -> SimulationResult:
     """Run the pipeline on ``n_datasets`` inputs and measure its behaviour.
@@ -705,12 +1005,10 @@ def simulate(
 
     ``engine`` selects the executor: ``"event"`` always runs the
     discrete-event engine; ``"fast"`` runs the vectorised recurrence of
-    :mod:`repro.sim.fastpath` (healthy pipelines only — raises for faults,
-    traces, interference or non-stationary noise); ``"auto"`` (default)
-    takes the fast path exactly when it is bit-identical to the event
-    engine (healthy, noise-free, no trace) and the event engine otherwise.
-    ``queue`` selects the event engine's queue backend (``"heap"`` or
-    ``"calendar"``); it does not affect results.
+    :mod:`repro.sim.fastpath` (raises for faults, traces, interference or
+    non-batchable noise); ``"auto"`` (default) takes the fast path exactly
+    when it is bit-identical to the event engine (no faults, no trace, and
+    silent or deterministic drift noise) and the event engine otherwise.
 
     ``placements`` (per-module lists of instance :class:`Rect` objects, as
     produced by the feasibility checker) together with ``hop_penalty``
@@ -726,107 +1024,125 @@ def simulate(
     use :func:`simulate_fault_tolerant` for those scenarios.
 
     ``controller`` (an :class:`~repro.sim.controller.AdaptiveController`)
-    hands the run to the online adaptive drive loop: the stream executes in
+    puts the run under online adaptive control: the stream executes in
     epochs, the controller watches observed rates against its DP
     prediction, and sustained drift triggers incremental re-solves and
     (when the payback clears the remap latency) live remaps.  ``mapping``
     may then be ``None`` to start from the controller's own DP solution;
     faults and traces are not supported on controlled runs.
     """
-    if controller is not None:
-        if faults is not None and faults.active:
-            raise SimulationError(
-                "the adaptive controller does not drive faulted runs; use "
-                "simulate_fault_tolerant()"
-            )
-        if collect_trace:
-            raise SimulationError(
-                "controlled runs do not record traces; use engine='event' "
-                "without a controller"
-            )
-        from .controller import drive
-
-        return drive(
-            chain, controller, n_datasets,
-            mapping=mapping,
-            noise=noise or NoiseModel.silent(),
-            warmup_fraction=warmup_fraction,
-            engine=engine,
-            queue=queue,
-        )
-    if mapping is None:
-        raise SimulationError("mapping may only be omitted on controlled runs")
     if n_datasets < 2:
         raise SimulationError("need at least 2 data sets to measure throughput")
-    if placements is not None and len(placements) != len(mapping):
-        raise SimulationError("placements must cover every module")
-    # Static pre-flight: a bad plan raises a structured PlanError (all
-    # violations at once) here, never a mid-simulation deadlock/assert.
-    ensure_valid_plan(chain, mapping)
     noise = noise or NoiseModel.silent()
-    if _resolve_engine(engine, noise, faults, collect_trace) == "fast":
-        # Imported lazily: fastpath imports this module's result/measure
-        # helpers at its own import time.
-        from .fastpath import simulate_fast
-
-        return simulate_fast(
-            chain, mapping, n_datasets, noise=noise,
-            warmup_fraction=warmup_fraction,
-            placements=placements, hop_penalty=hop_penalty,
-        )
-    trace = TraceLog() if collect_trace else None
-
-    completions = np.full(n_datasets, np.nan)
-    injections = np.full(n_datasets, np.nan)
-    run = _Run(chain, mapping, list(range(n_datasets)), noise, trace,
-               completions=completions, injections=injections, faults=faults,
-               placements=placements, hop_penalty=hop_penalty, queue=queue)
-    if run.remap_needed is not None:
-        raise SimulationError("mapping has a module with no live instance")
-    run.start()
-    run.sim.run()
-
-    if run.remap_needed is not None:
-        t, module, _ = run.remap_needed
+    if controller is None:
+        if mapping is None:
+            raise SimulationError("mapping may only be omitted on controlled runs")
+        if placements is not None and len(placements) != len(mapping):
+            raise SimulationError("placements must cover every module")
+        # Static pre-flight: a bad plan raises a structured PlanError (all
+        # violations at once) here, never a mid-simulation deadlock/assert.
+        ensure_valid_plan(chain, mapping)
+        return _run_stream(chain, _Once(mapping, n_datasets), n_datasets,
+                           noise, engine, warmup_fraction, faults=faults,
+                           collect_trace=collect_trace, placements=placements,
+                           hop_penalty=hop_penalty)
+    if faults is not None and faults.active:
         raise SimulationError(
-            f"module {module} lost its only instance at t={t:.4g}; use "
-            f"simulate_fault_tolerant() for DP-driven remapping"
+            "the adaptive controller does not drive faulted runs; use "
+            "simulate_fault_tolerant()"
         )
-    if run.dropped:
+    if collect_trace:
         raise SimulationError(
-            f"{len(run.dropped)} data sets were dropped during degradation "
-            f"and need an end-of-stream replay; use simulate_fault_tolerant()"
+            "controlled runs do not record traces; use engine='event' "
+            "without a controller"
         )
-    if np.isnan(run.completions).any():
-        raise SimulationError("simulation deadlocked: some data sets never completed")
+    if controller.records:
+        raise SimulationError(
+            "this controller already drove a run; create a fresh one "
+            "(its believed state and records are stream-specific)"
+        )
+    if len(controller.base_chain) != len(chain):
+        raise SimulationError(
+            "controller was built for a different chain structure"
+        )
+    start = mapping if mapping is not None else controller.mapping
+    ensure_valid_plan(chain, start, total_procs=controller.total_procs,
+                      mem_per_proc_mb=controller.planner.mem_per_proc_mb)
+    if start != controller.mapping:
+        controller.adopt(start)
+    return _run_stream(chain, _Controlled(start, n_datasets, controller),
+                       n_datasets, noise, engine, warmup_fraction)
 
-    warmup = _default_warmup(n_datasets, len(mapping), warmup_fraction)
-    if any(f.kind == "proc_fail" for f in run.faults_injected):
-        # Degraded runs lose per-instance periodicity: pooled estimate.
-        throughput = _pooled_throughput(run.completions, warmup)
-    else:
-        throughput = _measure_throughput(run.completions, mapping, n_datasets, warmup)
-    latencies = run.completions[warmup:] - run.injections[warmup:]
-    makespan = float(run.completions.max())
-    busy_fractions = {
-        key: busy / makespan if makespan > 0 else 0.0
-        for key, busy in sorted(run.busy_time.items())
-    }
-    return SimulationResult(
-        n_datasets=n_datasets,
-        makespan=makespan,
-        throughput=float(throughput),
-        mean_latency=float(latencies.mean()),
-        completions=run.completions,
-        injections=run.injections,
-        warmup=warmup,
-        events_processed=run.sim.events_processed,
-        busy_fractions=busy_fractions,
-        trace=trace,
-        failures=run.faults_injected,
-        epochs=_epochs_from(run.completions, run.faults_injected, [], makespan),
-        final_mapping=mapping,
+
+def simulate_fast(
+    chain: TaskChain,
+    mapping: Mapping,
+    n_datasets: int,
+    noise: NoiseModel,
+    warmup_fraction: float = 0.2,
+    placements=None,
+    hop_penalty: float = 0.0,
+    leap: bool = True,
+    stats: dict | None = None,
+) -> SimulationResult:
+    """Measure a healthy pipeline on the fast recurrence, ``simulate(...,
+    engine="fast")`` with two extra knobs: ``leap=False`` disables cycle
+    leaping, and ``stats`` (optional dict) receives fast-path diagnostics
+    (``leaped``, ``scalar_datasets``, ``period``, ``hyperperiod``)."""
+    return _run_stream(chain, _Once(mapping, n_datasets), n_datasets, noise,
+                       "fast", warmup_fraction, placements=placements,
+                       hop_penalty=hop_penalty, leap=leap, stats=stats)
+
+
+def simulate_fault_tolerant(
+    chain: TaskChain,
+    mapping: Mapping,
+    n_datasets: int = 200,
+    faults: FaultModel | None = None,
+    machine_procs: int | None = None,
+    noise: NoiseModel | None = None,
+    collect_trace: bool = False,
+    warmup_fraction: float = 0.2,
+    remap_latency: float = 0.05,
+    mem_per_proc_mb: float = float("inf"),
+    planner=None,
+    method: str = "auto",
+    max_segments: int = 32,
+) -> SimulationResult:
+    """Run a stream to completion across failures, degradation, and remaps.
+
+    The stream executes in *segments*.  Within a segment, replicated
+    modules absorb failures by degrading; a segment ends when either the
+    stream drains, some data sets were dropped (they replay in a follow-up
+    segment under the same degraded mapping), or a module lost its last
+    instance — in which case the DP solver re-runs on the surviving
+    ``machine_procs - procs_lost`` processors (one processor is lost per
+    failure; the dead instance's other processors rejoin the pool),
+    ``remap_latency`` seconds of downtime are charged, and the unfinished
+    data sets replay under the new mapping.  The engine is picked by the
+    same ``"auto"`` rule as :func:`simulate`, so a run whose fault model
+    injects nothing may take the fast path.
+
+    ``planner`` (a :class:`~repro.core.remap.RemapPlanner`) carries the
+    solver's segment cache across remaps and memoises plans per surviving
+    processor count; one is created on demand.  Raises
+    :class:`SimulationError` when the chain no longer fits on the survivors
+    or the stream fails to drain within ``max_segments`` segments.
+    """
+    if n_datasets < 2:
+        raise SimulationError("need at least 2 data sets to measure throughput")
+    faults = faults if faults is not None else FaultModel.silent()
+    machine_procs = machine_procs if machine_procs is not None else mapping.total_procs
+    ensure_valid_plan(
+        chain, mapping, total_procs=machine_procs,
+        mem_per_proc_mb=mem_per_proc_mb,
     )
+    policy = _FaultReplan(mapping, n_datasets, faults, machine_procs,
+                          remap_latency, mem_per_proc_mb, planner, method,
+                          max_segments)
+    return _run_stream(chain, policy, n_datasets,
+                       noise or NoiseModel.silent(), "auto", warmup_fraction,
+                       faults=faults, collect_trace=collect_trace)
 
 
 def _epochs_from(completions: np.ndarray, failures: list, remaps: list,
@@ -854,171 +1170,3 @@ def _epochs_from(completions: np.ndarray, failures: list, remaps: list,
             EpochStats(a, b, completed, completed / (b - a), labels[i])
         )
     return epochs
-
-
-def simulate_fault_tolerant(
-    chain: TaskChain,
-    mapping: Mapping,
-    n_datasets: int = 200,
-    faults: FaultModel | None = None,
-    machine_procs: int | None = None,
-    noise: NoiseModel | None = None,
-    collect_trace: bool = False,
-    warmup_fraction: float = 0.2,
-    remap_latency: float = 0.05,
-    mem_per_proc_mb: float = float("inf"),
-    planner=None,
-    method: str = "auto",
-    max_segments: int = 32,
-    queue: str = "heap",
-) -> SimulationResult:
-    """Run a stream to completion across failures, degradation, and remaps.
-
-    The stream executes in *segments*.  Within a segment, replicated
-    modules absorb failures by degrading; a segment ends when either the
-    stream drains, some data sets were dropped (they replay in a follow-up
-    segment under the same degraded mapping), or a module lost its last
-    instance — in which case the DP solver re-runs on the surviving
-    ``machine_procs - procs_lost`` processors (one processor is lost per
-    failure; the dead instance's other processors rejoin the pool),
-    ``remap_latency`` seconds of downtime are charged, and the unfinished
-    data sets replay under the new mapping.
-
-    ``planner`` (a :class:`~repro.core.remap.RemapPlanner`) carries the
-    solver's segment cache across remaps and memoises plans per surviving
-    processor count; one is created on demand.  Raises
-    :class:`SimulationError` when the chain no longer fits on the survivors
-    or the stream fails to drain within ``max_segments`` segments.
-    """
-    if n_datasets < 2:
-        raise SimulationError("need at least 2 data sets to measure throughput")
-    noise = noise or NoiseModel.silent()
-    faults = faults if faults is not None else FaultModel.silent()
-    machine_procs = machine_procs if machine_procs is not None else mapping.total_procs
-    ensure_valid_plan(
-        chain, mapping, total_procs=machine_procs,
-        mem_per_proc_mb=mem_per_proc_mb,
-    )
-    trace = TraceLog() if collect_trace else None
-
-    completions = np.full(n_datasets, np.nan)
-    injections = np.full(n_datasets, np.nan)
-    busy_time: dict[tuple[int, int], float] = {}
-    remaining = list(range(n_datasets))
-    current = mapping
-    dead: set[tuple[int, int]] = set()
-    t0 = 0.0
-    failures: list[FaultEvent] = []
-    remaps: list[RemapRecord] = []
-    events = 0
-    segments = 0
-
-    while remaining:
-        if segments >= max_segments:
-            raise SimulationError(
-                f"stream did not drain within {max_segments} segments "
-                f"({len(remaining)} data sets outstanding)"
-            )
-        segments += 1
-        run = _Run(chain, current, remaining, noise, trace,
-                   completions=completions, injections=injections,
-                   faults=faults, dead=dead, start_time=t0,
-                   busy_time=busy_time, queue=queue)
-        if run.remap_needed is None:
-            run.start()
-            run.sim.run()
-            events += run.sim.events_processed
-            failures.extend(run.faults_injected)
-        for f in run.faults_injected:
-            if f.kind == "proc_fail":
-                dead.add((f.module, f.instance))
-
-        if run.remap_needed is not None:
-            t_fail, module, _ = run.remap_needed
-            unfinished = [d for d in remaining if np.isnan(completions[d])]
-            if not unfinished:
-                break  # the fatal failure struck after the stream drained
-            surviving = machine_procs - faults.procs_lost
-            if planner is None:
-                from ..core.remap import RemapPlanner
-
-                planner = RemapPlanner(
-                    chain, mem_per_proc_mb=mem_per_proc_mb, method=method
-                )
-            from ..core.exceptions import InfeasibleError
-
-            try:
-                plan = planner.plan(surviving)
-            except InfeasibleError as exc:
-                raise SimulationError(
-                    f"stream aborted at t={t_fail:.4g}: chain no longer fits "
-                    f"on the {surviving} surviving processors ({exc})"
-                ) from exc
-            resume = t_fail + remap_latency
-            remaps.append(
-                RemapRecord(
-                    time=t_fail,
-                    resume_time=resume,
-                    failed_module=module,
-                    surviving_procs=surviving,
-                    old_mapping=current,
-                    new_mapping=plan.mapping,
-                    predicted_throughput=plan.throughput,
-                    datasets_replayed=len(unfinished),
-                )
-            )
-            if trace is not None:
-                trace.record(
-                    TraceEvent(-1, 0, "remap", f"remap@P={surviving}", -1,
-                               t_fail, resume)
-                )
-            injections[unfinished] = np.nan
-            remaining = unfinished
-            current = plan.mapping
-            dead = set()  # the new mapping only uses surviving processors
-            t0 = resume
-            continue
-
-        unfinished = [d for d in remaining if np.isnan(completions[d])]
-        if unfinished:
-            # Dropped during degradation: replay at the tail of the stream
-            # under the same (degraded) mapping.
-            injections[unfinished] = np.nan
-            remaining = unfinished
-            t0 = run.sim.now
-            continue
-        remaining = []
-
-    if np.isnan(completions).any():
-        raise SimulationError("simulation deadlocked: some data sets never completed")
-
-    warmup = _default_warmup(n_datasets, len(mapping), warmup_fraction)
-    degraded = bool(remaps) or any(f.kind == "proc_fail" for f in failures)
-    if degraded:
-        throughput = _pooled_throughput(completions, warmup)
-    else:
-        throughput = _measure_throughput(completions, current, n_datasets, warmup)
-    latencies = completions[warmup:] - injections[warmup:]
-    makespan = float(completions.max())
-    downtime = sum(r.downtime for r in remaps)
-    busy_fractions = {
-        key: busy / makespan if makespan > 0 else 0.0
-        for key, busy in sorted(busy_time.items())
-    }
-    return SimulationResult(
-        n_datasets=n_datasets,
-        makespan=makespan,
-        throughput=float(throughput),
-        mean_latency=float(latencies.mean()),
-        completions=completions,
-        injections=injections,
-        warmup=warmup,
-        events_processed=events,
-        busy_fractions=busy_fractions,
-        trace=trace,
-        failures=failures,
-        remaps=remaps,
-        epochs=_epochs_from(completions, failures, remaps, makespan),
-        availability=1.0 - (downtime / makespan if makespan > 0 else 0.0),
-        final_mapping=current,
-    )

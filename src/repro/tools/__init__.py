@@ -1,7 +1,6 @@
 """End-user tools: the automatic mapper, report/diagram rendering, CLI."""
 
 from .diagram import grid_diagram, mapping_diagram, task_graph
-from .dynamic import DynamicReport, PhaseOutcome, run_phases
 from .mapper import MappingPlan, auto_map, measure
 from .plots import bar_chart, xy_plot
 from .persist import (
@@ -22,9 +21,6 @@ __all__ = [
     "task_graph",
     "mapping_diagram",
     "grid_diagram",
-    "DynamicReport",
-    "PhaseOutcome",
-    "run_phases",
     "save_mapping",
     "load_mapping",
     "save_chain",

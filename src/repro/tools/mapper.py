@@ -111,26 +111,17 @@ def measure(
     With an active ``faults`` model the run goes through the fault-tolerant
     orchestrator, which degrades replicated modules and remaps (on the
     workload's machine, minus lost processors) when a module loses its
-    last instance.  ``engine`` selects the healthy-run executor (see
-    :func:`repro.sim.simulate`); faulted runs always use the event engine.
+    last instance.  ``engine`` selects the executor of plain and controlled
+    runs (see :func:`repro.sim.simulate`); faulted runs use the event
+    engine.
 
     A ``controller`` (:class:`repro.sim.AdaptiveController`) puts the run
     under the online adaptive runtime instead: the stream executes in
     epochs and the controller may remap mid-stream when the observed rate
     drifts off its prediction.  Faults and the controller are mutually
-    exclusive.
+    exclusive (:func:`repro.sim.simulate` raises ``SimulationError``).
     """
-    if controller is not None:
-        if faults is not None and faults.active:
-            raise ValueError(
-                "measure() cannot combine faults with the adaptive "
-                "controller; pick one orchestrator"
-            )
-        return simulate(
-            workload.chain, mapping, n_datasets=n_datasets, noise=noise,
-            engine=engine, controller=controller,
-        )
-    if faults is not None and faults.active:
+    if controller is None and faults is not None and faults.active:
         machine = workload.machine
         return simulate_fault_tolerant(
             workload.chain,
@@ -144,5 +135,5 @@ def measure(
         )
     return simulate(
         workload.chain, mapping, n_datasets=n_datasets, noise=noise,
-        engine=engine,
+        faults=faults, engine=engine, controller=controller,
     )

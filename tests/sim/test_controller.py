@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Mapping, ModuleSpec, SimulationError
+from repro.core import Mapping, ModuleSpec, PlanError, SimulationError
 from repro.experiments import drift_study
 from repro.sim import (
     AdaptiveController,
@@ -171,6 +171,16 @@ class TestContracts:
         with pytest.raises(SimulationError, match="trace"):
             simulate(chain, None, 1_000, collect_trace=True, controller=ctrl)
 
+    def test_starting_mapping_must_fit_the_controller_budget(self):
+        # A 36-processor mapping on a 12-processor controller is caught by
+        # the static pre-flight instead of running to completion.
+        chain = drift_study.study_chain()
+        ctrl = AdaptiveController(chain, 12)
+        big = Mapping([ModuleSpec(0, 1, 18, 1), ModuleSpec(2, 3, 18, 1)])
+        with pytest.raises(PlanError, match="budget"):
+            simulate(chain, big, 1_000, controller=ctrl)
+        assert not ctrl.records and ctrl.initial_mapping != big
+
     def test_mapping_required_without_controller(self):
         chain = drift_study.study_chain()
         with pytest.raises(SimulationError, match="controlled"):
@@ -262,6 +272,6 @@ class TestMeasureWiring:
         workload = workload_by_name("fft-hist-256", machine)
         ctrl = AdaptiveController(workload.chain, machine.total_procs)
         faults = FaultModel(seed=1, failures=[ProcessorFailure(5.0, 0, 0)])
-        with pytest.raises(ValueError, match="one orchestrator"):
+        with pytest.raises(SimulationError, match="fault"):
             measure(workload, ctrl.mapping, n_datasets=100,
                     faults=faults, controller=ctrl)

@@ -183,51 +183,3 @@ class TestRunResume:
         sim.schedule_at(sim.now - 1e-15, lambda: hits.append(sim.now))
         sim.run()
         assert hits == [0.7, 0.7]
-
-
-class TestCalendarQueue:
-    """The calendar backend must order events exactly like the heap."""
-
-    def test_unknown_queue_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(queue="fibonacci")
-
-    def test_same_order_as_heap_under_fuzz(self):
-        import random
-
-        rng = random.Random(1234)
-        heap_log, cal_log = [], []
-        for queue, log in (("heap", heap_log), ("calendar", cal_log)):
-            rng2 = random.Random(99)
-            sim = Simulator(queue=queue)
-
-            def chained(sim=sim, log=log, rng2=rng2):
-                log.append(sim.now)
-                if len(log) < 400:
-                    # Mixed scales exercise bucket resize and the
-                    # empty-year jump over sparse horizons.
-                    sim.schedule(rng2.choice([0.0, 1e-6, 0.37, 5.0, 4000.0]),
-                                 chained)
-
-            for _ in range(25):
-                sim.schedule(rng2.uniform(0, 10), chained)
-            sim.run(max_events=400)
-        assert cal_log == heap_log     # bitwise-identical event times
-
-    def test_identical_tie_breaking(self):
-        sim = Simulator(queue="calendar")
-        log = []
-        for name in "abcde":
-            sim.schedule_at(2.0, lambda n=name: log.append(n))
-        sim.run()
-        assert log == list("abcde")
-
-    def test_until_and_resume_with_calendar(self):
-        sim = Simulator(queue="calendar")
-        log = []
-        for t in (0.5, 1.5, 2.5):
-            sim.schedule(t, lambda t=t: log.append(t))
-        sim.run(until=1.0)
-        assert log == [0.5] and sim.pending == 2
-        sim.run()
-        assert log == [0.5, 1.5, 2.5]

@@ -9,6 +9,7 @@ tolerance.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -79,6 +80,10 @@ class TestHealthyPath:
     def test_matches_plain_simulate_bit_for_bit(self, three_chain):
         plain = simulate(three_chain, MAPPING, n_datasets=60)
         tolerant = ft(three_chain, MAPPING, n_datasets=60)
+        # One dispatch rule: a healthy fault-tolerant run takes the same
+        # engine as the plain run and reproduces it exactly.
+        assert tolerant.engine == plain.engine == "fast"
+        assert np.array_equal(tolerant.completions, plain.completions)
         assert tolerant.throughput == plain.throughput
         assert tolerant.availability == 1.0
         assert not tolerant.failures and not tolerant.remaps

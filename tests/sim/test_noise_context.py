@@ -124,11 +124,13 @@ class TestEngineAgreement:
         assert fast.throughput == event.throughput
         assert fast.busy_fractions == event.busy_fractions
 
-    def test_plain_auto_stays_on_event_under_drift(self):
-        """Uncontrolled ``auto`` keeps its conservative PR-6 policy (any
-        active noise -> event engine); only the controller's drive loop
-        opts deterministic drift into fast epochs."""
+    def test_plain_auto_takes_fast_under_deterministic_drift(self):
+        """Plain and controlled runs share one dispatch rule: ``auto``
+        takes the fast path for deterministic drift, bit-identically."""
         chain = study_chain()
         mapping = Mapping([ModuleSpec(0, 3, 12, 1)])
         result = simulate(chain, mapping, 200, noise=drift_noise())
-        assert result.engine == "event"
+        event = simulate(chain, mapping, 200, noise=drift_noise(),
+                         engine="event")
+        assert result.engine == "fast"
+        assert np.array_equal(result.completions, event.completions)

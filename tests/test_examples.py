@@ -53,7 +53,7 @@ def test_dynamic_remapping():
     out = _run("dynamic_remapping.py")
     assert "REMAP" in out
     assert "keep" in out
-    assert "aggregate gain" in out
+    assert "vs never remapping" in out
 
 
 def test_stereo_forkjoin():
