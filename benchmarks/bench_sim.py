@@ -32,6 +32,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.core.cost import PolynomialEComm, PolynomialExec  # noqa: E402
 from repro.core.mapping import Mapping, ModuleSpec  # noqa: E402
 from repro.core.task import Edge, Task, TaskChain  # noqa: E402
+from repro.core.validate import ensure_valid_plan  # noqa: E402
 from repro.sim import NoiseModel, simulate, simulate_fast  # noqa: E402
 
 #: Dyadic duration grid: every cost is a multiple of 2**-20, so timestamp
@@ -62,7 +63,7 @@ def bench_pipeline() -> tuple[TaskChain, Mapping]:
         ModuleSpec(3, 3, 2, 1),
         ModuleSpec(4, 4, 1, 2),
     ])
-    mapping.validate(chain)
+    ensure_valid_plan(chain, mapping)
     return chain, mapping
 
 

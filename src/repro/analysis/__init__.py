@@ -18,6 +18,10 @@ Two halves:
   processor budgets, contiguity, replica feasibility, machine geometry,
   and deadlock-freedom of the ascending-queue redistribution without
   running the simulator.
+
+Both halves share one vocabulary with the runtime pre-flight:
+:class:`~repro.core.exceptions.Severity`, and (for plans)
+:class:`~repro.core.exceptions.Violation`.
 """
 
 from .diagnostics import Diagnostic, Severity

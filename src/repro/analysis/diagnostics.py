@@ -8,28 +8,14 @@ artifact.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["Severity", "Diagnostic", "report_to_dict", "report_to_json"]
+from ..core.exceptions import Severity
+
+__all__ = ["Severity", "Diagnostic", "report_to_dict"]
 
 JSON_FORMAT = "repro-lint/v1"
-
-
-class Severity(Enum):
-    """How bad a finding is.
-
-    ``ERROR`` findings fail the lint run (exit code 1); ``WARNING``
-    findings are reported but do not gate.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
-
-    def __str__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -45,7 +31,6 @@ class Diagnostic:
     end_line: int | None = None
     end_col: int | None = None
     suppressed: bool = False  # True when a pragma on the line allows it
-    context: dict = field(default_factory=dict, compare=False)
 
     def format(self) -> str:
         tag = " (suppressed)" if self.suppressed else ""
@@ -69,8 +54,6 @@ class Diagnostic:
             d["end_col"] = self.end_col
         if self.suppressed:
             d["suppressed"] = True
-        if self.context:
-            d["context"] = dict(self.context)
         return d
 
     def allowed_by(self, rules: set[str]) -> bool:
@@ -96,9 +79,3 @@ def report_to_dict(
         "diagnostics": [d.to_dict() for d in diags],
     }
 
-
-def report_to_json(
-    diagnostics: Iterable[Diagnostic],
-    files_scanned: int = 0,
-) -> str:
-    return json.dumps(report_to_dict(diagnostics, files_scanned), indent=2)

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .contracts import CONTRACT_RULE, DEFAULT_CONTRACTS, ClassIndex, check_contracts
-from .diagnostics import Diagnostic, Severity, report_to_dict, report_to_json
+from .diagnostics import Diagnostic, Severity, report_to_dict
 from .pragmas import apply_pragmas, collect_pragmas
 from .rules import Rule, RuleContext, default_rules
 
@@ -52,9 +52,6 @@ class LintReport:
 
     def to_dict(self) -> dict:
         return report_to_dict(self.diagnostics, self.files_scanned)
-
-    def to_json(self) -> str:
-        return report_to_json(self.diagnostics, self.files_scanned)
 
     def render(self, show_suppressed: bool = False) -> str:
         lines = [

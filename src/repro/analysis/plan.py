@@ -2,10 +2,12 @@
 
 A mapping produced offline (a saved JSON, a hand-written plan, a future
 ILP/metaheuristic backend) is vetted here *without running the
-simulator*: structural tiling, processor budget, replication legality,
-memory minimums, machine geometry (rectangularity / packing / pathway
-caps via :mod:`repro.machine.feasibility`), and — for degradation plans —
-deadlock-freedom of the ascending-queue redistribution.
+simulator*: structural tiling (by :class:`~repro.core.mapping.ModuleSpec`
+and :class:`~repro.core.mapping.Mapping` construction), everything
+:func:`~repro.core.validate.preflight` owns (coverage, replication
+legality, processor budget, memory minimums, machine geometry), and — for
+degradation plans — deadlock-freedom of the ascending-queue
+redistribution.
 
 The deadlock check is the static image of the simulator's runtime
 invariant (:meth:`repro.sim.pipeline._Run.reassign_or_drop`): an orphaned
@@ -21,14 +23,14 @@ rejects them before anything executes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..core.exceptions import PlanError
+from ..core.exceptions import PlanError, Violation
 from ..core.mapping import Mapping, ModuleSpec
 from ..core.task import TaskChain
-from ..core.validate import PlanViolation, preflight
+from ..core.validate import preflight
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..machine.machine import MachineSpec
@@ -39,7 +41,6 @@ __all__ = [
     "StaticPlan",
     "PlanReport",
     "load_plan",
-    "verify_structure",
     "verify_redistribution",
     "verify_plan",
 ]
@@ -61,6 +62,13 @@ class QueueState:
     high: int = -1
     alive: bool = True
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "QueueState":
+        return cls(
+            int(d["module"]), int(d["instance"]),
+            int(d.get("high", -1)), bool(d.get("alive", True)),
+        )
+
 
 @dataclass(frozen=True)
 class Reassignment:
@@ -72,15 +80,23 @@ class Reassignment:
     stage: str
     instance: int
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "Reassignment":
+        return cls(
+            int(d["module"]), int(d["dataset"]),
+            str(d.get("stage", "exec")), int(d["instance"]),
+        )
+
 
 @dataclass
 class StaticPlan:
     """A plan to verify: raw modules plus whatever context is known.
 
-    ``modules`` stays raw (list of dicts) so structural violations —
-    gaps, overlaps, non-positive processor counts — are *reported* rather
-    than thrown during :class:`~repro.core.mapping.Mapping` construction,
-    which stops at the first problem.
+    ``modules`` and ``redistribution`` (``{"queues": [...], "moves":
+    [...]}``, the dict forms of :class:`QueueState` and
+    :class:`Reassignment`) stay raw, so malformed entries are *reported*
+    by :func:`verify_plan` rather than thrown while loading.  Unset
+    ``total_procs`` and ``mem_per_proc_mb`` come from ``machine``.
     """
 
     modules: list[dict]
@@ -88,13 +104,8 @@ class StaticPlan:
     machine: "MachineSpec | None" = None
     total_procs: int | None = None
     mem_per_proc_mb: float | None = None
-    queues: list[QueueState] = field(default_factory=list)
-    moves: list[Reassignment] = field(default_factory=list)
+    redistribution: dict = field(default_factory=dict)
     source: str = "<memory>"
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping, **kw) -> "StaticPlan":
-        return cls(modules=[m.to_dict() for m in mapping.modules], **kw)
 
     @classmethod
     def from_dict(cls, payload: dict, source: str = "<dict>") -> "StaticPlan":
@@ -114,56 +125,37 @@ class StaticPlan:
             modules = payload.get("mapping", {}).get("modules", [])
             chain_d = payload.get("fitted_chain") or payload.get("chain")
             chain = TaskChain.from_dict(chain_d) if chain_d else None
-        machine = _resolve_machine(payload.get("machine"))
-        total = payload.get("total_procs")
-        if total is None and machine is not None:
-            total = machine.total_procs
-        mem = payload.get("mem_per_proc_mb")
-        if mem is None and machine is not None:
-            mem = machine.mem_per_proc_mb
-        redist = payload.get("redistribution") or {}
-        queues = [
-            QueueState(
-                int(q["module"]), int(q["instance"]),
-                int(q.get("high", -1)), bool(q.get("alive", True)),
-            )
-            for q in redist.get("queues", [])
-        ]
-        moves = [
-            Reassignment(
-                int(m["module"]), int(m["dataset"]),
-                str(m.get("stage", "exec")), int(m["instance"]),
-            )
-            for m in redist.get("moves", [])
-        ]
         return cls(
-            modules=list(modules), chain=chain, machine=machine,
-            total_procs=total, mem_per_proc_mb=mem,
-            queues=queues, moves=moves, source=source,
+            modules=list(modules), chain=chain,
+            machine=_resolve_machine(payload.get("machine"), source),
+            total_procs=payload.get("total_procs"),
+            mem_per_proc_mb=payload.get("mem_per_proc_mb"),
+            redistribution=payload.get("redistribution") or {},
+            source=source,
         )
 
 
-def _resolve_machine(name):
+def _resolve_machine(name, source: str):
     """Preset lookup tolerant of both CLI keys and spec names."""
     if name is None or not isinstance(name, str):
         return name                      # already a MachineSpec (or absent)
     from ..machine import PRESETS, by_name
 
-    try:
-        return by_name(name)
-    except KeyError:
-        for key in PRESETS:
-            spec = by_name(key)
-            if spec.name == name:
-                return spec
-    return None
+    specs = {key: by_name(key) for key in PRESETS}
+    for key, spec in specs.items():
+        if name in (key, spec.name):
+            return spec
+    raise ValueError(
+        f"{source}: unknown machine {name!r}; known presets: "
+        f"{sorted(specs)} (spec names {sorted(m.name for m in specs.values())})"
+    )
 
 
 @dataclass
 class PlanReport:
     """Every violation the static verifier found."""
 
-    violations: list[PlanViolation]
+    violations: list[Violation]
     source: str = "<memory>"
     checked: tuple[str, ...] = ()        # which check families ran
 
@@ -202,82 +194,11 @@ class PlanReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_structure(modules: list[dict]) -> list[PlanViolation]:
-    """Tiling and field sanity on raw module dicts.
-
-    Reports *every* structural problem (gap, overlap, bad span, bad
-    counts) — unlike :class:`~repro.core.mapping.Mapping` construction,
-    which raises at the first.
-    """
-    v: list[PlanViolation] = []
-    if not modules:
-        return [PlanViolation("structure", "a plan needs at least one module")]
-    parsed = []
-    for i, m in enumerate(modules):
-        try:
-            start = int(m["start"])
-            stop = int(m["stop"])
-            procs = int(m["procs"])
-            replicas = int(m.get("replicas", 1))
-        except (KeyError, TypeError, ValueError) as exc:
-            v.append(
-                PlanViolation(
-                    "structure", f"module entry {i} is malformed: {exc!r}",
-                    module=i,
-                )
-            )
-            continue
-        if stop < start or start < 0:
-            v.append(
-                PlanViolation(
-                    "structure", f"bad module span [{start}, {stop}]",
-                    module=i,
-                )
-            )
-        if procs < 1:
-            v.append(
-                PlanViolation(
-                    "structure",
-                    f"module needs at least one processor per instance, "
-                    f"has {procs}", module=i,
-                )
-            )
-        if replicas < 1:
-            v.append(
-                PlanViolation(
-                    "structure",
-                    f"module needs at least one instance, has {replicas}",
-                    module=i,
-                )
-            )
-        parsed.append((i, start, stop))
-    parsed.sort(key=lambda t: t[1])
-    pos = 0
-    for i, start, stop in parsed:
-        if start > pos:
-            v.append(
-                PlanViolation(
-                    "structure",
-                    f"non-contiguous clustering: tasks {pos}..{start - 1} "
-                    f"belong to no module", module=i,
-                )
-            )
-        elif start < pos:
-            v.append(
-                PlanViolation(
-                    "structure",
-                    f"modules overlap at task {start}", module=i,
-                )
-            )
-        pos = max(pos, stop + 1)
-    return v
-
-
 def verify_redistribution(
     replicas: list[int],
     queues: list[QueueState],
     moves: list[Reassignment],
-) -> list[PlanViolation]:
+) -> list[Violation]:
     """Deadlock-freedom of a proposed ascending-queue redistribution.
 
     ``replicas`` is the per-module instance count of the mapping the
@@ -287,12 +208,12 @@ def verify_redistribution(
     forever) or breaks queue ascent (the rendezvous cycle described in
     the module docstring).
     """
-    v: list[PlanViolation] = []
+    v: list[Violation] = []
     state: dict[tuple[int, int], QueueState] = {}
     for q in queues:
         if not 0 <= q.module < len(replicas):
             v.append(
-                PlanViolation(
+                Violation(
                     "structure",
                     f"queue state names module {q.module}; the mapping has "
                     f"{len(replicas)} modules", module=q.module,
@@ -301,7 +222,7 @@ def verify_redistribution(
             continue
         if not 0 <= q.instance < replicas[q.module]:
             v.append(
-                PlanViolation(
+                Violation(
                     "structure",
                     f"queue state names instance {q.instance} of module "
                     f"{q.module}, which has {replicas[q.module]} instances",
@@ -315,7 +236,7 @@ def verify_redistribution(
     for mv in moves:
         if mv.stage not in _STAGES:
             v.append(
-                PlanViolation(
+                Violation(
                     "structure",
                     f"unknown resume stage {mv.stage!r} for data set "
                     f"{mv.dataset} (expected one of {_STAGES})",
@@ -326,7 +247,7 @@ def verify_redistribution(
             not 0 <= mv.instance < replicas[mv.module]
         ):
             v.append(
-                PlanViolation(
+                Violation(
                     "structure",
                     f"move of data set {mv.dataset} targets instance "
                     f"{mv.instance} of module {mv.module}, which does not "
@@ -337,7 +258,7 @@ def verify_redistribution(
         key = (mv.module, mv.dataset)
         if key in seen:
             v.append(
-                PlanViolation(
+                Violation(
                     "deadlock",
                     f"data set {mv.dataset} is assigned to two instances of "
                     f"module {mv.module}: both would arrive at the same "
@@ -351,7 +272,7 @@ def verify_redistribution(
         q = state.get(target)
         if q is not None and not q.alive:
             v.append(
-                PlanViolation(
+                Violation(
                     "deadlock",
                     f"data set {mv.dataset} moves to dead instance "
                     f"{mv.instance} of module {mv.module}: it would never "
@@ -363,7 +284,7 @@ def verify_redistribution(
         high = highs.get(target, -1)
         if mv.dataset <= high:
             v.append(
-                PlanViolation(
+                Violation(
                     "deadlock",
                     f"data set {mv.dataset} moves to instance {mv.instance} "
                     f"of module {mv.module} whose queue already started "
@@ -377,54 +298,64 @@ def verify_redistribution(
     return v
 
 
+def _parse_redistribution(
+    redist: dict,
+) -> tuple[list[QueueState], list[Reassignment], list[Violation]]:
+    """Queue states and moves of a raw redistribution section; each
+    malformed entry becomes a ``structure`` violation."""
+    parsed: dict[str, list] = {"queues": [], "moves": []}
+    bad: list[Violation] = []
+    for key, parse in (("queues", QueueState.from_dict), ("moves", Reassignment.from_dict)):
+        for i, entry in enumerate(redist.get(key, [])):
+            try:
+                parsed[key].append(parse(entry))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                bad.append(Violation(
+                    "structure",
+                    f"redistribution {key} entry {i} is malformed: {exc!r}",
+                ))
+    return parsed["queues"], parsed["moves"], bad
+
+
 def verify_plan(plan: StaticPlan) -> PlanReport:
     """Run every applicable check family over a plan.
 
-    Families run in dependency order — structure first (nothing else is
-    meaningful on a broken tiling), then chain-level preflight, machine
-    geometry, and redistribution.
+    Structure first: each raw module is parsed with
+    :meth:`ModuleSpec.from_dict` and the list with :class:`Mapping`,
+    which report every bad field, gap and overlap (nothing else is
+    meaningful on a broken tiling).  Then
+    :func:`~repro.core.validate.preflight` — coverage, replication,
+    budget, memory, and geometry when a machine is in scope — and the
+    redistribution.
     """
     checked = ["structure"]
-    violations = verify_structure(plan.modules)
-    mapping: Mapping | None = None
+    violations: list[Violation] = []
+    specs = []
+    for i, d in enumerate(plan.modules):
+        try:
+            specs.append(ModuleSpec.from_dict(d))
+        except PlanError as err:
+            violations += [replace(v, module=i) for v in err.violations]
     if not violations:
-        mapping = Mapping(
-            [ModuleSpec.from_dict(m) for m in plan.modules]
+        try:
+            mapping = Mapping(specs)
+        except PlanError as err:
+            violations = err.violations
+    if violations:
+        return PlanReport(violations, source=plan.source, checked=tuple(checked))
+
+    checked.append("preflight")
+    if plan.machine is not None and plan.total_procs in (None, plan.machine.total_procs):
+        checked.append("geometry")
+    violations = preflight(
+        plan.chain, mapping, plan.total_procs, plan.mem_per_proc_mb, plan.machine
+    )
+    if plan.redistribution:
+        checked.append("redistribution")
+        queues, moves, bad = _parse_redistribution(plan.redistribution)
+        violations += bad + verify_redistribution(
+            [m.replicas for m in mapping.modules], queues, moves
         )
-
-    if mapping is not None:
-        if plan.chain is not None:
-            checked.append("preflight")
-            violations += preflight(
-                plan.chain, mapping,
-                total_procs=plan.total_procs,
-                mem_per_proc_mb=plan.mem_per_proc_mb,
-            )
-        elif plan.total_procs is not None:
-            checked.append("budget")
-            if mapping.total_procs > plan.total_procs:
-                violations.append(
-                    PlanViolation(
-                        "budget",
-                        f"mapping uses {mapping.total_procs} processors, "
-                        f"machine has {plan.total_procs}",
-                    )
-                )
-        if plan.machine is not None:
-            checked.append("geometry")
-            from ..machine.feasibility import check_feasible
-
-            report = check_feasible(mapping, plan.machine)
-            if not report.feasible:
-                violations.append(
-                    PlanViolation("geometry", report.reason)
-                )
-        if plan.queues or plan.moves:
-            checked.append("redistribution")
-            violations += verify_redistribution(
-                [m.replicas for m in mapping.modules],
-                plan.queues, plan.moves,
-            )
     return PlanReport(violations, source=plan.source, checked=tuple(checked))
 
 

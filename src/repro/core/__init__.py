@@ -26,7 +26,9 @@ from .exceptions import (
     ModelFitError,
     PlanError,
     ReproError,
+    Severity,
     SimulationError,
+    Violation,
 )
 from .task import Edge, Task, TaskChain, min_processors
 from .mapping import (
@@ -74,15 +76,7 @@ from .latency import (
     throughput_latency_frontier,
 )
 from .sizing import SizingResult, min_processors_for_throughput, sizing_curve
-from .validate import (
-    Diagnosis,
-    Finding,
-    PlanViolation,
-    Severity,
-    diagnose,
-    ensure_valid_plan,
-    preflight,
-)
+from .validate import Diagnosis, diagnose, ensure_valid_plan, preflight
 
 __all__ = [
     # cost models
@@ -93,6 +87,7 @@ __all__ = [
     # errors
     "ReproError", "InvalidChainError", "InvalidMappingError",
     "InfeasibleError", "ModelFitError", "SimulationError", "PlanError",
+    "Severity", "Violation",
     # chain & mapping
     "Task", "Edge", "TaskChain", "min_processors",
     "Mapping", "ModuleSpec", "all_clusterings", "singleton_clustering",
@@ -115,8 +110,7 @@ __all__ = [
     "LatencyResult", "optimal_latency_assignment",
     "throughput_latency_frontier",
     "SizingResult", "min_processors_for_throughput", "sizing_curve",
-    "Diagnosis", "Finding", "Severity", "diagnose",
-    "PlanViolation", "preflight", "ensure_valid_plan",
+    "Diagnosis", "diagnose", "preflight", "ensure_valid_plan",
     # baselines & oracles
     "data_parallel", "replicated_data_parallel", "even_task_parallel",
     "comm_blind_assignment",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .exceptions import InvalidMappingError
+from .exceptions import InvalidMappingError, PlanError, Violation
 from .task import TaskChain
 
 __all__ = [
@@ -35,12 +35,19 @@ class ModuleSpec:
     replicas: int = 1
 
     def __post_init__(self):
-        if self.start < 0 or self.stop < self.start:
-            raise InvalidMappingError(f"bad module span [{self.start}, {self.stop}]")
-        if self.procs < 1:
-            raise InvalidMappingError("module needs at least one processor per instance")
-        if self.replicas < 1:
-            raise InvalidMappingError("module needs at least one instance")
+        if self.start < 0 or self.stop < self.start or self.procs < 1 or self.replicas < 1:
+            raise PlanError(
+                Violation("structure", message)
+                for bad, message in (
+                    (self.start < 0 or self.stop < self.start,
+                     f"bad module span [{self.start}, {self.stop}]"),
+                    (self.procs < 1, "module needs at least one processor "
+                     f"per instance, has {self.procs}"),
+                    (self.replicas < 1, "module needs at least one instance, "
+                     f"has {self.replicas}"),
+                )
+                if bad
+            )
 
     @property
     def ntasks(self) -> int:
@@ -63,7 +70,15 @@ class ModuleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModuleSpec":
-        return cls(d["start"], d["stop"], d["procs"], d.get("replicas", 1))
+        try:
+            return cls(
+                int(d["start"]), int(d["stop"]), int(d["procs"]),
+                int(d.get("replicas", 1)),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise PlanError(
+                [Violation("structure", f"module entry is malformed: {exc!r}")]
+            ) from None
 
 
 class Mapping:
@@ -71,18 +86,16 @@ class Mapping:
 
     def __init__(self, modules: Sequence[ModuleSpec]):
         if not modules:
-            raise InvalidMappingError("a mapping needs at least one module")
+            raise PlanError(
+                [Violation("structure", "a mapping needs at least one module")]
+            )
         mods = sorted(modules, key=lambda m: m.start)
-        pos = mods[0].start
-        if pos != 0:
-            raise InvalidMappingError("first module must start at task 0")
+        pos = 0
         for m in mods:
             if m.start != pos:
-                raise InvalidMappingError(
-                    f"modules must tile the chain: gap/overlap at task {pos}"
-                )
+                raise PlanError(_tiling_problems(mods))
             pos = m.stop + 1
-        self.modules = list(mods)
+        self.modules = mods
 
     # -- container protocol ----------------------------------------------
     def __len__(self) -> int:
@@ -126,29 +139,6 @@ class Mapping:
                 return i
         raise InvalidMappingError(f"task {task_index} outside mapping")
 
-    # -- validation ---------------------------------------------------------
-    def validate(self, chain: TaskChain, total_procs: int | None = None) -> None:
-        """Check the mapping against a chain (and optionally a machine size).
-
-        Raises :class:`InvalidMappingError` on: wrong task count, replication
-        of a non-replicable segment, or exceeding ``total_procs``.
-        """
-        if self.ntasks != len(chain):
-            raise InvalidMappingError(
-                f"mapping covers {self.ntasks} tasks, chain has {len(chain)}"
-            )
-        for m in self.modules:
-            if m.replicas > 1 and not chain.segment_replicable(m.start, m.stop):
-                names = [t.name for t in m.tasks_of(chain)]
-                raise InvalidMappingError(
-                    f"module {names} contains a non-replicable task but has "
-                    f"{m.replicas} instances"
-                )
-        if total_procs is not None and self.total_procs > total_procs:
-            raise InvalidMappingError(
-                f"mapping uses {self.total_procs} processors, machine has {total_procs}"
-            )
-
     # -- serialisation --------------------------------------------------------
     def to_dict(self) -> dict:
         return {"modules": [m.to_dict() for m in self.modules]}
@@ -156,6 +146,24 @@ class Mapping:
     @classmethod
     def from_dict(cls, d: dict) -> "Mapping":
         return cls([ModuleSpec.from_dict(m) for m in d["modules"]])
+
+
+def _tiling_problems(mods: list[ModuleSpec]) -> list[Violation]:
+    """Every gap and overlap in modules sorted by start (failure path of
+    :class:`Mapping` construction only)."""
+    problems, pos = [], 0
+    for m in mods:
+        if m.start > pos:
+            problems.append(Violation(
+                "structure", f"non-contiguous clustering: tasks {pos}.."
+                f"{m.start - 1} belong to no module",
+            ))
+        elif m.start < pos:
+            problems.append(
+                Violation("structure", f"modules overlap at task {m.start}")
+            )
+        pos = max(pos, m.stop + 1)
+    return problems
 
 
 # ---------------------------------------------------------------------------

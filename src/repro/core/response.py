@@ -451,7 +451,9 @@ def evaluate_mapping(
     mem_per_proc_mb: float = UNLIMITED_MEMORY_MB,
 ) -> MappingPerformance:
     """Evaluate a fully explicit :class:`Mapping` against a chain."""
-    mapping.validate(chain)
+    from .validate import ensure_valid_plan
+
+    ensure_valid_plan(chain, mapping)
     mchain = build_module_chain(chain, mapping.clustering(), mem_per_proc_mb)
     allocations = [(m.procs, m.replicas) for m in mapping.modules]
     return evaluate_module_chain(mchain, allocations)

@@ -218,10 +218,6 @@ def _cmd_lint(args) -> int:
             plan.chain = workload_by_name(args.workload, machine).chain
         if plan.machine is None and args.machine is not None:
             plan.machine = machine_by_name(args.machine)
-            if plan.total_procs is None:
-                plan.total_procs = plan.machine.total_procs
-            if plan.mem_per_proc_mb is None:
-                plan.mem_per_proc_mb = plan.machine.mem_per_proc_mb
         plan_report = verify_plan(plan)
         print(plan_report.render())
         ok = ok and plan_report.ok

@@ -14,7 +14,6 @@ from repro.analysis import (
     verify_plan,
     verify_redistribution,
 )
-from repro.analysis.plan import verify_structure
 from repro.core import (
     Edge,
     Mapping,
@@ -47,20 +46,25 @@ def three_task_chain(replicable=(True, True, True)):
     return TaskChain(tasks, edges, name="three")
 
 
+def structure_violations(mods):
+    """The structure family of :func:`verify_plan` on raw module dicts."""
+    return verify_plan(StaticPlan(modules=mods)).violations
+
+
 class TestVerifyStructure:
     def test_clean_plan_ok(self):
         mods = [
             {"start": 0, "stop": 1, "procs": 2},
             {"start": 2, "stop": 2, "procs": 1},
         ]
-        assert verify_structure(mods) == []
+        assert structure_violations(mods) == []
 
     def test_gap_reported(self):
         mods = [
             {"start": 0, "stop": 0, "procs": 1},
             {"start": 2, "stop": 2, "procs": 1},
         ]
-        v = verify_structure(mods)
+        v = structure_violations(mods)
         assert any("belong to no module" in str(x) for x in v)
 
     def test_overlap_reported(self):
@@ -68,25 +72,25 @@ class TestVerifyStructure:
             {"start": 0, "stop": 1, "procs": 1},
             {"start": 1, "stop": 2, "procs": 1},
         ]
-        v = verify_structure(mods)
+        v = structure_violations(mods)
         assert any("overlap" in str(x) for x in v)
 
     def test_all_problems_reported_not_just_first(self):
-        # Mapping.__init__ raises at the first problem; the static
-        # verifier must keep going and report every one.
+        # The verifier must not stop at the first bad module: every one
+        # is reported.
         mods = [
             {"start": 0, "stop": 0, "procs": 0},
             {"start": 3, "stop": 2, "procs": 1},
             {"start": 5, "stop": 6, "procs": -1},
         ]
-        v = verify_structure(mods)
+        v = structure_violations(mods)
         assert len(v) >= 3
 
     def test_empty_plan_rejected(self):
-        assert verify_structure([]) != []
+        assert structure_violations([]) != []
 
     def test_malformed_entry_reported(self):
-        v = verify_structure([{"start": 0}])
+        v = structure_violations([{"start": 0}])
         assert any(x.code == "structure" for x in v)
 
 
@@ -297,3 +301,110 @@ class TestLoadPlan:
         path.write_text(json.dumps({"kind": "mystery"}))
         with pytest.raises(ValueError):
             load_plan(path)
+
+    def test_unknown_machine_rejected(self, tmp_path):
+        # A typo'd machine name used to drop the budget and geometry
+        # checks silently, so a 10 000-processor module passed.
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({
+            "kind": "plan-check",
+            "machine": "iwarp64-mesage",
+            "mapping": {"modules": [{"start": 0, "stop": 2, "procs": 10_000}]},
+        }))
+        with pytest.raises(ValueError, match="iwarp64-message"):
+            load_plan(path)
+
+    def test_spec_name_resolves_machine(self):
+        # save_plan_summary records the machine's spec name, not its key.
+        plan = StaticPlan.from_dict({
+            "kind": "plan-check", "machine": "iwarp64/message",
+            "mapping": {"modules": [{"start": 0, "stop": 2, "procs": 10_000}]},
+        })
+        assert plan.machine == machine_by_name("iwarp64-message")
+        assert [v.code for v in verify_plan(plan).violations] == ["budget"]
+
+    @pytest.mark.parametrize("move", [
+        {"dataset": "x"},
+        {"module": 0, "dataset": 4, "stage": "exec"},
+        {"module": 0, "dataset": "x", "instance": 0},
+    ])
+    def test_malformed_redistribution_entry_reported(self, tmp_path, move):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "kind": "plan-check",
+            "mapping": {"modules": [{"start": 0, "stop": 2, "procs": 1}]},
+            "redistribution": {"queues": [{"module": 0}], "moves": [move]},
+        }))
+        report = verify_plan(load_plan(path))
+        assert [v.code for v in report.violations] == ["structure", "structure"]
+        assert "queues entry 0" in str(report.violations[0])
+        assert "moves entry 0" in str(report.violations[1])
+
+
+def _nonreplicable_chain():
+    return TaskChain([
+        Task("a", PolynomialExec(0.0, 1.0, 0.0), mem_parallel_mb=4.0,
+             replicable=False),
+    ])
+
+
+# (chain, modules, machine, total_procs, mem_per_proc_mb, expected ERROR codes)
+BAD_MAPPINGS = {
+    "task-count": (three_task_chain(), [ModuleSpec(0, 1, 2)], None, None, None,
+                   ["structure"]),
+    "replication": (three_task_chain(replicable=(True, False, True)),
+                    [ModuleSpec(0, 0, 1), ModuleSpec(1, 1, 1, 2), ModuleSpec(2, 2, 1)],
+                    None, 8, None, ["replication"]),
+    "budget": (three_task_chain(), [ModuleSpec(0, 2, 65)], "iwarp64-message",
+               None, None, ["budget"]),
+    "memory": (_nonreplicable_chain(), [ModuleSpec(0, 0, 2)], None, None, 1.0,
+               ["memory"]),
+    "geometry": (None, [ModuleSpec(0, 1, 13), ModuleSpec(2, 2, 13)],
+                 "iwarp64-message", None, None, ["geometry"]),
+    # A non-replicable task mapped 2p x 3 on 4 processors with 1 MB each.
+    "combined": (_nonreplicable_chain(), [ModuleSpec(0, 0, 2, 3)], None, 4, 1.0,
+                 ["replication", "budget", "memory"]),
+}
+
+
+class TestOneVocabulary:
+    """diagnose, preflight and verify_plan share one owner for every
+    legality check, so they must report the same ERROR codes."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_MAPPINGS))
+    def test_checkers_agree(self, case):
+        from repro.core import Severity, diagnose
+        from repro.workloads import fft_hist
+
+        chain, modules, machine, total, mem, expected = BAD_MAPPINGS[case]
+        machine = machine and machine_by_name(machine)
+        if chain is None:
+            chain = fft_hist(256, machine).chain
+        mapping = Mapping(modules)
+
+        diagnosed = diagnose(chain, mapping, machine=machine,
+                             mem_per_proc_mb=mem, total_procs=total)
+        preflighted = preflight(chain, mapping, total, mem, machine=machine)
+        report = verify_plan(StaticPlan(
+            modules=[m.to_dict() for m in modules], chain=chain,
+            machine=machine, total_procs=total, mem_per_proc_mb=mem,
+        ))
+        assert [v.code for v in diagnosed.violations
+                if v.severity is Severity.ERROR] == expected
+        assert [v.code for v in preflighted] == expected
+        assert [v.code for v in report.violations] == expected
+        with pytest.raises(PlanError) as err:
+            report.raise_if_invalid()
+        for code in expected:
+            assert code in str(err.value)
+
+    def test_partial_machine_skips_geometry(self):
+        # A total_procs override vets against surviving processors, which
+        # no longer form the preset's grid: budget applies, geometry not.
+        from repro.workloads import fft_hist
+
+        machine = machine_by_name("iwarp64-message")
+        chain = fft_hist(256, machine).chain
+        bad_shape = Mapping([ModuleSpec(0, 1, 13), ModuleSpec(2, 2, 13)])
+        assert preflight(chain, bad_shape, 60, machine=machine) == []
+        assert preflight(chain, bad_shape, 20, machine=machine)[0].code == "budget"

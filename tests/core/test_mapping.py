@@ -6,11 +6,13 @@ from repro.core import (
     InvalidMappingError,
     Mapping,
     ModuleSpec,
+    PlanError,
     PolynomialExec,
     Task,
     TaskChain,
     all_clusterings,
     clustering_from_boundaries,
+    ensure_valid_plan,
     singleton_clustering,
 )
 
@@ -43,6 +45,11 @@ class TestModuleSpec:
         m = ModuleSpec(0, 2, 3, 4)
         assert ModuleSpec.from_dict(m.to_dict()) == m
 
+    def test_lists_every_bad_field(self):
+        with pytest.raises(PlanError) as err:
+            ModuleSpec(3, 2, procs=0, replicas=0)
+        assert len(err.value.violations) == 3
+
 
 class TestMapping:
     def test_must_tile_chain(self):
@@ -52,6 +59,15 @@ class TestMapping:
             Mapping([ModuleSpec(0, 2, 1), ModuleSpec(2, 3, 1)])  # overlap at 2
         with pytest.raises(InvalidMappingError):
             Mapping([ModuleSpec(1, 2, 1)])  # does not start at 0
+
+    def test_lists_every_gap_and_overlap(self):
+        with pytest.raises(PlanError) as err:
+            Mapping([ModuleSpec(1, 2, 1), ModuleSpec(2, 3, 1), ModuleSpec(6, 6, 1)])
+        assert [str(v) for v in err.value.violations] == [
+            "structure: non-contiguous clustering: tasks 0..0 belong to no module",
+            "structure: modules overlap at task 2",
+            "structure: non-contiguous clustering: tasks 4..5 belong to no module",
+        ]
 
     def test_orders_modules(self):
         m = Mapping([ModuleSpec(2, 3, 1), ModuleSpec(0, 1, 1)])
@@ -67,21 +83,21 @@ class TestMapping:
     def test_validate_task_count(self):
         m = Mapping([ModuleSpec(0, 1, 2)])
         with pytest.raises(InvalidMappingError):
-            m.validate(_chain(3))
+            ensure_valid_plan(_chain(3), m)
 
     def test_validate_replication_legality(self):
         chain = _chain(2, nonreplicable={1})
         bad = Mapping([ModuleSpec(0, 0, 1), ModuleSpec(1, 1, 1, replicas=2)])
         with pytest.raises(InvalidMappingError):
-            bad.validate(chain)
+            ensure_valid_plan(chain, bad)
         ok = Mapping([ModuleSpec(0, 0, 1, replicas=2), ModuleSpec(1, 1, 1)])
-        ok.validate(chain)
+        ensure_valid_plan(chain, ok)
 
     def test_validate_machine_size(self):
         m = Mapping([ModuleSpec(0, 1, 8, 2)])
         with pytest.raises(InvalidMappingError):
-            m.validate(_chain(2), total_procs=15)
-        m.validate(_chain(2), total_procs=16)
+            ensure_valid_plan(_chain(2), m, total_procs=15)
+        ensure_valid_plan(_chain(2), m, total_procs=16)
 
     def test_round_trip(self):
         m = Mapping([ModuleSpec(0, 0, 3, 8), ModuleSpec(1, 2, 4, 10)])

@@ -21,6 +21,7 @@ from repro.core import (
     Mapping,
     ModuleSpec,
     build_module_chain,
+    ensure_valid_plan,
     evaluate_mapping,
     evaluate_module_chain,
     greedy_assignment,
@@ -138,7 +139,7 @@ def test_remap_plans_fit_survivors(chain, P, lost):
         plan = planner.plan_after_failures(P, lost)
     except InfeasibleError:
         return  # chain legitimately does not fit the shrunken machine
-    plan.mapping.validate(chain, survivors)       # raises on any violation
+    ensure_valid_plan(chain, plan.mapping, survivors)  # raises on any violation
     assert plan.mapping.total_procs <= survivors
     # Losing processors can never raise the optimum.
     full = planner.plan(P)
@@ -167,7 +168,7 @@ def test_simulated_remap_produces_valid_mapping(seed, fail_time):
         return  # stream finished before the scripted failure
     assert len(result.remaps) == 1
     survivors = machine - 1
-    result.final_mapping.validate(chain, survivors)
+    ensure_valid_plan(chain, result.final_mapping, survivors)
     assert result.final_mapping.total_procs <= survivors
     assert len(result.completions) == 60
     assert (result.completions > 0).all()

@@ -18,9 +18,9 @@ from tests.conftest import make_random_chain
 
 def _codes(diagnosis, severity=None):
     return {
-        f.code
-        for f in diagnosis.findings
-        if severity is None or f.severity is severity
+        v.code
+        for v in diagnosis.violations
+        if severity is None or v.severity is severity
     }
 
 

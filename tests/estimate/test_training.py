@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import InfeasibleError, PolynomialExec, Task, TaskChain
+from repro.core import InfeasibleError, PolynomialExec, Task, TaskChain, ensure_valid_plan
 from repro.estimate import training_mappings
 from tests.conftest import make_random_chain
 
@@ -24,7 +24,7 @@ class TestTrainingMappings:
     def test_all_mappings_valid(self):
         chain = make_random_chain(4, seed=1, with_memory=True)
         for m in training_mappings(chain, 24, mem_per_proc_mb=1.0):
-            m.validate(chain, total_procs=24)
+            ensure_valid_plan(chain, m, total_procs=24)
 
     def test_exec_size_diversity(self):
         """Each task must be observed at >= 3 distinct partition sizes, or

@@ -22,6 +22,7 @@ from repro.core import (
     SimulationError,
     Task,
     TaskChain,
+    ensure_valid_plan,
     evaluate_mapping,
 )
 from repro.core.remap import RemapPlanner
@@ -162,7 +163,7 @@ class TestRemap:
         res, _ = self.run(three_chain)
         new = res.remaps[0].new_mapping
         assert res.final_mapping == new
-        new.validate(three_chain, MACHINE - 1)
+        ensure_valid_plan(three_chain, new, MACHINE - 1)
         assert new.total_procs <= MACHINE - 1
 
     def test_post_remap_rate_matches_analytic(self, three_chain):
@@ -269,4 +270,4 @@ def test_module_chain_fixture_assumptions():
     chain = make_three_task_chain()
     assert chain.tasks[0].replicable and chain.tasks[1].replicable
     assert not chain.tasks[2].replicable
-    MAPPING.validate(chain, MACHINE)
+    ensure_valid_plan(chain, MAPPING, MACHINE)
