@@ -3,8 +3,9 @@
 
 Times the assignment DP, the clustered DP (exhaustive and bisect) and the
 greedy heuristic across a ``(k, P)`` grid, records wall time and peak DP
-table bytes, and **asserts the optimized solvers return byte-identical
-mappings** to a verbatim copy of the seed solver embedded below.  Results
+table bytes, **asserts the optimized solvers return byte-identical
+mappings** to a verbatim copy of the seed solver embedded below, and
+asserts bisect reaches the exhaustive optimum within its tolerance.  Results
 are written to ``BENCH_solver.json`` at the repo root.
 
 Run standalone (not collected by pytest)::
@@ -36,10 +37,10 @@ from repro.core import (  # noqa: E402
     optimal_assignment,
     optimal_mapping,
 )
-from repro.core.dp import _strip_replication  # noqa: E402
 from repro.core.mapping import all_clusterings, singleton_clustering  # noqa: E402
 from repro.core.response import (  # noqa: E402
     evaluate_module_chain,
+    strip_replication,
     totals_to_allocations,
 )
 from repro.workloads.synthetic import random_chain  # noqa: E402
@@ -59,7 +60,7 @@ def _seed_optimal_assignment(mchain, total_procs, replication=True):
     if total_procs < 1:
         raise InfeasibleError("need at least one processor")
     if not replication:
-        mchain = _strip_replication(mchain)
+        mchain = strip_replication(mchain)
     l = len(mchain)
     P = int(total_procs)
     if mchain.total_min_procs > P:
@@ -196,6 +197,10 @@ def bench_cell(k, P, check_seed=True):
     )
     row["bisect_vs_exhaustive_rel"] = (
         abs(bis.throughput - opt.throughput) / opt.throughput
+    )
+    assert row["bisect_vs_exhaustive_rel"] <= 1e-9, (  # bisect's tol
+        f"bisect off the exhaustive optimum k={k} P={P}: "
+        f"rel {row['bisect_vs_exhaustive_rel']:.3g}"
     )
     row["greedy_s"], _ = _timed(lambda: greedy_assignment(mchain, P))
     row["throughput"] = opt.throughput

@@ -47,7 +47,7 @@ from .response import (
     build_module_chain,
     evaluate_mapping,
     evaluate_module_chain,
-    module_exec_cost,
+    module_info,
     throughput_of_totals,
     totals_to_allocations,
 )
@@ -95,7 +95,7 @@ __all__ = [
     # replication & evaluation
     "split_replicas", "effective_tables", "check_no_superlinear",
     "ModuleInfo", "ModuleChain", "SegmentCache", "build_module_chain",
-    "module_exec_cost",
+    "module_info",
     "MappingPerformance", "evaluate_mapping", "evaluate_module_chain",
     "throughput_of_totals", "totals_to_allocations",
     # performance layer

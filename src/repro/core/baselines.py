@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dp import _strip_replication
 from .exceptions import InfeasibleError
 from .mapping import Mapping, singleton_clustering
 from .response import (
@@ -25,6 +24,7 @@ from .response import (
     ModuleChain,
     build_module_chain,
     evaluate_module_chain,
+    strip_replication,
     totals_to_allocations,
 )
 from .task import TaskChain
@@ -42,7 +42,7 @@ def data_parallel(
 ) -> MappingPerformance:
     """Figure 1(a): all tasks time-share all processors, one instance."""
     mchain = build_module_chain(chain, ((0, len(chain) - 1),), mem_per_proc_mb)
-    mchain = _strip_replication(mchain)
+    mchain = strip_replication(mchain)
     if mchain.infos[0].p_min > total_procs:
         raise InfeasibleError("chain does not fit on the machine even data-parallel")
     return evaluate_module_chain(mchain, [(total_procs, 1)])
@@ -64,7 +64,7 @@ def even_task_parallel(
     per-module minimums allow, no replication."""
     k = len(chain)
     mchain = build_module_chain(chain, singleton_clustering(k), mem_per_proc_mb)
-    mchain = _strip_replication(mchain)
+    mchain = strip_replication(mchain)
     totals = [info.p_min for info in mchain.infos]
     spare = total_procs - sum(totals)
     if spare < 0:
@@ -96,7 +96,7 @@ def comm_blind_assignment(
     with the largest *execution* time (communication ignored), then evaluate
     the result under the full communication-aware model."""
     if not replication:
-        mchain = _strip_replication(mchain)
+        mchain = strip_replication(mchain)
     totals = [info.p_min for info in mchain.infos]
     spare = total_procs - sum(totals)
     if spare < 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .exceptions import InfeasibleError
 from .greedy import GreedyResult, greedy_assignment
 from .mapping import Mapping, singleton_clustering
-from .response import MappingPerformance, build_module_chain
+from .response import MappingPerformance, SegmentCache
 from .task import TaskChain
 
 __all__ = ["HeuristicResult", "heuristic_mapping"]
@@ -44,9 +44,9 @@ class HeuristicResult:
         return self.performance.throughput
 
 
-def _score(chain, clustering, P, mem, replication) -> float:
+def _score(cache, clustering, P, replication) -> float:
     """Throughput of a clustering under a quick greedy assignment, or -inf."""
-    mchain = build_module_chain(chain, clustering, mem)
+    mchain = cache.module_chain(clustering)
     if mchain.total_min_procs > P:
         return float("-inf")
     try:
@@ -79,14 +79,16 @@ def heuristic_mapping(
     """Run the full §4 heuristic: clustering search + greedy assignment."""
     k = len(chain)
     P = int(total_procs)
+    # Neighbouring clusterings share most segments: derive each once.
+    cache = SegmentCache(chain, mem_per_proc_mb)
     current = singleton_clustering(k)
-    best_score = _score(chain, current, P, mem_per_proc_mb, replication)
+    best_score = _score(cache, current, P, replication)
     examined = 1
     if best_score == float("-inf"):
         # The all-singleton clustering may violate memory minimums even when
         # merged clusterings fit; fall back to the coarsest clustering.
         current = ((0, k - 1),)
-        best_score = _score(chain, current, P, mem_per_proc_mb, replication)
+        best_score = _score(cache, current, P, replication)
         examined += 1
         if best_score == float("-inf"):
             raise InfeasibleError(
@@ -100,14 +102,14 @@ def heuristic_mapping(
         best_nb, best_nb_score = None, best_score
         for nb in _neighbours(current):
             examined += 1
-            s = _score(chain, nb, P, mem_per_proc_mb, replication)
+            s = _score(cache, nb, P, replication)
             if s > best_nb_score * (1 + 1e-12):
                 best_nb, best_nb_score = nb, s
         if best_nb is None:
             break
         current, best_score = best_nb, best_nb_score
 
-    mchain = build_module_chain(chain, current, mem_per_proc_mb)
+    mchain = cache.module_chain(current)
     final: GreedyResult = greedy_assignment(
         mchain, P, replication=replication, backtracking=backtracking
     )

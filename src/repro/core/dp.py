@@ -47,7 +47,7 @@ re-scored analytically in ``float64`` so reported numbers stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,16 +57,12 @@ from .response import (
     MappingPerformance,
     ModuleChain,
     evaluate_module_chain,
+    strip_replication,
     totals_to_allocations,
 )
 from .workspace import SolverWorkspace, argmin_dtype, default_workspace
 
 __all__ = ["DPResult", "optimal_assignment"]
-
-#: How many p_next planes the *reference* transition processes per chunk
-#: (kept for the sibling DPs in latency.py that still use this layout).
-_PN_CHUNK = 8
-
 
 @dataclass
 class DPResult:
@@ -85,11 +81,6 @@ class DPResult:
     @property
     def throughput(self) -> float:
         return self.performance.throughput
-
-
-def _strip_replication(mchain: ModuleChain) -> ModuleChain:
-    infos = [replace(i, replicable=False) for i in mchain.infos]
-    return ModuleChain(mchain.chain, infos, mchain.ecoms, cache=mchain.cache)
 
 
 def _assemble_r2(mchain, j, P, out, mask):
@@ -183,7 +174,7 @@ def optimal_assignment(
     if total_procs < 1:
         raise InfeasibleError("need at least one processor")
     if not replication:
-        mchain = _strip_replication(mchain)
+        mchain = strip_replication(mchain)
     l = len(mchain)
     P = int(total_procs)
     if mchain.total_min_procs > P:

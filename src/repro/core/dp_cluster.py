@@ -27,8 +27,6 @@ brute-force oracle in the test suite.
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +40,8 @@ from .response import (
     SegmentCache,
     build_module_chain,
     evaluate_module_chain,
-    module_exec_cost,
+    module_info,
+    strip_replication,
     totals_to_allocations,
 )
 from .task import TaskChain
@@ -77,7 +76,6 @@ def optimal_mapping(
     method: str = "auto",
     tol: float = 1e-9,
     instance_size_ok=None,
-    workers: int | None = None,
     cache: SegmentCache | None = None,
     workspace=None,
 ) -> ClusteredResult:
@@ -88,18 +86,12 @@ def optimal_mapping(
     restricts the per-instance processor counts any module may use (e.g. to
     rectangular subarray sizes, §6.1): a callable ``f(size: int) -> bool``.
 
-    ``workers`` (exhaustive method only) fans the independent per-clustering
-    DPs out across that many worker processes; the reduction is
-    deterministic, so results are identical to the serial path.  Requires
-    the chain (and ``instance_size_ok``, if given) to be picklable — the
-    solver silently falls back to serial when they are not.
-
     ``cache`` (a :class:`SegmentCache` bound to the same chain and memory
     limit) and ``workspace`` (a :class:`~repro.core.workspace.SolverWorkspace`)
     let a caller that solves repeatedly — notably the fault-tolerance
     :class:`~repro.core.remap.RemapPlanner` re-solving on ever-smaller
     machines — share segment tensors and DP arenas across solves.  Both
-    apply to the serial exhaustive path; a mismatched cache is ignored.
+    apply to the exhaustive method; a mismatched cache is ignored.
     """
     if method == "auto":
         method = "exhaustive" if len(chain) <= 12 else "bisect"
@@ -110,7 +102,7 @@ def optimal_mapping(
     if method == "exhaustive":
         return _exhaustive_clusterings(
             chain, total_procs, mem_per_proc_mb, replication, instance_size_ok,
-            workers=workers, cache=cache, workspace=workspace,
+            cache=cache, workspace=workspace,
         )
     if method == "bisect":
         return _bisect_mapping(
@@ -139,99 +131,41 @@ def _totals_filter(mchain, total_procs: int, replication: bool, instance_size_ok
 # ---------------------------------------------------------------------------
 
 
-def _solve_one_clustering(args):
-    """Solve the assignment DP for one clustering (worker entry point).
-
-    Returns ``(examined, result_or_None)`` so the reducer can reproduce the
-    serial bookkeeping exactly.  Must stay module-level for pickling.
-    """
-    chain, clustering, total_procs, mem_per_proc_mb, replication, size_ok = args
-    mchain = build_module_chain(chain, clustering, mem_per_proc_mb)
-    if mchain.total_min_procs > total_procs:
-        return (False, None)
-    try:
-        res = optimal_assignment(
-            mchain,
-            total_procs,
-            replication=replication,
-            allowed_totals=_totals_filter(
-                mchain, total_procs, replication, size_ok
-            ),
-        )
-    except InfeasibleError:
-        return (True, None)
-    return (True, res)
-
-
-def _fan_out(chain, clusterings, total_procs, mem_per_proc_mb, replication,
-             instance_size_ok, workers):
-    """Per-clustering DPs across worker processes; None if not picklable."""
-    try:
-        pickle.dumps((chain, instance_size_ok))
-    except Exception:
-        return None
-    payloads = [
-        (chain, cl, total_procs, mem_per_proc_mb, replication, instance_size_ok)
-        for cl in clusterings
-    ]
-    chunksize = max(1, len(payloads) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_solve_one_clustering, payloads, chunksize=chunksize))
-
-
 def _exhaustive_clusterings(
     chain: TaskChain,
     total_procs: int,
     mem_per_proc_mb: float,
     replication: bool,
     instance_size_ok=None,
-    workers: int | None = None,
     cache: SegmentCache | None = None,
     workspace=None,
 ) -> ClusteredResult:
-    clusterings = list(all_clusterings(len(chain)))
-    outcomes = None
-    if workers is not None and workers > 1 and len(clusterings) > 1:
-        outcomes = _fan_out(
-            chain, clusterings, total_procs, mem_per_proc_mb, replication,
-            instance_size_ok, workers,
-        )
-    if outcomes is None:
-        # Serial path: one segment cache shared by every clustering, so each
-        # distinct (span, neighbour-context) builds its tensors exactly once.
-        # A caller-provided cache extends that sharing across solves.
-        if cache is None:
-            cache = SegmentCache(chain, mem_per_proc_mb)
-        outcomes = []
-        for clustering in clusterings:
-            mchain = cache.module_chain(clustering)
-            if mchain.total_min_procs > total_procs:
-                outcomes.append((False, None))
-                continue
-            try:
-                res = optimal_assignment(
-                    mchain,
-                    total_procs,
-                    replication=replication,
-                    allowed_totals=_totals_filter(
-                        mchain, total_procs, replication, instance_size_ok
-                    ),
-                    workspace=workspace,
-                )
-            except InfeasibleError:
-                outcomes.append((True, None))
-                continue
-            outcomes.append((True, res))
-
-    # Deterministic reduction in enumeration order: identical to the seed's
-    # serial loop (strict > keeps the first clustering on ties).
+    # One segment cache shared by every clustering, so each distinct
+    # (span, neighbour-context) builds its tensors exactly once.  A
+    # caller-provided cache extends that sharing across solves.
+    if cache is None:
+        cache = SegmentCache(chain, mem_per_proc_mb)
     best: DPResult | None = None
     best_clustering = None
     examined = 0
-    for clustering, (counted, res) in zip(clusterings, outcomes):
-        examined += int(counted)
-        if res is None:
+    for clustering in all_clusterings(len(chain)):
+        mchain = cache.module_chain(clustering)
+        if mchain.total_min_procs > total_procs:
             continue
+        examined += 1
+        try:
+            res = optimal_assignment(
+                mchain,
+                total_procs,
+                replication=replication,
+                allowed_totals=_totals_filter(
+                    mchain, total_procs, replication, instance_size_ok
+                ),
+                workspace=workspace,
+            )
+        except InfeasibleError:
+            continue
+        # Strict > keeps the first clustering in enumeration order on ties.
         if best is None or res.throughput > best.throughput:
             best, best_clustering = res, clustering
     if best is None:
@@ -260,14 +194,13 @@ class _Segment:
     def __init__(self, chain: TaskChain, start: int, stop: int, P: int,
                  mem_per_proc_mb: float, replication: bool,
                  instance_size_ok=None):
+        info = module_info(chain, start, stop, mem_per_proc_mb)
         self.start = start
         self.stop = stop
-        if mem_per_proc_mb == float("inf"):
-            self.p_min = max(t.min_procs for t in chain.segment_tasks(start, stop))
-        else:
-            self.p_min = chain.segment_min_procs(start, stop, mem_per_proc_mb)
-        replicable = replication and chain.segment_replicable(start, stop)
-        self.r, self.s = effective_tables(P, self.p_min, replicable)
+        self.p_min = info.p_min
+        self.r, self.s = effective_tables(
+            P, self.p_min, replication and info.replicable
+        )
         self.feasible = self.r > 0
         if instance_size_ok is not None:
             ok_size = np.array(
@@ -276,10 +209,9 @@ class _Segment:
             self.feasible = self.feasible & ok_size[self.s]
             self.r = np.where(self.feasible, self.r, 0)
             self.s = np.where(self.feasible, self.s, 0)
-        exec_cost = module_exec_cost(chain, start, stop)
         self.ex = np.full(P + 1, np.inf)
         ok = self.feasible
-        self.ex[ok] = exec_cost(self.s[ok].astype(float))
+        self.ex[ok] = info.exec_cost(self.s[ok].astype(float))
         # Incoming communication grid over (sp, p): sp is the *instance size*
         # of the previous module (raw 1..P); sp = 0 means "no previous
         # module" and is valid only for segments starting the chain.
@@ -474,7 +406,5 @@ def _walk_back(final, parents, segments, k):
 def _evaluate(chain, clustering, totals, mem_per_proc_mb, replication):
     mchain = build_module_chain(chain, clustering, mem_per_proc_mb)
     if not replication:
-        from .dp import _strip_replication
-
-        mchain = _strip_replication(mchain)
+        mchain = strip_replication(mchain)
     return evaluate_module_chain(mchain, totals_to_allocations(mchain, totals))

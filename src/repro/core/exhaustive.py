@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .dp import _strip_replication
 from .mapping import Mapping, all_clusterings
 from .response import (
     ModuleChain,
     build_module_chain,
     evaluate_module_chain,
+    strip_replication,
     throughput_of_totals,
     totals_to_allocations,
 )
@@ -65,7 +65,7 @@ def brute_force_assignment(
 ) -> BruteForceResult:
     """Optimal allocation by exhaustive enumeration (test oracle)."""
     if not replication:
-        mchain = _strip_replication(mchain)
+        mchain = strip_replication(mchain)
     minimums = [info.p_min for info in mchain.infos]
     best_tp, best_totals, n = -1.0, None, 0
     for totals in enumerate_allocations(minimums, total_procs):

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dp import _strip_replication
 from .exceptions import InfeasibleError
 from .mapping import Mapping
 from .response import (
     MappingPerformance,
     ModuleChain,
     evaluate_module_chain,
+    strip_replication,
     throughput_of_totals,
     totals_to_allocations,
 )
@@ -69,7 +69,7 @@ def greedy_assignment(
     fit on the machine.
     """
     if not replication:
-        mchain = _strip_replication(mchain)
+        mchain = strip_replication(mchain)
     l = len(mchain)
     P = int(total_procs)
 

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import _PN_CHUNK, _strip_replication
 from .exceptions import InfeasibleError
 from .mapping import Mapping
 from .response import (
     MappingPerformance,
     ModuleChain,
     evaluate_module_chain,
+    strip_replication,
     totals_to_allocations,
 )
 
@@ -37,6 +37,9 @@ __all__ = [
     "optimal_latency_assignment",
     "throughput_latency_frontier",
 ]
+
+#: How many p_next planes the transition processes per chunk.
+_PN_CHUNK = 8
 
 
 @dataclass
@@ -54,33 +57,6 @@ class LatencyResult:
         return self.performance.throughput
 
 
-def _latency_tensor(mchain: ModuleChain, i: int, P: int) -> np.ndarray:
-    """Additive latency contribution of module ``i`` over (q, pl):
-    the incoming boundary communication plus the module's execution, at
-    effective sizes.  (Outgoing communication is attributed to the next
-    module, so each boundary is counted once.)"""
-    from .replication import effective_tables
-
-    info = mchain.infos[i]
-    r_self, s_self = effective_tables(P, info.p_min, info.replicable)
-    feasible = r_self > 0
-    exec_part = np.full(P + 1, np.inf)
-    exec_part[feasible] = info.exec_cost(s_self[feasible].astype(float))
-    if i == 0:
-        grid = np.zeros((P + 1, P + 1))
-        grid[:, ~feasible] = np.inf
-        return grid + exec_part[None, :]
-    prev = mchain.infos[i - 1]
-    _, s_prev = effective_tables(P, prev.p_min, prev.replicable)
-    grid = np.full((P + 1, P + 1), np.inf)
-    oa, ob = s_prev > 0, feasible
-    vals = mchain.ecoms[i - 1](
-        s_prev[oa].astype(float)[:, None], s_self[ob].astype(float)[None, :]
-    )
-    grid[np.ix_(oa, ob)] = vals
-    return grid + exec_part[None, :]
-
-
 def optimal_latency_assignment(
     mchain: ModuleChain,
     total_procs: int,
@@ -94,7 +70,7 @@ def optimal_latency_assignment(
     only matters together with ``max_response``.
     """
     if not replication:
-        mchain = _strip_replication(mchain)
+        mchain = strip_replication(mchain)
     l = len(mchain)
     P = int(total_procs)
     if mchain.total_min_procs > P:
@@ -109,7 +85,11 @@ def optimal_latency_assignment(
     V_prev = None
     argmin_tables: list[np.ndarray | None] = []
     for j in range(l):
-        lat = _latency_tensor(mchain, j, P)  # (q, pl)
+        # Incoming communication plus execution over (q, pl); outgoing
+        # communication is attributed to the next module, so each boundary
+        # is counted once.  Past the first module the q = 0 ("no previous
+        # module") row only ever meets V_prev's +inf row.
+        lat = mchain.response_parts(j, P)[0]
         if max_response is not None:
             resp = mchain.response_tensor(j, P)  # (q, pl, pn)
             lat3 = np.where(resp <= max_response, lat[:, :, None], np.inf)

@@ -17,7 +17,8 @@ minimum processor counts, and replication tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +33,9 @@ __all__ = [
     "ModuleInfo",
     "ModuleChain",
     "SegmentCache",
+    "module_info",
     "build_module_chain",
+    "strip_replication",
     "MappingPerformance",
     "evaluate_module_chain",
     "evaluate_mapping",
@@ -41,6 +44,11 @@ __all__ = [
 #: Default per-processor memory when no machine is specified: effectively
 #: unlimited, so p_min degenerates to the tasks' explicit minimums.
 UNLIMITED_MEMORY_MB = float("inf")
+
+#: ``p_min`` of a segment whose replicated footprint alone exceeds
+#: per-processor memory: larger than any machine, so every solver's
+#: ``p_min <= P`` test skips the segment instead of raising.
+UNFIT = sys.maxsize
 
 
 @dataclass
@@ -88,18 +96,6 @@ class ModuleChain:
 
     def clustering(self) -> tuple[tuple[int, int], ...]:
         return tuple((m.start, m.stop) for m in self.infos)
-
-    # -- effective-size tables (for the vectorised DP) --------------------
-    def effective(self, max_procs: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked replication tables: ``(R, S)`` of shape ``(l, max_procs+1)``
-        where ``R[i, p]``/``S[i, p]`` are instance count / instance size for
-        module ``i`` given a total allocation ``p`` (0 when infeasible)."""
-        rs, ss = [], []
-        for m in self.infos:
-            r, s = effective_tables(max_procs, m.p_min, m.replicable)
-            rs.append(r)
-            ss.append(s)
-        return np.stack(rs), np.stack(ss)
 
     def response_parts(
         self, i: int, max_procs: int
@@ -225,18 +221,7 @@ class SegmentCache:
         key = (start, stop)
         got = self._infos.get(key)
         if got is None:
-            chain = self.chain
-            if self.mem_per_proc_mb == UNLIMITED_MEMORY_MB:
-                p_min = max(t.min_procs for t in chain.segment_tasks(start, stop))
-            else:
-                p_min = chain.segment_min_procs(start, stop, self.mem_per_proc_mb)
-            got = ModuleInfo(
-                start=start,
-                stop=stop,
-                exec_cost=module_exec_cost(chain, start, stop),
-                p_min=p_min,
-                replicable=chain.segment_replicable(start, stop),
-            )
+            got = module_info(self.chain, start, stop, self.mem_per_proc_mb)
             self._infos[key] = got
             self.info_misses += 1
         return got
@@ -317,16 +302,35 @@ class SegmentCache:
         return len(dead_infos) + len(dead_parts)
 
 
-def module_exec_cost(chain: TaskChain, start: int, stop: int) -> UnaryCost:
-    """Execution cost of the module ``start..stop``: the sum of its tasks'
-    execution costs plus the internal communication of swallowed edges
-    (§3.3 — composable in O(1) from constituent characteristics)."""
+def module_info(
+    chain: TaskChain,
+    start: int,
+    stop: int,
+    mem_per_proc_mb: float = UNLIMITED_MEMORY_MB,
+) -> ModuleInfo:
+    """The module over tasks ``start..stop`` — the one segment rule (§3.3).
+
+    Its characteristics follow in O(1) from its tasks: the execution cost
+    is the sum of the tasks' costs plus the internal communication of the
+    swallowed edges; ``p_min`` is the fewest processors holding the summed
+    memory footprint (the tasks' explicit minimums when memory is
+    unlimited), or :data:`UNFIT` when the replicated footprint alone
+    exceeds per-processor memory; the module is replicable only if every
+    task is.
+    """
     parts: list[UnaryCost] = [t.exec_cost for t in chain.segment_tasks(start, stop)]
-    for e in range(start, stop):
-        parts.append(chain.edges[e].icom)
-    if len(parts) == 1:
-        return parts[0]
-    return SumUnary(parts)
+    parts.extend(chain.edges[e].icom for e in range(start, stop))
+    try:
+        p_min = chain.segment_min_procs(start, stop, mem_per_proc_mb)
+    except InfeasibleError:
+        p_min = UNFIT
+    return ModuleInfo(
+        start=start,
+        stop=stop,
+        exec_cost=parts[0] if len(parts) == 1 else SumUnary(parts),
+        p_min=p_min,
+        replicable=chain.segment_replicable(start, stop),
+    )
 
 
 def build_module_chain(
@@ -348,24 +352,18 @@ def build_module_chain(
     for start, stop in spans:
         if infos and start != infos[-1].stop + 1:
             raise InvalidMappingError(f"clustering {spans} is not contiguous")
-        if cache is not None:
-            infos.append(cache.info(start, stop))
-            continue
-        if mem_per_proc_mb == UNLIMITED_MEMORY_MB:
-            p_min = max(t.min_procs for t in chain.segment_tasks(start, stop))
-        else:
-            p_min = chain.segment_min_procs(start, stop, mem_per_proc_mb)
         infos.append(
-            ModuleInfo(
-                start=start,
-                stop=stop,
-                exec_cost=module_exec_cost(chain, start, stop),
-                p_min=p_min,
-                replicable=chain.segment_replicable(start, stop),
-            )
+            cache.info(start, stop) if cache is not None
+            else module_info(chain, start, stop, mem_per_proc_mb)
         )
     ecoms = [chain.edges[info.stop].ecom for info in infos[:-1]]
     return ModuleChain(chain, infos, ecoms, cache=cache)
+
+
+def strip_replication(mchain: ModuleChain) -> ModuleChain:
+    """The same module chain with every module single-instance (§3.1)."""
+    infos = [replace(i, replicable=False) for i in mchain.infos]
+    return ModuleChain(mchain.chain, infos, mchain.ecoms, cache=mchain.cache)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import _strip_replication
 from .exceptions import InfeasibleError
 from .mapping import Mapping
 from .response import (
     MappingPerformance,
     ModuleChain,
     evaluate_module_chain,
+    strip_replication,
     totals_to_allocations,
 )
 
@@ -64,7 +64,7 @@ def min_processors_for_throughput(
     if target_throughput <= 0:
         raise InfeasibleError("target throughput must be positive")
     if not replication:
-        mchain = _strip_replication(mchain)
+        mchain = strip_replication(mchain)
     l = len(mchain)
     P = int(max_procs)
     tau = 1.0 / target_throughput
@@ -133,12 +133,10 @@ def sizing_curve(
     from .dp import optimal_assignment
 
     top = optimal_assignment(mchain, max_procs, replication=replication)
+    floor_chain = mchain if replication else strip_replication(mchain)
     minimums = [info.p_min for info in mchain.infos]
     floor_perf = evaluate_module_chain(
-        mchain if replication else _strip_replication(mchain),
-        totals_to_allocations(
-            mchain if replication else _strip_replication(mchain), minimums
-        ),
+        floor_chain, totals_to_allocations(floor_chain, minimums)
     )
     lo = floor_perf.throughput
     hi = top.throughput

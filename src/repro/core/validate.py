@@ -20,7 +20,12 @@ from typing import Optional
 from .exceptions import InfeasibleError, InvalidMappingError, PlanError, Severity, Violation
 from .mapping import Mapping
 from .replication import split_replicas
-from .response import build_module_chain, evaluate_module_chain
+from .response import (
+    UNFIT,
+    UNLIMITED_MEMORY_MB,
+    build_module_chain,
+    evaluate_module_chain,
+)
 from .task import TaskChain
 
 __all__ = [
@@ -89,6 +94,7 @@ def preflight(
     geometry = machine is not None and total_procs in (None, machine.total_procs)
     total_procs, mem_per_proc_mb = _limits(machine, total_procs, mem_per_proc_mb)
     violations: list[Violation] = []
+    mchain = None
     if chain is not None:
         if mapping.ntasks != len(chain):
             # Module/task indices are meaningless past here.
@@ -97,8 +103,12 @@ def preflight(
                 f"mapping covers {mapping.ntasks} tasks, chain "
                 f"{chain.name!r} has {len(chain)}",
             )]
-        for i, m in enumerate(mapping.modules):
-            if m.replicas > 1 and not chain.segment_replicable(m.start, m.stop):
+        mchain = build_module_chain(
+            chain, mapping.clustering(),
+            UNLIMITED_MEMORY_MB if mem_per_proc_mb is None else mem_per_proc_mb,
+        )
+        for i, (m, info) in enumerate(zip(mapping.modules, mchain.infos)):
+            if m.replicas > 1 and not info.replicable:
                 names = [t.name for t in m.tasks_of(chain)]
                 violations.append(Violation(
                     "replication",
@@ -112,18 +122,22 @@ def preflight(
             f"mapping uses {mapping.total_procs} processors, machine "
             f"has {total_procs}",
         ))
-    if chain is not None and mem_per_proc_mb not in (None, float("inf")):
-        mchain = build_module_chain(chain, mapping.clustering(), mem_per_proc_mb)
+    if mchain is not None and mem_per_proc_mb not in (None, UNLIMITED_MEMORY_MB):
         for i, (spec, info) in enumerate(zip(mapping.modules, mchain.infos)):
-            if spec.procs < info.p_min:
-                names = ",".join(t.name for t in spec.tasks_of(chain))
-                violations.append(Violation(
-                    "memory",
-                    f"module {{{names}}} needs >= {info.p_min} "
-                    f"processors per instance for its memory footprint, "
-                    f"has {spec.procs}",
-                    module=i,
-                ))
+            if spec.procs >= info.p_min:
+                continue
+            names = ",".join(t.name for t in spec.tasks_of(chain))
+            if info.p_min == UNFIT:
+                fixed, _ = chain.segment_memory(spec.start, spec.stop)
+                why = (f"has a fixed footprint of {fixed} MB on every "
+                       f"processor, over the {mem_per_proc_mb} MB "
+                       f"per-processor memory")
+            else:
+                why = (f"needs >= {info.p_min} processors per instance for "
+                       f"its memory footprint, has {spec.procs}")
+            violations.append(Violation(
+                "memory", f"module {{{names}}} {why}", module=i,
+            ))
     if geometry and not violations:
         from ..machine.feasibility import check_feasible
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..core.exceptions import InfeasibleError
 from ..core.mapping import Mapping, ModuleSpec
+from ..core.response import module_info
 from ..core.task import TaskChain
 
 __all__ = ["training_mappings"]
@@ -89,25 +90,17 @@ def training_mappings(
     P = int(total_procs)
     mappings: list[Mapping] = []
 
-    # Merged (pure data-parallel) runs.
-    try:
-        merged_min = chain.segment_min_procs(0, k - 1, mem_per_proc_mb) \
-            if mem_per_proc_mb != float("inf") \
-            else max(t.min_procs for t in chain.tasks)
-    except InfeasibleError:
-        merged_min = P + 1  # cannot run merged at all
+    # Merged (pure data-parallel) runs; none when the merged module is unfit.
+    merged_min = module_info(chain, 0, k - 1, mem_per_proc_mb).p_min
     merged = _merged_sizes(merged_min, P, merged_runs)
     for p in merged:
         mappings.append(Mapping([ModuleSpec(0, k - 1, p)]))
 
     # Split (task-parallel) runs.
     if k > 1:
-        if mem_per_proc_mb != float("inf"):
-            minimums = [
-                chain.segment_min_procs(i, i, mem_per_proc_mb) for i in range(k)
-            ]
-        else:
-            minimums = [t.min_procs for t in chain.tasks]
+        minimums = [
+            module_info(chain, i, i, mem_per_proc_mb).p_min for i in range(k)
+        ]
         want = split_runs + (merged_runs - len(merged))
         for alloc in _split_allocations(minimums, P, want):
             mappings.append(

@@ -23,11 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..core.cost import BinaryCost, SumUnary, UnaryCost
+from ..core.cost import BinaryCost, UnaryCost
 from ..core.exceptions import InfeasibleError, InvalidMappingError
+from ..core.exhaustive import enumerate_allocations
 from ..core.mapping import ModuleSpec, all_clusterings
 from ..core.replication import split_replicas
-from ..core.task import min_processors
+from ..core.response import module_info
 from .graph import FJGraph
 
 __all__ = [
@@ -111,21 +112,9 @@ def build_modules(
     last_of_segment: dict[int, int] = {}
 
     for s, (seg, clustering) in enumerate(zip(graph.segments, clusterings)):
+        chain = seg.as_chain(f"{graph.name}/{s}")
         for span_idx, (start, stop) in enumerate(clustering):
-            tasks = seg.tasks[start : stop + 1]
-            parts: list[UnaryCost] = [t.exec_cost for t in tasks]
-            for e in range(start, stop):
-                parts.append(seg.edges[e].icom)
-            exec_cost = parts[0] if len(parts) == 1 else SumUnary(parts)
-            if mem_per_proc_mb == float("inf"):
-                p_min = max(t.min_procs for t in tasks)
-            else:
-                fixed = sum(t.mem_fixed_mb for t in tasks)
-                par = sum(t.mem_parallel_mb for t in tasks)
-                p_min = min_processors(
-                    fixed, par, mem_per_proc_mb,
-                    floor=max(t.min_procs for t in tasks),
-                )
+            info = module_info(chain, start, stop, mem_per_proc_mb)
             idx = len(modules)
             if span_idx == 0:
                 first_of_segment[s] = idx
@@ -133,9 +122,9 @@ def build_modules(
             modules.append(
                 FJModule(
                     segment=s, start=start, stop=stop,
-                    exec_cost=exec_cost, p_min=p_min,
-                    replicable=all(t.replicable for t in tasks),
-                    name=",".join(t.name for t in tasks),
+                    exec_cost=info.exec_cost, p_min=info.p_min,
+                    replicable=info.replicable,
+                    name=",".join(t.name for t in seg.tasks[start : stop + 1]),
                 )
             )
             # Intra-segment link to the previous module of this segment.
@@ -257,21 +246,10 @@ def brute_force_fj(
     if sum(minimums) > total_procs:
         raise InfeasibleError("minimums exceed the machine")
     best_tp, best = -1.0, None
-
-    def rec(i: int, remaining: int, prefix: list[int]):
-        nonlocal best_tp, best
-        if i == len(modules):
-            tp = evaluate_fj(modules, prefix).throughput
-            if tp > best_tp:
-                best_tp, best = tp, list(prefix)
-            return
-        tail_min = sum(minimums[i + 1 :])
-        for p in range(minimums[i], remaining - tail_min + 1):
-            prefix.append(p)
-            rec(i + 1, remaining - p, prefix)
-            prefix.pop()
-
-    rec(0, total_procs, [])
+    for totals in enumerate_allocations(minimums, total_procs):
+        tp = evaluate_fj(modules, totals).throughput
+        if tp > best_tp:
+            best_tp, best = tp, totals
     return best, best_tp
 
 

@@ -62,14 +62,8 @@ def auto_map(
     profile_datasets: int = 60,
     profile_noise: NoiseModel | None = None,
     method: str = "auto",
-    workers: int | None = None,
 ) -> MappingPlan:
-    """Run the complete §5 + §3/§4 + §6.1 pipeline for one workload.
-
-    ``workers`` fans the exhaustive clustering search out across that many
-    processes (see :func:`repro.core.optimal_mapping`); results are
-    identical to the serial solve.
-    """
+    """Run the complete §5 + §3/§4 + §6.1 pipeline for one workload."""
     machine = workload.machine
     est = estimate_chain(
         workload.chain,
@@ -80,8 +74,7 @@ def auto_map(
     )
     fitted = est.fitted_chain
     optimal = optimal_mapping(
-        fitted, machine.total_procs, machine.mem_per_proc_mb, method=method,
-        workers=workers,
+        fitted, machine.total_procs, machine.mem_per_proc_mb, method=method
     )
     heuristic = heuristic_mapping(
         fitted, machine.total_procs, machine.mem_per_proc_mb

@@ -348,6 +348,14 @@ def _nonreplicable_chain():
     ])
 
 
+def _fat_chain():
+    """Three tasks whose 40 MB fixed footprints cannot share a 64 MB node."""
+    return TaskChain([
+        Task(f"t{i}", PolynomialExec(0.01, 1.0), mem_fixed_mb=40)
+        for i in range(3)
+    ])
+
+
 # (chain, modules, machine, total_procs, mem_per_proc_mb, expected ERROR codes)
 BAD_MAPPINGS = {
     "task-count": (three_task_chain(), [ModuleSpec(0, 1, 2)], None, None, None,
@@ -364,6 +372,8 @@ BAD_MAPPINGS = {
     # A non-replicable task mapped 2p x 3 on 4 processors with 1 MB each.
     "combined": (_nonreplicable_chain(), [ModuleSpec(0, 0, 2, 3)], None, 4, 1.0,
                  ["replication", "budget", "memory"]),
+    # No processor count holds the merged module's replicated footprint.
+    "unfit": (_fat_chain(), [ModuleSpec(0, 2, 4)], None, 8, 64.0, ["memory"]),
 }
 
 
@@ -397,6 +407,15 @@ class TestOneVocabulary:
             report.raise_if_invalid()
         for code in expected:
             assert code in str(err.value)
+
+    def test_unfit_module_names_its_footprint(self):
+        # The "unfit" case above: the module's footprint, not a crash.
+        chain, mapping = _fat_chain(), Mapping([ModuleSpec(0, 2, 4)])
+        found = preflight(chain, mapping, total_procs=8, mem_per_proc_mb=64)
+        assert "fixed footprint of 120 MB" in found[0].message
+        with pytest.raises(PlanError) as err:
+            ensure_valid_plan(chain, mapping, 8, 64)
+        assert err.value.violations == found
 
     def test_partial_machine_skips_geometry(self):
         # A total_procs override vets against surviving processors, which

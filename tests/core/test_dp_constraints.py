@@ -49,7 +49,7 @@ class TestAllowedTotals:
 
     def test_masked_optimum_matches_masked_brute_force(self):
         from repro.core import enumerate_allocations, throughput_of_totals
-        from repro.core.dp import _strip_replication
+        from repro.core.response import strip_replication
 
         chain = make_random_chain(3, seed=3)
         mc = _mchain(chain)
@@ -59,7 +59,7 @@ class TestAllowedTotals:
             mc, P, replication=False,
             allowed_totals=lambda i: _mask(P, allowed),
         )
-        stripped = _strip_replication(mc)
+        stripped = strip_replication(mc)
         best = max(
             throughput_of_totals(stripped, a)[0]
             for a in enumerate_allocations([1, 1, 1], P)

@@ -162,10 +162,10 @@ def test_clustering_preserves_task_cover(chain):
 def test_merging_swallows_internal_comm(chain):
     """Execution cost of a merged module = sum of task costs + icom, at any
     processor count (the §3.3 composability requirement)."""
-    from repro.core import module_exec_cost
+    from repro.core import module_info
 
     k = len(chain)
-    merged = module_exec_cost(chain, 0, k - 1)
+    merged = module_info(chain, 0, k - 1).exec_cost
     for p in (1, 2, 5, 9):
         expected = sum(t.exec_cost(p) for t in chain.tasks)
         expected += sum(e.icom(p) for e in chain.edges)

@@ -18,7 +18,7 @@ from repro.core import (
     build_module_chain,
     evaluate_mapping,
     evaluate_module_chain,
-    module_exec_cost,
+    module_info,
     singleton_clustering,
     throughput_of_totals,
 )
@@ -38,12 +38,12 @@ def _simple_chain():
 class TestModuleExecCost:
     def test_single_task_passthrough(self):
         chain = _simple_chain()
-        assert module_exec_cost(chain, 0, 0)(2) == pytest.approx(4.0)
+        assert module_info(chain, 0, 0).exec_cost(2) == pytest.approx(4.0)
 
     def test_merged_includes_internal_comm(self):
         chain = _simple_chain()
         # exec_a(2) + exec_b(2) + icom(2) = 4 + 2 + 0.5
-        assert module_exec_cost(chain, 0, 1)(2) == pytest.approx(6.5)
+        assert module_info(chain, 0, 1).exec_cost(2) == pytest.approx(6.5)
 
 
 class TestResponses:

@@ -1,26 +1,36 @@
 """Equivalence of the optimized solver stack with the seed semantics.
 
 The performance layer (workspace reuse, memoized segments, blocked
-transitions, final-plane shortcut, parallel fan-out) must not change *what*
-the solvers return — only how fast.  These tests pin that down against the
+transitions, final-plane shortcut) must not change *what* the solvers
+return — only how fast.  These tests pin that down against the
 brute-force oracle and across every optimization configuration.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.core import (
     InfeasibleError,
+    PolynomialExec,
     SegmentCache,
     SolverWorkspace,
+    Task,
+    TaskChain,
     brute_force_mapping,
     build_module_chain,
+    heuristic_mapping,
+    module_info,
     optimal_assignment,
     optimal_mapping,
     throughput_of_totals,
 )
+from repro.core.response import UNFIT
+from repro.fjgraph import FJGraph, build_modules, greedy_fj_mapping
 from repro.core.mapping import all_clusterings, singleton_clustering
 from repro.workloads.synthetic import random_chain
+from tests.core.test_solver_plans_golden import GOLDEN, _chain_cases
 
 RTOL = 1e-9
 
@@ -118,36 +128,30 @@ class TestConfigurationInvariance:
             1.0 / best.throughput, rel=RTOL
         )
 
-    def test_workers_fan_out_identical(self):
-        chain, P = random_chain(5, seed=23), 20
-        ref = self._solve(chain, P, float("inf"))
-        par = self._solve(chain, P, float("inf"), workers=2)
-        assert par.clustering == ref.clustering
-        assert par.totals == ref.totals
-        assert par.throughput == ref.throughput
-        assert par.clusterings_examined == ref.clusterings_examined
-
-    def test_workers_with_unpicklable_filter_falls_back(self):
-        chain, P = random_chain(3, seed=29), 12
-        ref = self._solve(chain, P, float("inf"),
-                          instance_size_ok=lambda s: s != 5)
-        par = self._solve(chain, P, float("inf"),
-                          instance_size_ok=lambda s: s != 5, workers=2)
-        assert par.totals == ref.totals
-        assert par.throughput == ref.throughput
-
 
 class TestSegmentCache:
     def test_cached_chain_matches_uncached(self):
-        chain, P = random_chain(5, seed=31), 24
-        cache = SegmentCache(chain)
-        for clustering in all_clusterings(len(chain)):
-            plain = build_module_chain(chain, clustering)
-            cached = cache.module_chain(clustering)
-            for i in range(len(plain)):
-                np.testing.assert_array_equal(
-                    plain.response_tensor(i, P), cached.response_tensor(i, P)
-                )
+        """Cached and uncached module chains both reproduce the committed
+        exhaustive plans (``tests/core/golden/solver_plans.json``)."""
+        golden = json.loads(GOLDEN.read_text())
+        cases = _chain_cases()
+        for name in ("random-k4-s1", "random-mem-k4-s1", "random-norep-k4",
+                     "drift-study"):
+            chain, P, mem, _, replication, _ = cases[name]
+            cache = SegmentCache(chain, mem)
+            for build in (lambda c: build_module_chain(chain, c, mem),
+                          cache.module_chain):
+                best = None
+                for clustering in all_clusterings(len(chain)):
+                    mchain = build(clustering)
+                    if mchain.total_min_procs > P:
+                        continue
+                    res = optimal_assignment(mchain, P, replication=replication)
+                    if best is None or res.throughput > best.throughput:
+                        best = res
+                assert [repr(best.mapping), float.hex(best.throughput)] == (
+                    golden[name]["exhaustive"]
+                ), name
 
     def test_cache_shares_segments_across_clusterings(self):
         chain = random_chain(5, seed=37)
@@ -189,3 +193,44 @@ class TestSingleModuleRegression:
         res = optimal_mapping(chain, 10, method="exhaustive")
         oracle = brute_force_mapping(chain, 10)
         assert res.throughput == pytest.approx(oracle.throughput, rel=RTOL)
+
+
+class TestUnfitSegment:
+    """A merged segment whose fixed footprint alone exceeds per-processor
+    memory is unusable: every solver skips it instead of raising."""
+
+    P, MEM = 8, 64.0
+
+    @staticmethod
+    def _tasks():
+        return [Task(f"t{i}", PolynomialExec(0.01, 1.0), mem_fixed_mb=40)
+                for i in range(3)]
+
+    def test_merged_segment_is_unfit(self):
+        chain = TaskChain(self._tasks())
+        assert module_info(chain, 0, 0, self.MEM).p_min == 1
+        assert module_info(chain, 0, 1, self.MEM).p_min == UNFIT
+        assert module_info(chain, 0, 2, self.MEM).p_min == UNFIT
+
+    def test_solvers_return_the_singleton_mapping(self):
+        chain = TaskChain(self._tasks(), name="fat")
+        oracle = brute_force_mapping(chain, self.P, self.MEM)
+        assert oracle.clustering == singleton_clustering(3)
+        for res in (
+            optimal_mapping(chain, self.P, self.MEM, method="exhaustive"),
+            optimal_mapping(chain, self.P, self.MEM, method="bisect"),
+            heuristic_mapping(chain, self.P, self.MEM),
+        ):
+            assert res.clustering == singleton_clustering(3)
+            assert repr(res.mapping) == repr(oracle.mapping)
+            assert res.throughput == pytest.approx(oracle.throughput, rel=RTOL)
+
+    def test_fork_join_mapper_skips_the_segment(self):
+        graph = FJGraph(self._tasks(), name="fat")
+        assert build_modules(graph, [((0, 2),)], self.MEM)[0].p_min == UNFIT
+        mapping, tp = greedy_fj_mapping(graph, self.P, self.MEM)
+        assert [(m.start, m.stop) for m in mapping.modules[0]] == list(
+            singleton_clustering(3)
+        )
+        oracle = brute_force_mapping(TaskChain(self._tasks()), self.P, self.MEM)
+        assert tp == pytest.approx(oracle.throughput, rel=RTOL)

@@ -101,6 +101,18 @@ class TestTaskChain:
         merged = chain.segment_min_procs(0, 1, mem_per_proc_mb=1.0)
         assert merged == 4 > single == 2
 
+    def test_unlimited_memory_min_procs_is_the_task_floor(self):
+        # The segment rule relies on this: with unlimited memory no
+        # footprint raises p_min above the tasks' explicit minimums.
+        chain = TaskChain([
+            _task("a", fixed=0.5, par=9.0, minp=3), _task("b", par=1e6),
+            _task("c", fixed=1e3, minp=2), _task("d"),
+        ])
+        for start in range(len(chain)):
+            for stop in range(start, len(chain)):
+                floor = max(t.min_procs for t in chain.segment_tasks(start, stop))
+                assert chain.segment_min_procs(start, stop, float("inf")) == floor
+
     def test_segment_replicable_all_required(self):
         chain = TaskChain([_task("a"), _task("b", replicable=False), _task("c")])
         assert chain.segment_replicable(0, 0)
