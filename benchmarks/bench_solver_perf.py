@@ -5,8 +5,10 @@ Times the assignment DP, the clustered DP (exhaustive and bisect) and the
 greedy heuristic across a ``(k, P)`` grid, records wall time and peak DP
 table bytes, **asserts the optimized solvers return byte-identical
 mappings** to a verbatim copy of the seed solver embedded below, and
-asserts bisect reaches the exhaustive optimum within its tolerance.  Results
-are written to ``BENCH_solver.json`` at the repo root.
+asserts bisect reaches the exhaustive optimum within its tolerance.  The
+full grid also asserts that greedy, the paper's cheap alternative (§4),
+beats the assignment DP on every cell with ``P >= 32``.  Results are
+written to ``BENCH_solver.json`` at the repo root.
 
 Run standalone (not collected by pytest)::
 
@@ -142,6 +144,10 @@ def _seed_exhaustive(chain, total_procs, mem_per_proc_mb=float("inf")):
 # --------------------------------------------------------------------------
 
 
+#: Smallest machine on which the full grid requires greedy to beat the DP.
+GREEDY_GATE_P = 32
+
+
 def _timed(fn):
     t0 = time.perf_counter()
     out = fn()
@@ -267,6 +273,11 @@ def main(argv=None):
             f"greedy {row['greedy_s']*1e3:6.2f} ms"
         )
         default_workspace().drop()  # free between P sizes
+        if not args.quick and P >= GREEDY_GATE_P:
+            assert row["greedy_s"] < row["assign_dp_s"], (
+                f"greedy {row['greedy_s']:.4f} s not faster than the "
+                f"assignment DP {row['assign_dp_s']:.4f} s at k={k} P={P}"
+            )
 
     flagship = [r for r in report["grid"] if r["k"] == 5 and r["P"] == 64]
     if flagship:

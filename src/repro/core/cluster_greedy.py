@@ -75,12 +75,20 @@ def heuristic_mapping(
     replication: bool = True,
     backtracking: bool = True,
     max_rounds: int = 64,
+    cache: SegmentCache | None = None,
 ) -> HeuristicResult:
-    """Run the full §4 heuristic: clustering search + greedy assignment."""
+    """Run the full §4 heuristic: clustering search + greedy assignment.
+
+    ``cache`` (a :class:`SegmentCache` bound to the same chain and memory
+    limit, e.g. the one :func:`~repro.core.dp_cluster.optimal_mapping`
+    just filled) lets every greedy probe read response factors the DP
+    already built; a mismatched cache is ignored.
+    """
     k = len(chain)
     P = int(total_procs)
     # Neighbouring clusterings share most segments: derive each once.
-    cache = SegmentCache(chain, mem_per_proc_mb)
+    if cache is None or not cache.serves(chain, mem_per_proc_mb):
+        cache = SegmentCache(chain, mem_per_proc_mb)
     current = singleton_clustering(k)
     best_score = _score(cache, current, P, replication)
     examined = 1

@@ -91,13 +91,12 @@ def optimal_mapping(
     let a caller that solves repeatedly — notably the fault-tolerance
     :class:`~repro.core.remap.RemapPlanner` re-solving on ever-smaller
     machines — share segment tensors and DP arenas across solves.  Both
-    apply to the exhaustive method; a mismatched cache is ignored.
+    apply to the exhaustive method only: bisect builds its own segment
+    grids and ignores them.  A mismatched cache is ignored.
     """
     if method == "auto":
         method = "exhaustive" if len(chain) <= 12 else "bisect"
-    if cache is not None and (
-        cache.chain is not chain or cache.mem_per_proc_mb != mem_per_proc_mb
-    ):
+    if cache is not None and not cache.serves(chain, mem_per_proc_mb):
         cache = None
     if method == "exhaustive":
         return _exhaustive_clusterings(

@@ -14,10 +14,11 @@ from typing import Iterator, Sequence
 from .mapping import Mapping, all_clusterings
 from .response import (
     ModuleChain,
+    ResponseReader,
+    bottleneck_throughput,
     build_module_chain,
     evaluate_module_chain,
     strip_replication,
-    throughput_of_totals,
     totals_to_allocations,
 )
 from .task import TaskChain
@@ -67,10 +68,11 @@ def brute_force_assignment(
     if not replication:
         mchain = strip_replication(mchain)
     minimums = [info.p_min for info in mchain.infos]
+    price = ResponseReader(mchain, total_procs)
     best_tp, best_totals, n = -1.0, None, 0
     for totals in enumerate_allocations(minimums, total_procs):
         n += 1
-        tp, _ = throughput_of_totals(mchain, totals)
+        tp = bottleneck_throughput(price.responses(totals))
         if tp > best_tp:
             best_tp, best_totals = tp, list(totals)
     if best_totals is None:

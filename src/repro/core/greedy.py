@@ -27,9 +27,10 @@ from .mapping import Mapping
 from .response import (
     MappingPerformance,
     ModuleChain,
+    ResponseReader,
+    bottleneck_throughput,
     evaluate_module_chain,
     strip_replication,
-    throughput_of_totals,
     totals_to_allocations,
 )
 
@@ -82,15 +83,18 @@ def greedy_assignment(
     totals = list(minimums)
     spare = P - sum(totals)
 
-    best_tp, _ = throughput_of_totals(mchain, totals)
+    # Probes read the DP's response factors; a step moves one module, so
+    # only it and its neighbours are re-read.
+    price = ResponseReader(mchain, P)
+    eff = price.responses(totals)
+    best_tp = bottleneck_throughput(eff)
     best_totals = list(totals)
     trajectory = [best_tp]
     steps = 0
 
     # Steps 2-3: hand out one processor at a time.
     while spare > 0:
-        _, eff = throughput_of_totals(mchain, totals)
-        slow = max(range(l), key=lambda i: eff[i])
+        slow = max(range(l), key=eff.__getitem__)
         if slowest_only:
             candidates = [slow]
         else:
@@ -100,14 +104,16 @@ def greedy_assignment(
                 candidates.append(slow - 1)
             if slow < l - 1:
                 candidates.append(slow + 1)
-        best_c, best_c_tp = candidates[0], -1.0
+        best_c, best_c_tp, best_c_eff = candidates[0], -1.0, eff
         for c in candidates:
             totals[c] += 1
-            tp, _ = throughput_of_totals(mchain, totals)
+            probe = price.update(eff, totals, (c,))
             totals[c] -= 1
+            tp = bottleneck_throughput(probe)
             if tp > best_c_tp:
-                best_c, best_c_tp = c, tp
+                best_c, best_c_tp, best_c_eff = c, tp, probe
         totals[best_c] += 1
+        eff = best_c_eff
         spare -= 1
         steps += 1
         if best_c_tp > best_tp:
@@ -119,7 +125,7 @@ def greedy_assignment(
     moves = 0
     if backtracking:
         totals, best_tp, moves = _local_search(
-            mchain, totals, P, best_tp, max_backtrack_rounds
+            price, totals, P, best_tp, max_backtrack_rounds
         )
 
     perf = evaluate_module_chain(mchain, totals_to_allocations(mchain, totals))
@@ -133,7 +139,7 @@ def greedy_assignment(
 
 
 def _local_search(
-    mchain: ModuleChain,
+    price: ResponseReader,
     totals: list[int],
     P: int,
     best_tp: float,
@@ -148,6 +154,7 @@ def _local_search(
     """
     l = len(totals)
     totals = list(totals)
+    eff = price.responses(totals)
     spare = P - sum(totals)
     moves = 0
     for _ in range(max_rounds):
@@ -162,7 +169,7 @@ def _local_search(
             for b in range(l):
                 candidates.append((None, b, d))          # draw from pool
         for a, b, d in candidates:
-            if a is not None and totals[a] - d < mchain.infos[a].p_min:
+            if a is not None and totals[a] - d < price.p_min[a]:
                 continue
             if a is None and spare < d:
                 continue
@@ -170,9 +177,12 @@ def _local_search(
                 totals[a] -= d
             if b is not None:
                 totals[b] += d
-            tp, _ = throughput_of_totals(mchain, totals)
+            probe = price.update(
+                eff, totals, [m for m in (a, b) if m is not None]
+            )
+            tp = bottleneck_throughput(probe)
             if tp > best_tp * (1 + 1e-12):
-                best_tp = tp
+                best_tp, eff = tp, probe
                 spare = P - sum(totals)
                 moves += 1
                 improved = True

@@ -17,6 +17,7 @@ minimum processor counts, and replication tables.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -39,6 +40,8 @@ __all__ = [
     "MappingPerformance",
     "evaluate_module_chain",
     "evaluate_mapping",
+    "ResponseReader",
+    "bottleneck_throughput",
 ]
 
 #: Default per-processor memory when no machine is specified: effectively
@@ -215,6 +218,11 @@ class SegmentCache:
         self._parts: dict[tuple, tuple] = {}
         self.info_misses = 0
         self.part_misses = 0
+
+    def serves(self, chain: TaskChain, mem_per_proc_mb: float) -> bool:
+        """Is this the cache of ``chain`` under ``mem_per_proc_mb``?  Solvers
+        ignore a cache handed to them for any other context."""
+        return self.chain is chain and self.mem_per_proc_mb == mem_per_proc_mb
 
     def info(self, start: int, stop: int) -> ModuleInfo:
         """The (memoised) module over tasks ``start..stop``."""
@@ -457,42 +465,84 @@ def evaluate_mapping(
     return evaluate_module_chain(mchain, allocations)
 
 
+class ResponseReader:
+    """Effective responses of *total* allocations, read off the DP's factors.
+
+    The one pricing table of the probing solvers (greedy, its local search,
+    brute force).  Module ``i``'s effective response when modules ``i-1``,
+    ``i``, ``i+1`` hold ``q``, ``pl``, ``pn`` processors in total is
+
+        (ce[q, pl] + com_out[pl, pn]) / denom[pl]
+
+    from :meth:`ModuleChain.response_parts`, so a chain carrying a
+    :class:`SegmentCache` shares the factors the DP built.  ``q``/``pn``
+    are 0 at the ends of the chain (no neighbour).  The sum is
+    (exec + in) + out, the order :func:`evaluate_module_chain` adds in, so
+    a feasible allocation prices to the same bits; a module below its
+    minimum, or next to one, prices at ``inf`` (its transfer cannot run).
+
+    Entries at index ``<= max_procs`` do not depend on ``max_procs``: one
+    reader built for the machine size prices every probe of a solve.
+    """
+
+    def __init__(self, mchain: ModuleChain, max_procs: int):
+        self.p_min = [info.p_min for info in mchain.infos]
+        self.parts = [mchain.response_parts(i, max_procs) for i in range(len(mchain))]
+
+    def effective(self, totals: Sequence[int], i: int) -> float:
+        """Effective response of module ``i`` under ``totals``."""
+        p_min = self.p_min
+        p = totals[i]
+        if p < p_min[i]:
+            return math.inf
+        q = pn = 0
+        if i > 0:
+            q = totals[i - 1]
+            if q < p_min[i - 1]:
+                return math.inf
+        if i + 1 < len(p_min):
+            pn = totals[i + 1]
+            if pn < p_min[i + 1]:
+                return math.inf
+        ce, com_out, denom, _ = self.parts[i]
+        return (ce.item(q, p) + com_out.item(p, pn)) / denom.item(p)
+
+    def responses(self, totals: Sequence[int]) -> list[float]:
+        """Every module's effective response under ``totals``."""
+        return [self.effective(totals, i) for i in range(len(self.p_min))]
+
+    def update(
+        self, effective: list[float], totals: Sequence[int], changed
+    ) -> list[float]:
+        """``effective`` re-read after the modules in ``changed`` moved:
+        only they and their neighbours see a different allocation."""
+        out = list(effective)
+        last = len(out) - 1
+        for c in changed:
+            for i in range(max(c - 1, 0), min(c + 1, last) + 1):
+                out[i] = self.effective(totals, i)
+        return out
+
+
+def bottleneck_throughput(effective: Sequence[float]) -> float:
+    """``1 / max(effective)``, or 0.0 when the bottleneck cannot run."""
+    worst = max(effective)
+    return 0.0 if not math.isfinite(worst) or worst <= 0 else 1.0 / worst
+
+
 def throughput_of_totals(
     mchain: ModuleChain, totals: Sequence[int]
 ) -> tuple[float, list[float]]:
     """Throughput and per-module effective responses for *total* allocations.
 
-    Applies the §3.2 maximal-replication rule to each module.  Infeasible
-    totals (below the module minimum) yield ``inf`` responses and zero
-    throughput rather than raising, so search algorithms can probe freely.
+    Applies the §3.2 maximal-replication rule to each module through a
+    :class:`ResponseReader`.  Infeasible totals (below the module minimum)
+    yield ``inf`` responses and zero throughput rather than raising, so
+    search algorithms can probe freely; one probing many allocations builds
+    one reader instead.
     """
-    l = len(mchain)
-    sizes = [0] * l
-    reps = [0] * l
-    for i, (info, p) in enumerate(zip(mchain.infos, totals)):
-        r, s = split_replicas(int(p), info.p_min, info.replicable)
-        sizes[i], reps[i] = s, r
-    effective = [float("inf")] * l
-    # l >= 1 always (ModuleChain requires at least one module), so the comms
-    # list is simply empty for a single-module chain and never indexed.
-    comms = [0.0] * (l - 1)
-    for i in range(l - 1):
-        if sizes[i] > 0 and sizes[i + 1] > 0:
-            comms[i] = float(mchain.ecoms[i](sizes[i], sizes[i + 1]))
-        else:
-            comms[i] = float("inf")
-    for i, info in enumerate(mchain.infos):
-        if reps[i] == 0:
-            continue
-        t = float(info.exec_cost(sizes[i]))
-        if i > 0:
-            t += comms[i - 1]
-        if i < l - 1:
-            t += comms[i]
-        effective[i] = t / reps[i]
-    worst = max(effective)
-    tp = 0.0 if not np.isfinite(worst) or worst <= 0 else 1.0 / worst
-    return tp, effective
+    effective = ResponseReader(mchain, max(1, *totals)).responses(totals)
+    return bottleneck_throughput(effective), effective
 
 
 def totals_to_allocations(

@@ -10,8 +10,11 @@ on the 8×8 iWarp it differs from the unconstrained optimum for the
 512×512/systolic FFT-Hist (a 13-processor module — 13 is prime — becomes
 12).
 
-``optimal_feasible_mapping`` re-runs the clustering DP with instance sizes
-restricted to rectangular subarray sizes, then verifies packability and
+``optimal_feasible_mapping`` first checks the unconstrained optimum: a
+constrained optimum can never beat it, so an optimum that already passes
+``check_feasible`` is the feasible optimum.  Only otherwise does it run the
+clustering DP again, with instance sizes restricted to rectangular subarray
+sizes and through the same segment cache, then verify packability and
 pathway limits, falling back to a bounded perturbation search when geometry
 alone rejects the allocation.
 """
@@ -25,7 +28,7 @@ from ..core import (
     InfeasibleError,
     Mapping,
     MappingPerformance,
-    build_module_chain,
+    SegmentCache,
     evaluate_module_chain,
     optimal_mapping,
 )
@@ -137,31 +140,48 @@ def optimal_feasible_mapping(
     replication: bool = True,
     method: str = "auto",
     max_candidates: int = 200,
+    cache: SegmentCache | None = None,
+    optimum: ClusteredResult | None = None,
 ) -> FeasibleResult:
     """Best mapping satisfying the machine's geometric constraints.
 
-    Runs the clustering DP with instance sizes restricted to rectangular
-    subarray sizes, verifies packing/pathways, and if geometry still rejects
-    the allocation, searches bounded perturbations (shrinking instance sizes
-    or replica counts) in predicted-throughput order.
+    ``optimum`` is the unconstrained optimum, ``optimal_mapping(chain,
+    machine.total_procs, machine.mem_per_proc_mb, replication, method)``;
+    it is computed here when omitted.  If it passes :func:`check_feasible`
+    it is returned as is: no feasible mapping beats it.  Otherwise the
+    clustering DP runs again with instance sizes restricted to rectangular
+    subarray sizes, the result's packing/pathways are verified, and if
+    geometry still rejects the allocation, bounded perturbations (shrinking
+    instance sizes or replica counts) are searched in predicted-throughput
+    order.
+
+    ``cache`` (a :class:`SegmentCache` bound to ``chain`` and the machine's
+    memory limit) is shared by both solves; a mismatched cache is ignored.
     """
-    size_ok = None
-    if machine.require_rectangular:
-        size_ok = lambda s: is_rectangularizable(s, machine.rows, machine.cols)
-    base: ClusteredResult = optimal_mapping(
-        chain,
-        machine.total_procs,
-        mem_per_proc_mb=machine.mem_per_proc_mb,
-        replication=replication,
-        method=method,
-        instance_size_ok=size_ok,
-    )
+    mem = machine.mem_per_proc_mb
+    if cache is None or not cache.serves(chain, mem):
+        cache = SegmentCache(chain, mem)
+    if optimum is None:
+        optimum = optimal_mapping(
+            chain, machine.total_procs, mem_per_proc_mb=mem,
+            replication=replication, method=method, cache=cache,
+        )
+    base = optimum
     report = check_feasible(base.mapping, machine)
+    size_ok = None
+    if not report and machine.require_rectangular:
+        size_ok = lambda s: is_rectangularizable(s, machine.rows, machine.cols)
+        base = optimal_mapping(
+            chain, machine.total_procs, mem_per_proc_mb=mem,
+            replication=replication, method=method, instance_size_ok=size_ok,
+            cache=cache,
+        )
+        report = check_feasible(base.mapping, machine)
     if report:
         return FeasibleResult(base.performance, report, adjusted=False, candidates_tried=1)
 
     # Geometry (packing or pathways) rejected the DP's pick: perturb.
-    mchain = build_module_chain(chain, base.clustering, machine.mem_per_proc_mb)
+    mchain = cache.module_chain(base.clustering)
     specs = base.mapping.modules
     options = []
     for m, info in zip(specs, mchain.infos):

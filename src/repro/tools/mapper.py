@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from ..core.cluster_greedy import HeuristicResult, heuristic_mapping
 from ..core.dp_cluster import ClusteredResult, optimal_mapping
 from ..core.mapping import Mapping
+from ..core.response import SegmentCache
 from ..estimate.estimator import EstimationResult, estimate_chain
 from ..machine.feasibility import FeasibleResult, optimal_feasible_mapping
 from ..sim.faults import FaultModel
@@ -73,13 +74,20 @@ def auto_map(
         noise=profile_noise,
     )
     fitted = est.fitted_chain
+    # One solve session: the DP fills the segment cache, the heuristic's
+    # greedy probes read its response factors, and the feasible search
+    # starts from the optimum instead of re-solving.
+    cache = SegmentCache(fitted, machine.mem_per_proc_mb)
     optimal = optimal_mapping(
-        fitted, machine.total_procs, machine.mem_per_proc_mb, method=method
+        fitted, machine.total_procs, machine.mem_per_proc_mb, method=method,
+        cache=cache,
     )
     heuristic = heuristic_mapping(
-        fitted, machine.total_procs, machine.mem_per_proc_mb
+        fitted, machine.total_procs, machine.mem_per_proc_mb, cache=cache
     )
-    feasible = optimal_feasible_mapping(fitted, machine, method=method)
+    feasible = optimal_feasible_mapping(
+        fitted, machine, method=method, cache=cache, optimum=optimal
+    )
     return MappingPlan(
         workload=workload,
         estimation=est,
