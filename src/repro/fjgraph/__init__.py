@@ -12,7 +12,7 @@ from .mapping import (
     greedy_fj_assignment,
     greedy_fj_mapping,
 )
-from .sim import FJSimulationResult, simulate_fj
+from .sim import simulate_fj
 
 __all__ = [
     "FJGraph",
@@ -26,6 +26,5 @@ __all__ = [
     "greedy_fj_assignment",
     "brute_force_fj",
     "greedy_fj_mapping",
-    "FJSimulationResult",
     "simulate_fj",
 ]

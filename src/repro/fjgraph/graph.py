@@ -11,8 +11,9 @@ Semantics stay the paper's: every module occupies its processors for its
 whole response; a fork module sends to each branch head in turn (the
 transfers serialise at the sender), a join receives from each branch tail
 in turn; replication round-robins data sets.  The evaluator, greedy
-mapper, brute-force oracle, and the discrete-event simulator all implement
-these semantics and are cross-checked in the test suite.
+mapper and brute-force oracle implement these semantics, and
+:func:`~repro.fjgraph.simulate_fj` runs them on the chain simulator's
+event engine; the test suite cross-checks them.
 
 Limitations (documented, asserted): parallel sections do not nest, and
 modules never span a fork or join boundary.

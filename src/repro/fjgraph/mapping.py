@@ -12,8 +12,9 @@ bottleneck formula is the exact steady-state period of the bufferless
 rendezvous network (the paper's setting).  With forks and joins the
 network can stall on cycles spanning several modules — in particular when
 branches carry *unequal replica counts* — so the formula is an optimistic
-upper bound on throughput there.  The simulator
-(:func:`repro.fjgraph.simulate_fj`) is the ground truth;
+upper bound on throughput there.  Simulation
+(:func:`repro.fjgraph.simulate_fj`, the chain simulator's event engine
+run on the module graph) measures the real rate;
 :func:`greedy_fj_mapping` can re-rank its top candidates by short
 simulations (``refine_with_sim=True``) to close the gap.
 """
@@ -21,14 +22,15 @@ simulations (``refine_with_sim=True``) to close the gap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..core.cost import BinaryCost, UnaryCost
-from ..core.exceptions import InfeasibleError, InvalidMappingError
+from ..core.exceptions import InfeasibleError, InvalidMappingError, PlanError, Violation
 from ..core.exhaustive import enumerate_allocations
-from ..core.mapping import ModuleSpec, all_clusterings
+from ..core.mapping import Mapping, ModuleSpec, all_clusterings
 from ..core.replication import split_replicas
 from ..core.response import module_info
+from ..core.validate import preflight
 from .graph import FJGraph
 
 __all__ = [
@@ -50,34 +52,32 @@ class FJMapping:
     modules: list[list[ModuleSpec]]
 
     def validate(self, graph: FJGraph, total_procs: int | None = None) -> None:
+        """Raise one :class:`PlanError` carrying every violation: each
+        segment's modules must pass :func:`~repro.core.validate.preflight`
+        against the segment's chain, and the whole mapping must fit in
+        ``total_procs``."""
         if len(self.modules) != len(graph.segments):
-            raise InvalidMappingError(
+            raise PlanError([Violation(
+                "structure",
                 f"mapping covers {len(self.modules)} segments, graph has "
-                f"{len(graph.segments)}"
-            )
-        for seg, specs in zip(graph.segments, self.modules):
-            pos = 0
-            for m in sorted(specs, key=lambda m: m.start):
-                if m.start != pos:
-                    raise InvalidMappingError(
-                        f"modules must tile segment tasks (gap at {pos})"
-                    )
-                pos = m.stop + 1
-            if pos != len(seg.tasks):
-                raise InvalidMappingError("segment not fully covered")
-        for seg, specs in zip(graph.segments, self.modules):
-            for m in specs:
-                if m.replicas > 1 and not all(
-                    t.replicable for t in seg.tasks[m.start : m.stop + 1]
-                ):
-                    raise InvalidMappingError(
-                        "replicated module contains a non-replicable task"
-                    )
+                f"{len(graph.segments)}",
+            )])
+        violations = []
+        for s, (seg, specs) in enumerate(zip(graph.segments, self.modules)):
+            try:
+                found = preflight(seg.as_chain(f"{graph.name}/{s}"), Mapping(specs))
+            except PlanError as exc:
+                found = exc.violations
+            violations += [replace(v, message=f"segment {s}: {v.message}")
+                           for v in found]
         if total_procs is not None and self.total_procs > total_procs:
-            raise InvalidMappingError(
+            violations.append(Violation(
+                "budget",
                 f"mapping uses {self.total_procs} processors, machine has "
-                f"{total_procs}"
-            )
+                f"{total_procs}",
+            ))
+        if violations:
+            raise PlanError(violations)
 
     @property
     def total_procs(self) -> int:

@@ -1,145 +1,43 @@
-"""Discrete-event simulation of fork/join pipelines.
+"""Simulation of fork/join pipelines on the chain simulator's event engine.
 
-The same rendezvous semantics as :mod:`repro.sim.pipeline`, generalised to
-module graphs: a module instance receives over each of its in-links in a
-fixed order, executes its task slices, and sends over each of its
-out-links in a fixed order.  The fixed global ordering of links makes the
-rendezvous pattern acyclic, so the pipeline cannot deadlock.
+:func:`simulate_fj` describes the mapped module graph — per-module phases
+by the chain's phase rule, one edge per fork, join or intra-segment link —
+and runs it through :mod:`repro.sim.pipeline`'s stream runner, so graphs
+and chains share one rendezvous engine, one result type and one
+throughput estimator.  A plain chain wrapped as an :class:`FJGraph` gives
+the same bits as :func:`repro.sim.simulate` on the event engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..core.exceptions import SimulationError
-from ..sim.engine import Simulator
+from ..sim.modulegraph import ModuleGraph, module_phases
 from ..sim.noise import NoiseModel
+from ..sim.pipeline import SimulationResult, _Once, _run_stream
 from .graph import FJGraph
-from .mapping import FJMapping, FJModule, build_modules
+from .mapping import FJMapping, build_modules
 
-__all__ = ["FJSimulationResult", "simulate_fj"]
-
-
-@dataclass
-class FJSimulationResult:
-    n_datasets: int
-    makespan: float
-    throughput: float
-    mean_latency: float
-    completions: np.ndarray
-    injections: np.ndarray
-    events_processed: int
+__all__ = ["simulate_fj"]
 
 
-class _Worker:
-    def __init__(self, run: "_Run", module: int, instance: int):
-        self.run = run
-        self.module = module
-        self.instance = instance
-        r = run.reps[module]
-        self.datasets = list(range(instance, run.n, r))
-        self.cursor = 0
-
-    def start(self):
-        self._next()
-
-    def _next(self):
-        if self.cursor >= len(self.datasets):
-            return
-        d = self.datasets[self.cursor]
-        self.cursor += 1
-        self._recv(d, 0)
-
-    def _recv(self, d: int, link_idx: int):
-        links = self.run.modules[self.module].in_links
-        if link_idx == len(links):
-            if not links:
-                self.run.injections[d] = min(
-                    self.run.injections[d], self.run.sim.now
-                )
-            self._exec(d)
-            return
-        src, _ = links[link_idx]
-        self.run.rendezvous(
-            (src, self.module, d), self,
-            lambda: self._recv(d, link_idx + 1),
-        )
-
-    def _exec(self, d: int):
-        dur = self.run.exec_base[self.module] * self.run.noise.factor()
-        self.run.sim.schedule(dur, lambda: self._send(d, 0))
-
-    def _send(self, d: int, link_idx: int):
-        links = self.run.modules[self.module].out_links
-        if link_idx == len(links):
-            if not links:
-                self.run.completions[d] = max(
-                    self.run.completions[d], self.run.sim.now
-                )
-                self.run.done_count[d] += 1
-            self._next()
-            return
-        dst, _ = links[link_idx]
-        self.run.rendezvous(
-            (self.module, dst, d), self,
-            lambda: self._send(d, link_idx + 1),
-        )
-
-
-class _Run:
-    def __init__(self, graph: FJGraph, mapping: FJMapping, n: int,
-                 noise: NoiseModel):
-        clusterings = [
-            tuple((m.start, m.stop) for m in sorted(specs, key=lambda m: m.start))
-            for specs in mapping.modules
-        ]
-        self.modules: list[FJModule] = build_modules(graph, clusterings)
-        flat_specs = [
-            m for specs in mapping.modules
-            for m in sorted(specs, key=lambda m: m.start)
-        ]
-        self.sizes = [m.procs for m in flat_specs]
-        self.reps = [m.replicas for m in flat_specs]
-        self.n = n
-        self.noise = noise
-        self.sim = Simulator()
-        self.injections = np.full(n, np.inf)
-        self.completions = np.full(n, -np.inf)
-        self.done_count = np.zeros(n, dtype=int)
-        self._pending: dict[tuple, list] = {}
-
-        self.exec_base = [
-            float(m.exec_cost(self.sizes[i])) for i, m in enumerate(self.modules)
-        ]
-        self.link_base: dict[tuple[int, int], float] = {}
-        for i, m in enumerate(self.modules):
-            for j, ecom in m.out_links:
-                self.link_base[(i, j)] = float(
-                    ecom(self.sizes[i], self.sizes[j])
-                )
-        self.active_transfers = 0
-
-    def rendezvous(self, key: tuple, worker: _Worker, on_done):
-        parties = self._pending.setdefault(key, [])
-        parties.append(on_done)
-        if len(parties) < 2:
-            return
-        del self._pending[key]
-        cb_a, cb_b = parties
-        src, dst, _ = key
-        dur = self.link_base[(src, dst)] * self.noise.comm_factor(
-            self.active_transfers
-        )
-        self.active_transfers += 1
-
-        def complete():
-            self.active_transfers -= 1
-            cb_a()
-            cb_b()
-
-        self.sim.schedule(dur, complete)
+def _module_graph(graph: FJGraph, mapping: FJMapping) -> ModuleGraph:
+    """The mapped module graph: modules in :func:`build_modules` order,
+    edges in each sender's out-link order."""
+    specs = [sorted(s, key=lambda m: m.start) for s in mapping.modules]
+    modules = build_modules(
+        graph, [tuple((m.start, m.stop) for m in s) for s in specs])
+    flat = [m for s in specs for m in s]
+    chains = [seg.as_chain(f"{graph.name}/{i}")
+              for i, seg in enumerate(graph.segments)]
+    first = [graph.segments[m.segment].tasks[m.start].name for m in modules]
+    last = [graph.segments[m.segment].tasks[m.stop].name for m in modules]
+    edges = [
+        (i, j, float(ecom(flat[i].procs, flat[j].procs)), f"{last[i]}->{first[j]}")
+        for i, m in enumerate(modules) for j, ecom in m.out_links
+    ]
+    phases = [module_phases(chains[m.segment], spec)
+              for m, spec in zip(modules, flat)]
+    return ModuleGraph(phases, [m.replicas for m in flat], edges)
 
 
 def simulate_fj(
@@ -148,57 +46,14 @@ def simulate_fj(
     n_datasets: int = 200,
     noise: NoiseModel | None = None,
     warmup_fraction: float = 0.2,
-) -> FJSimulationResult:
-    """Run the fork/join pipeline and measure steady-state behaviour."""
+) -> SimulationResult:
+    """Run the fork/join pipeline and measure its steady-state behaviour.
+
+    Always on the event engine: the fast recurrence is chain-only.
+    """
     if n_datasets < 2:
         raise SimulationError("need at least 2 data sets")
     mapping.validate(graph)
-    noise = noise or NoiseModel.silent()
-    run = _Run(graph, mapping, n_datasets, noise)
-    workers = [
-        _Worker(run, i, c)
-        for i in range(len(run.modules))
-        for c in range(run.reps[i])
-    ]
-    for w in workers:
-        w.start()
-    run.sim.run()
-
-    sinks = sum(1 for m in run.modules if not m.out_links)
-    if not np.all(run.done_count == sinks):
-        raise SimulationError("simulation deadlocked: datasets incomplete")
-
-    warmup = min(
-        n_datasets - 2,
-        max(1, int(n_datasets * warmup_fraction), 2 * len(run.modules)),
-    )
-    # Sum per-instance steady rates of the sink module (robust to ragged
-    # final waves, as in the chain simulator).
-    sink = max(
-        (i for i, m in enumerate(run.modules) if not m.out_links),
-        key=lambda i: 0,
-    )
-    r_sink = run.reps[sink]
-    total = 0.0
-    ok = True
-    for c in range(r_sink):
-        times = run.completions[c::r_sink]
-        skip = max(1, warmup // r_sink)
-        steady = times[skip:]
-        if len(steady) < 3 or steady[-1] <= steady[0]:
-            ok = False
-            break
-        total += (len(steady) - 1) / (steady[-1] - steady[0])
-    if not ok or total <= 0:
-        ordered = np.sort(run.completions)
-        total = (n_datasets - warmup) / (ordered[-1] - ordered[warmup - 1])
-    latencies = run.completions[warmup:] - run.injections[warmup:]
-    return FJSimulationResult(
-        n_datasets=n_datasets,
-        makespan=float(run.completions.max()),
-        throughput=float(total),
-        mean_latency=float(latencies.mean()),
-        completions=run.completions,
-        injections=run.injections,
-        events_processed=run.sim.events_processed,
-    )
+    return _run_stream(None, _Once(mapping, n_datasets), n_datasets,
+                       noise or NoiseModel.silent(), "event", warmup_fraction,
+                       graph=_module_graph(graph, mapping))

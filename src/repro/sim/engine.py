@@ -68,31 +68,16 @@ class Simulator:
         """
         self._stopped = True
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Process events in time order.
-
-        Stops when the queue empties, the clock passes ``until``,
-        ``max_events`` have run, or a callback invokes :meth:`stop`.
-        Returns the final clock value.
-        """
-        processed = 0
+    def run(self) -> float:
+        """Process events in time order until the queue empties or a
+        callback invokes :meth:`stop`.  Returns the final clock value."""
         self._stopped = False
         heap = self._heap
         while heap and not self._stopped:
-            if until is not None and heap[0][0] > until:
-                self.now = until
-                break
-            if max_events is not None and processed >= max_events:
-                break
             time, _, callback = heapq.heappop(heap)
             if time < self.now - 1e-12:
                 raise SimulationError("event queue corrupted: time went backwards")
             self.now = max(self.now, time)
             callback()
-            processed += 1
             self.events_processed += 1
         return self.now
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)

@@ -61,8 +61,7 @@ from math import gcd, isfinite, lcm
 
 import numpy as np
 
-from ..core.mapping import Mapping
-from ..core.task import TaskChain
+from .modulegraph import ModuleGraph
 from .noise import NoiseModel
 
 __all__ = ["run_segment"]
@@ -76,43 +75,14 @@ _KEEP = 2 * _LAGS[-1] + 1
 
 
 class _Pipeline:
-    """Precomputed constants of one (chain, mapping) instance."""
+    """Precomputed constants of one mapped chain's :class:`ModuleGraph`."""
 
-    def __init__(self, chain: TaskChain, mapping: Mapping,
-                 placements, hop_penalty: float):
-        self.k = len(mapping)
-        self.replicas = [m.replicas for m in mapping.modules]
-        # Per-module execution phases (task + internal-redistribution base
-        # durations), mirroring _Run.phases in pipeline.py.
-        self.phases: list[tuple[float, ...]] = []
-        for m in mapping.modules:
-            ph: list[float] = []
-            for t_idx in range(m.start, m.stop + 1):
-                task = chain.tasks[t_idx]
-                ph.append(float(task.exec_cost(m.procs)))
-                if t_idx < m.stop:
-                    icom = float(chain.edges[t_idx].icom(m.procs))
-                    if icom > 0:
-                        ph.append(icom)
-            self.phases.append(tuple(ph))
-        self.edge_base: list[float] = []
-        for i in range(self.k - 1):
-            a, b = mapping[i], mapping[i + 1]
-            self.edge_base.append(float(chain.edges[a.stop].ecom(a.procs, b.procs)))
-        # Optional placement model, mirroring _Run.hop_factor: transfer
-        # slowdown per Manhattan hop between instance rectangles.
-        self.hop: list[list[list[float]]] | None = None
-        if placements is not None and hop_penalty > 0.0:
-            self.hop = []
-            for e in range(self.k - 1):
-                rows = []
-                for sr in placements[e]:
-                    row = []
-                    for rr in placements[e + 1]:
-                        (ar, ac), (br, bc) = sr.center(), rr.center()
-                        row.append(1.0 + hop_penalty * (abs(ar - br) + abs(ac - bc)))
-                    rows.append(row)
-                self.hop.append(rows)
+    def __init__(self, graph: ModuleGraph):
+        self.k = len(graph)
+        self.replicas = graph.replicas
+        self.phases = [tuple(p[2] for p in ph) for ph in graph.phases]
+        self.edge_base = graph.edge_base
+        self.hop = graph.hop
         #: Events the event engine would process per data set: one per
         #: execution phase plus one rendezvous completion per edge.
         self.events_per_dataset = sum(len(p) for p in self.phases) + (self.k - 1)

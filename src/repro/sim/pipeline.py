@@ -2,8 +2,10 @@
 
 The simulator executes a :class:`~repro.core.Mapping` of a task chain on
 virtual processors and *measures* throughput and latency, playing the role
-of the paper's iWarp runs.  Its semantics follow the paper's execution
-model exactly:
+of the paper's iWarp runs.  The event engine runs any module graph
+described by a :class:`~repro.sim.modulegraph.ModuleGraph`;
+:func:`repro.fjgraph.simulate_fj` runs fork/join graphs on it.  Its
+semantics follow the paper's execution model exactly:
 
 * a module instance processes one data set at a time: receive → execute
   (its tasks and internal redistributions, in order) → send;
@@ -58,6 +60,7 @@ from .controller import EpochObservation
 from .engine import Simulator
 from .fastpath import _Pipeline, run_segment
 from .faults import EpochStats, FaultEvent, FaultModel, RemapRecord
+from .modulegraph import ModuleGraph, chain_graph
 from .noise import NoiseModel
 from .trace import TraceEvent, TraceLog
 
@@ -75,7 +78,7 @@ class SimulationResult:
     throughput: float                  # steady-state data sets / second
     mean_latency: float                # mean end-to-end time per data set
     completions: np.ndarray            # completion time per data set
-    injections: np.ndarray             # first-module start time per data set
+    injections: np.ndarray             # source-module start time per data set
     warmup: int                        # data sets excluded from the steady window
     events_processed: int              # events the event engine processed (or,
                                        # for the fast path, would have processed)
@@ -88,6 +91,7 @@ class SimulationResult:
     remaps: list = field(default_factory=list)     # RemapRecord per remap
     epochs: list = field(default_factory=list)     # EpochStats per window
     availability: float = 1.0          # 1 - remap downtime / makespan
+    # The mapping the stream ended on (an FJMapping from simulate_fj).
     final_mapping: Mapping | None = None
     # The AdaptiveController that drove the run (None for plain runs); its
     # records/log expose the per-epoch monitoring the result was built from.
@@ -126,37 +130,32 @@ class SimulationResult:
         )
 
 
-class _Rendezvous:
-    """Synchronises sender and receiver of one (edge, dataset) transfer."""
-
-    __slots__ = ("parties",)
-
-    def __init__(self):
-        self.parties: list = []
-
-
 class _Worker:
     """One module instance: a sequential process over its data sets.
 
-    ``queue`` holds ``(dataset, stage)`` work items in ascending dataset
-    order; ``stage`` is where processing (re)starts — ``"recv"`` for a
-    fresh data set, ``"exec"``/``"send"`` for work inherited from a failed
-    peer whose receive/execution already happened (inputs and outputs are
+    Per data set it receives over its module's in-edges, runs the
+    module's phases, then sends over its out-edges, each in edge-table
+    order (see :class:`~repro.sim.modulegraph.ModuleGraph`).  ``queue``
+    holds ``(dataset, stage)`` work items in ascending dataset order;
+    ``stage`` is where processing (re)starts — ``"recv"`` for a fresh
+    data set, ``"exec"``/``"send"`` for work inherited from a failed peer
+    whose receive/execution already happened (inputs and outputs are
     mirrored across instances).  ``current`` tracks the in-flight item's
     fine-grained state: ``wait_recv``/``xfer_recv``/``exec``/``wait_send``/
     ``xfer_send``.  The ascending-queue invariant is what keeps the
     blocking rendezvous protocol deadlock-free under redistribution.
     """
 
-    __slots__ = ("run", "module", "instance", "queue", "alive", "idle",
-                 "current", "high", "_head")
+    __slots__ = ("run", "module", "instance", "ins", "outs", "queue",
+                 "alive", "idle", "current", "high", "_head")
 
     def __init__(self, run: "_Run", module: int, instance: int, datasets):
         self.run = run
         self.module = module
         self.instance = instance
-        first = "exec" if module == 0 else "recv"
-        self.queue: list[tuple[int, str]] = [(d, first) for d in datasets]
+        self.ins = run.graph.in_edges[module]
+        self.outs = run.graph.out_edges[module]
+        self.queue: list[tuple[int, str]] = [(d, "recv") for d in datasets]
         # The queue is consumed from the front via a head cursor rather
         # than list.pop(0): popping the front of a list is O(len), which
         # turns a long stream into an O(n^2) run.  Consumed entries are
@@ -168,9 +167,6 @@ class _Worker:
         self.idle = True
         self.current: list | None = None  # [dataset, stage] while busy
         self.high = -1                    # largest dataset ever started
-
-    def start(self):
-        self._pump()
 
     # -- queue plumbing ---------------------------------------------------
     def pending_items(self) -> list[tuple[int, str]]:
@@ -210,33 +206,35 @@ class _Worker:
         if d > self.high:
             self.high = d
         if stage == "recv":
-            self.current = [d, "wait_recv"]
-            self.run.rendezvous_arrive(
-                edge=self.module - 1,
-                dataset=d,
-                worker=self,
-                on_done=lambda d=d: self._begin_exec(d),
-            )
+            self._recv(d, 0)
         elif stage == "exec":
             self._begin_exec(d)
         else:  # "send": execution already done on a failed peer
-            self._after_exec(d)
+            self._send(d, 0)
+
+    def _recv(self, d: int, k: int):
+        if k == len(self.ins):
+            self._begin_exec(d)
+            return
+        self.current = [d, "wait_recv"]
+        self.run.rendezvous_arrive(self.ins[k], d, self,
+                                   lambda: self._recv(d, k + 1))
 
     def _begin_exec(self, d: int):
         if not self.alive:
             return
         run = self.run
         self.current = [d, "exec"]
-        if self.module == 0:
+        if not self.ins:
             run.injections[d] = run.sim.now
-        phases = run.phases[self.module]  # [(kind, label, base_duration)]
+        phases = run.graph.phases[self.module]  # [(kind, label, base_duration)]
         sim = run.sim
 
         def do_phase(idx: int):
             if not self.alive:
                 return
             if idx == len(phases):
-                self._after_exec(d)
+                self._send(d, 0)
                 return
             kind, label, base = phases[idx]
             dur = base * run.noise.factor(dataset=d)
@@ -251,36 +249,30 @@ class _Worker:
 
         do_phase(0)
 
-    def _after_exec(self, d: int):
+    def _send(self, d: int, k: int):
         if not self.alive:
             return
-        run = self.run
-        if self.module == len(run.mapping) - 1:
-            run.note_completion(d)
+        if k == len(self.outs):
+            if not self.outs:
+                self.run.note_completion(d)
             self._pump()
-        else:
-            self.current = [d, "wait_send"]
-            run.rendezvous_arrive(
-                edge=self.module,
-                dataset=d,
-                worker=self,
-                on_done=self._pump,
-            )
+            return
+        self.current = [d, "wait_send"]
+        self.run.rendezvous_arrive(self.outs[k], d, self,
+                                   lambda: self._send(d, k + 1))
 
 
 class _Run:
     """All shared state of one simulation segment."""
 
-    def __init__(self, chain: TaskChain, mapping: Mapping, datasets,
+    def __init__(self, graph: ModuleGraph, datasets,
                  noise: NoiseModel, trace: TraceLog | None,
                  completions: np.ndarray, injections: np.ndarray,
                  faults: FaultModel | None = None,
                  dead: set | None = None,
                  start_time: float = 0.0,
-                 busy_time: dict | None = None,
-                 placements=None, hop_penalty: float = 0.0):
-        self.chain = chain
-        self.mapping = mapping
+                 busy_time: dict | None = None):
+        self.graph = graph
         self.noise = noise
         self.trace = trace
         self.sim = Simulator()
@@ -292,7 +284,8 @@ class _Run:
         self.busy_time: dict[tuple[int, int], float] = (
             busy_time if busy_time is not None else {}
         )
-        self._rendezvous: dict[tuple[int, int], _Rendezvous] = {}
+        # (edge, dataset) -> the (worker, on_done) parties waiting on it.
+        self._rendezvous: dict[tuple[int, int], list] = {}
         self.left = len(datasets)          # completions outstanding
         self.dropped: set[int] = set()     # datasets needing end-to-end replay
         self.faults_injected: list[FaultEvent] = []
@@ -305,58 +298,21 @@ class _Run:
         dead = dead or set()
         self.module_workers: list[list[_Worker]] = []
         self.workers: list[_Worker] = []
-        for i, m in enumerate(mapping.modules):
-            live = [c for c in range(m.replicas) if (i, c) not in dead]
+        for i, replicas in enumerate(graph.replicas):
+            live = [c for c in range(replicas) if (i, c) not in dead]
             if not live:
                 self.remap_needed = (start_time, i, -1)
-                live = list(range(m.replicas))  # moot: the run never starts
-            buckets: dict[int, list[int]] = {c: [] for c in range(m.replicas)}
+                live = list(range(replicas))  # moot: the run never starts
+            buckets: dict[int, list[int]] = {c: [] for c in range(replicas)}
             for j, d in enumerate(datasets):
                 buckets[live[j % len(live)]].append(d)
-            group = [_Worker(self, i, c, buckets[c]) for c in range(m.replicas)]
+            group = [_Worker(self, i, c, buckets[c]) for c in range(replicas)]
             for w in group:
                 if (i, w.instance) in dead:
                     w.alive = False
             self.module_workers.append(group)
             self.workers.extend(group)
         self.workers_by_mi = {(w.module, w.instance): w for w in self.workers}
-
-        # Precompute per-module execution phases and per-edge base durations.
-        self.phases: list[list[tuple[str, str, float]]] = []
-        for m in mapping.modules:
-            ph: list[tuple[str, str, float]] = []
-            for t_idx in range(m.start, m.stop + 1):
-                task = chain.tasks[t_idx]
-                ph.append(("task", task.name, float(task.exec_cost(m.procs))))
-                if t_idx < m.stop:
-                    edge = chain.edges[t_idx]
-                    icom = float(edge.icom(m.procs))
-                    if icom > 0:
-                        label = f"{chain.tasks[t_idx].name}->{chain.tasks[t_idx + 1].name}"
-                        ph.append(("icom", label, icom))
-            self.phases.append(ph)
-        self.edge_base: list[float] = []
-        self.edge_label: list[str] = []
-        for i in range(len(mapping) - 1):
-            a, b = mapping[i], mapping[i + 1]
-            edge = chain.edges[a.stop]
-            self.edge_base.append(float(edge.ecom(a.procs, b.procs)))
-            self.edge_label.append(
-                f"{chain.tasks[a.stop].name}->{chain.tasks[b.start].name}"
-            )
-        # Optional placement model: a transfer between instance rectangles
-        # is slowed per Manhattan hop between their centers — the
-        # "processor locations" effect §2.1 calls second-order.
-        self.hop_factor: dict[tuple[int, int, int], float] = {}
-        if placements is not None and hop_penalty > 0.0:
-            for e in range(len(mapping) - 1):
-                send_rects = placements[e]
-                recv_rects = placements[e + 1]
-                for si, sr in enumerate(send_rects):
-                    for ri, rr in enumerate(recv_rects):
-                        (ar, ac), (br, bc) = sr.center(), rr.center()
-                        hops = abs(ar - br) + abs(ac - bc)
-                        self.hop_factor[(e, si, ri)] = 1.0 + hop_penalty * hops
 
     # -- stream bookkeeping ------------------------------------------------
     def note_completion(self, d: int) -> None:
@@ -365,27 +321,25 @@ class _Run:
 
     def start(self) -> None:
         for w in self.workers:
-            w.start()
+            w._pump()
         self._schedule_faults()
 
     # -- rendezvous communication -----------------------------------------
     def rendezvous_arrive(self, edge: int, dataset: int, worker: _Worker, on_done):
         key = (edge, dataset)
-        rv = self._rendezvous.setdefault(key, _Rendezvous())
-        rv.parties.append((worker, on_done))
-        if len(rv.parties) < 2:
+        parties = self._rendezvous.setdefault(key, [])
+        parties.append((worker, on_done))
+        if len(parties) < 2:
             return
         del self._rendezvous[key]
-        (wa, cb_a), (wb, cb_b) = rv.parties
-        dur = self.edge_base[edge] * self.noise.comm_factor(
+        (wa, cb_a), (wb, cb_b) = parties
+        graph = self.graph
+        sender, receiver = (wa, wb) if wa.module == graph.edge_src[edge] else (wb, wa)
+        dur = graph.edge_base[edge] * self.noise.comm_factor(
             self.active_transfers, dataset=dataset
         )
-        if self.hop_factor:
-            sender = wa if wa.module == edge else wb
-            receiver = wb if sender is wa else wa
-            dur *= self.hop_factor.get(
-                (edge, sender.instance, receiver.instance), 1.0
-            )
+        if graph.hop is not None:
+            dur *= graph.hop[edge][sender.instance][receiver.instance]
         # Transient communication faults: each failed attempt burns a full
         # transfer duration plus the retry backoff before the retransmission
         # succeeds; both endpoints stay busy throughout.
@@ -394,12 +348,11 @@ class _Run:
             retries = self.faults.transfer_attempts() - 1
             if retries > 0:
                 wasted = retries * (dur + self.faults.comm_retry_backoff)
-                recv = wb if wa.module == edge else wa
                 self.faults_injected.append(
                     FaultEvent(
-                        "comm_transient", self.sim.now, recv.module,
-                        recv.instance,
-                        f"{retries} retries on {self.edge_label[edge]}",
+                        "comm_transient", self.sim.now, receiver.module,
+                        receiver.instance,
+                        f"{retries} retries on {graph.edge_label[edge]}",
                     )
                 )
         total = wasted + dur
@@ -408,10 +361,10 @@ class _Run:
             key2 = (w.module, w.instance)
             self.busy_time[key2] = self.busy_time.get(key2, 0.0) + total
             if w.current is not None and w.current[0] == dataset:
-                w.current[1] = "xfer_send" if w.module == edge else "xfer_recv"
+                w.current[1] = "xfer_send" if w is sender else "xfer_recv"
         t0 = self.sim.now
         if self.trace is not None:
-            label = self.edge_label[edge]
+            label = graph.edge_label[edge]
             if wasted > 0.0:
                 for w in (wa, wb):
                     self.trace.record(
@@ -419,7 +372,7 @@ class _Run:
                                    dataset, t0, t0 + wasted)
                     )
             for w in (wa, wb):
-                kind = "send" if w.module == edge else "recv"
+                kind = "send" if w is sender else "recv"
                 self.trace.record(
                     TraceEvent(w.module, w.instance, kind, label, dataset,
                                t0 + wasted, t0 + total)
@@ -430,24 +383,25 @@ class _Run:
             for w, cb in ((wa, cb_a), (wb, cb_b)):
                 if w.alive:
                     cb()
-                elif w.module == edge + 1:
+                elif w is receiver:
                     # The receiver died mid-transfer.  The data arrived but
                     # nobody owns it: hand the dataset to a surviving
                     # instance, or drop it for end-of-stream replay.  (A
                     # dead *sender* needs nothing — downstream has the data.)
-                    self.reassign_or_drop(edge + 1, dataset, "exec")
+                    self.reassign_or_drop(w.module, dataset, "exec")
 
         self.sim.schedule(total, complete)
 
-    def _withdraw(self, edge: int, dataset: int, worker: _Worker) -> None:
-        """Remove a party from a not-yet-paired rendezvous."""
-        key = (edge, dataset)
-        rv = self._rendezvous.get(key)
-        if rv is None:
-            return
-        rv.parties = [(w, cb) for (w, cb) in rv.parties if w is not worker]
-        if not rv.parties:
-            del self._rendezvous[key]
+    def _withdraw(self, edges: list[int], dataset: int, worker: _Worker) -> None:
+        """Remove a party from its not-yet-paired rendezvous on ``edges``."""
+        for edge in edges:
+            key = (edge, dataset)
+            parties = [(w, cb) for (w, cb) in self._rendezvous.get(key, ())
+                       if w is not worker]
+            if parties:
+                self._rendezvous[key] = parties
+            else:
+                self._rendezvous.pop(key, None)
 
     # -- failure semantics --------------------------------------------------
     def kill_instance(self, module: int, instance: int) -> bool:
@@ -472,12 +426,12 @@ class _Run:
         if w.current is not None:
             d, stage = w.current
             if stage == "wait_recv":
-                self._withdraw(module - 1, d, w)
+                self._withdraw(w.ins, d, w)
                 items.insert(0, (d, "recv"))
             elif stage == "exec":
                 items.insert(0, (d, "exec"))
             elif stage == "wait_send":
-                self._withdraw(module, d, w)
+                self._withdraw(w.outs, d, w)
                 items.insert(0, (d, "send"))
             # xfer_recv / xfer_send resolve when the in-flight transfer
             # completes — see complete() in rendezvous_arrive.
@@ -525,7 +479,7 @@ class _Run:
         """
         self.dropped.add(dataset)
         self.left -= 1
-        for m in range(from_module + 1, len(self.mapping)):
+        for m in range(from_module + 1, len(self.graph)):
             for x in self.module_workers[m]:
                 if not x.alive:
                     continue
@@ -535,7 +489,7 @@ class _Run:
                     and x.current[0] == dataset
                     and x.current[1] == "wait_recv"
                 ):
-                    self._withdraw(m - 1, dataset, x)
+                    self._withdraw(x.ins, dataset, x)
                     x.current = None
                     x._pump()
 
@@ -565,11 +519,11 @@ class _Run:
             return None
         if f.module is None:
             return self.faults.choose_victim(alive)
-        m = min(f.module, len(self.mapping) - 1)
+        m = min(f.module, len(self.graph) - 1)
         candidates = [mi for mi in alive if mi[0] == m]
         if not candidates:
             return self.faults.choose_victim(alive)
-        inst = f.instance % self.mapping[m].replicas
+        inst = f.instance % self.graph.replicas[m]
         for mi in candidates:
             if mi[1] == inst:
                 return mi
@@ -590,48 +544,41 @@ class _Run:
 
 
 def _pooled_throughput(completions: np.ndarray, warmup: int) -> float:
-    """Endpoint throughput estimate over the pooled completion stream."""
+    """Endpoint throughput estimate over the pooled completion stream:
+    the completions after the ``warmup``-th (after the first, with no
+    warm-up) over the time since it."""
     ordered = np.sort(completions[np.isfinite(completions)])
     n = len(ordered)
-    if n < 2 or warmup >= n:
+    warmup = max(warmup, 1)
+    if warmup >= n:
         raise SimulationError("degenerate steady-state window")
-    t0 = ordered[warmup - 1] if warmup >= 1 else ordered[0]
+    t0 = ordered[warmup - 1]
     t1 = ordered[-1]
     if t1 <= t0:
         raise SimulationError("degenerate steady-state window")
     return float((n - warmup) / (t1 - t0))
 
 
-def _measure_throughput(completions: np.ndarray, mapping: Mapping, n: int,
+def _measure_throughput(completions: np.ndarray, r_last: int,
                         warmup: int) -> float:
     """Steady-state throughput estimate.
 
-    Replicated final-module instances complete in interleaved waves; when
-    the data-set count does not divide the replica count, the trailing
-    partial wave biases a naive endpoint estimate.  Instead each final
-    instance's own completion stream (strictly periodic in steady state) is
-    rated individually and the rates are summed; instances with too few
-    post-warmup completions fall back to the pooled endpoint estimate.
+    Replicated sink instances (``r_last`` of them) complete in
+    interleaved waves; when the data-set count does not divide the
+    replica count, the trailing partial wave biases a naive endpoint
+    estimate.  Instead each sink instance's own completion stream
+    (strictly periodic in steady state) is rated individually and the
+    rates are summed; instances with too few post-warmup completions fall
+    back to the pooled endpoint estimate.
     """
-    r_last = mapping.modules[-1].replicas
+    skip = max(1, warmup // r_last)  # each instance's share of the warm-up
     total = 0.0
-    ok = True
     for c in range(r_last):
-        times = completions[c::r_last]
-        # Drop this instance's share of the global warmup.
-        skip = max(1, warmup // r_last)
-        steady = times[skip:]
-        if len(steady) < 3:
-            ok = False
-            break
-        span = steady[-1] - steady[0]
-        if span <= 0:
-            ok = False
-            break
-        total += (len(steady) - 1) / span
-    if ok and total > 0:
-        return float(total)
-    return _pooled_throughput(completions, warmup)
+        steady = completions[c::r_last][skip:]
+        if len(steady) < 3 or steady[-1] <= steady[0]:
+            return _pooled_throughput(completions, warmup)
+        total += (len(steady) - 1) / (steady[-1] - steady[0])
+    return float(total)
 
 
 def _default_warmup(n_datasets: int, n_modules: int, warmup_fraction: float) -> int:
@@ -694,11 +641,12 @@ class _Segment:
 class _Stream:
     """The shared state every segment of one stream writes into."""
 
-    def __init__(self, chain: TaskChain, n: int, noise: NoiseModel,
+    def __init__(self, chain: TaskChain | None, n: int, noise: NoiseModel,
                  engine: str, trace: TraceLog | None,
                  faults: FaultModel | None, placements, hop_penalty: float,
-                 leap: bool, stats: dict | None):
+                 leap: bool, stats: dict | None, graph: ModuleGraph | None):
         self.chain = chain
+        self.graph = graph
         self.noise = noise
         self.engine = engine
         self.trace = trace
@@ -713,7 +661,19 @@ class _Stream:
         self.events = 0
         self.failures: list[FaultEvent] = []
         self.remaps: list[RemapRecord] = []
+        self._graphs: dict[Mapping, ModuleGraph] = {}
         self._pipes: dict[Mapping, _Pipeline] = {}
+
+    def describe(self, mapping) -> ModuleGraph:
+        """The module graph ``mapping`` runs on: the stream's fixed
+        ``graph``, or the chain's description (built once per mapping)."""
+        if self.graph is not None:
+            return self.graph
+        graph = self._graphs.get(mapping)
+        if graph is None:
+            graph = self._graphs[mapping] = chain_graph(
+                self.chain, mapping, self.placements, self.hop_penalty)
+        return graph
 
     def run(self, seg: _Segment) -> _Run | None:
         """Execute one segment; returns its event-engine state (``None``
@@ -723,16 +683,15 @@ class _Stream:
             pipe = self._pipes.get(seg.mapping)
             if pipe is None:
                 pipe = self._pipes[seg.mapping] = _Pipeline(
-                    self.chain, seg.mapping, self.placements, self.hop_penalty)
+                    self.describe(seg.mapping))
             self.events += run_segment(
                 pipe, self.completions, self.injections, seg.datasets,
                 seg.t0, self.noise, busy, leap=self.leap, stats=self.stats)
             return None
-        run = _Run(self.chain, seg.mapping, seg.datasets, self.noise,
+        run = _Run(self.describe(seg.mapping), seg.datasets, self.noise,
                    self.trace, completions=self.completions,
                    injections=self.injections, faults=self.faults,
-                   dead=seg.dead, start_time=seg.t0, busy_time=busy,
-                   placements=self.placements, hop_penalty=self.hop_penalty)
+                   dead=seg.dead, start_time=seg.t0, busy_time=busy)
         if run.remap_needed is None:
             run.start()
             run.sim.run()
@@ -915,22 +874,25 @@ class _Controlled(_Once):
         return self._epoch(mapping, d1, t0) if d1 < self.n else None
 
 
-def _run_stream(chain: TaskChain, policy: _Once, n: int, noise: NoiseModel,
-                engine: str, warmup_fraction: float,
+def _run_stream(chain: TaskChain | None, policy: _Once, n: int,
+                noise: NoiseModel, engine: str, warmup_fraction: float,
                 faults: FaultModel | None = None, collect_trace: bool = False,
                 placements=None, hop_penalty: float = 0.0, leap: bool = True,
-                stats: dict | None = None) -> SimulationResult:
+                stats: dict | None = None,
+                graph: ModuleGraph | None = None) -> SimulationResult:
     """Run a stream segment by segment under ``policy``; summarise it.
 
     Every segment runs on the one engine :func:`_pick_engine` chose and
     writes into the stream's shared ``completions``/``injections``/busy
     state; at each boundary the policy decides the next segment (mapping,
-    data sets, release time) or ends the stream.
+    data sets, release time) or ends the stream.  Segments run on the
+    chain's description of their mapping, or on ``graph`` when given (a
+    fork/join module graph: one ``_Once`` segment on the event engine).
     """
     eng = _pick_engine(engine, noise, faults, collect_trace)
     stream = _Stream(chain, n, noise, eng, TraceLog() if collect_trace else None,
                      faults, placements, hop_penalty,
-                     leap and not policy.drains, stats)
+                     leap and not policy.drains, stats, graph)
     start = policy.mapping
     seg = policy.first()
     while seg is not None:
@@ -944,14 +906,16 @@ def _finish(stream: _Stream, policy: _Once, n: int, start: Mapping,
     completions, injections = stream.completions, stream.injections
     if np.isnan(completions).any():
         raise SimulationError("simulation deadlocked: some data sets never completed")
-    warmup = _default_warmup(n, len(start), warmup_fraction)
+    warmup = _default_warmup(n, len(stream.describe(start)), warmup_fraction)
     final = policy.mapping
     if policy.drains or any(f.kind == "proc_fail" for f in stream.failures):
         # Drained epochs and degraded instances break per-instance
         # periodicity: rate the pooled completion stream instead.
         throughput = _pooled_throughput(completions, warmup)
     else:
-        throughput = _measure_throughput(completions, final, n, warmup)
+        graph = stream.describe(final)
+        throughput = _measure_throughput(completions, graph.replicas[graph.sink],
+                                         warmup)
     latencies = completions[warmup:] - injections[warmup:]
     makespan = float(completions.max())
     downtime = sum(r.downtime for r in stream.remaps)

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Edge, PolynomialEComm, PolynomialExec, Task, singleton_clustering
+from repro.core import (
+    Edge,
+    Mapping,
+    ModuleSpec,
+    PolynomialEComm,
+    PolynomialExec,
+    SimulationError,
+    Task,
+    clustering_from_boundaries,
+    singleton_clustering,
+)
 from repro.fjgraph import (
     FJGraph,
+    FJMapping,
     ParallelSection,
     brute_force_fj,
     build_modules,
@@ -15,6 +28,10 @@ from repro.fjgraph import (
     greedy_fj_mapping,
     simulate_fj,
 )
+from repro.sim import NoiseModel, simulate
+from tests.conftest import make_random_chain
+
+from .test_fjgraph import assert_same_run, chain_as_graph
 
 
 @st.composite
@@ -120,3 +137,44 @@ def test_evaluate_monotone_in_any_module(g):
     assert perf.bottleneck == perf.effective_responses.index(
         max(perf.effective_responses)
     )
+
+
+@st.composite
+def chain_runs(draw):
+    """A small random chain, a mapping of it, a stream length and an
+    optional seeded noise model."""
+    k = draw(st.integers(1, 4))
+    chain = make_random_chain(k, seed=draw(st.integers(0, 50)),
+                              replicable_prob=1.0)
+    cuts = [b for b in range(k - 1) if draw(st.booleans())]
+    mapping = Mapping([
+        ModuleSpec(start, stop, draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+        for start, stop in clustering_from_boundaries(k, cuts)
+    ])
+    noise = None
+    if draw(st.booleans()):
+        noise = (draw(st.integers(0, 1000)), draw(st.floats(0.0, 0.1)),
+                 draw(st.floats(0.0, 0.2)))
+    return chain, mapping, draw(st.integers(2, 40)), noise
+
+
+@settings(max_examples=25, deadline=None)
+@given(run=chain_runs())
+def test_chain_as_graph_matches_chain_simulator(run):
+    """A plain chain gives the same bits through either front-end — or
+    the same error, when the run has no steady-state window to rate."""
+    chain, mapping, n, noise = run
+
+    def outcome(sim, *args):
+        try:
+            return sim(*args, n_datasets=n,
+                       noise=NoiseModel(*noise) if noise else None)
+        except SimulationError as exc:
+            return str(exc)
+
+    fj = outcome(simulate_fj, chain_as_graph(chain), FJMapping([mapping.modules]))
+    ch = outcome(partial(simulate, engine="event"), chain, mapping)
+    if isinstance(fj, str) or isinstance(ch, str):
+        assert fj == ch
+    else:
+        assert_same_run(fj, ch)

@@ -1,5 +1,6 @@
 """Tests for the fork/join pipeline extension."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -7,10 +8,13 @@ from repro.core import (
     InfeasibleError,
     InvalidChainError,
     InvalidMappingError,
+    Mapping,
     ModuleSpec,
     PolynomialEComm,
     PolynomialExec,
     Task,
+    TaskChain,
+    optimal_mapping,
     singleton_clustering,
 )
 from repro.fjgraph import (
@@ -24,6 +28,36 @@ from repro.fjgraph import (
     greedy_fj_mapping,
     simulate_fj,
 )
+from repro.machine import presets
+from repro.sim import NoiseModel, simulate
+from repro.workloads import airshed, fft_hist, radar, sar, stereo
+from tests.conftest import make_three_task_chain
+
+PAPER_WORKLOADS = {
+    "fft-hist-256": lambda m: fft_hist(256, m),
+    "fft-hist-512": lambda m: fft_hist(512, m),
+    "radar": radar,
+    "stereo": stereo,
+    "sar": sar,
+    "airshed": airshed,
+}
+
+
+def chain_as_graph(chain):
+    """``chain`` as a fork/join graph with no parallel sections."""
+    stages = [chain.tasks[0]]
+    for edge, task in zip(chain.edges, chain.tasks[1:]):
+        stages += [edge, task]
+    return FJGraph(stages, name=chain.name)
+
+
+def assert_same_run(fj, ch):
+    """The two simulators' results agree bit for bit."""
+    assert np.array_equal(fj.completions, ch.completions)
+    assert np.array_equal(fj.injections, ch.injections)
+    assert float.hex(fj.throughput) == float.hex(ch.throughput)
+    assert float.hex(fj.mean_latency) == float.hex(ch.mean_latency)
+    assert fj.events_processed == ch.events_processed
 
 
 def _ecom(c=0.02):
@@ -196,6 +230,20 @@ class TestMappingValidation:
         with pytest.raises(InvalidMappingError):
             bad.validate(g)
 
+    def test_violations_carry_codes(self):
+        g = make_stereo_graph()
+        bad = FJMapping([
+            [ModuleSpec(0, 0, 1)],
+            [],                          # cam0 unmapped
+            [ModuleSpec(0, 0, 1)],
+            [ModuleSpec(0, 0, 1)],
+            [ModuleSpec(0, 1, 1, 2)],    # replicates non-replicable 'output'
+        ])
+        with pytest.raises(InvalidMappingError) as exc:
+            bad.validate(g, total_procs=4)
+        assert [v.code for v in exc.value.violations] == [
+            "structure", "replication", "budget"]
+
     def test_budget_enforced(self):
         g = make_stereo_graph()
         mapping, _ = greedy_fj_mapping(g, 16)
@@ -213,8 +261,7 @@ class TestSimulation:
     def test_plain_chain_matches_chain_simulator(self):
         """On a degenerate (no-fork) graph, the FJ machinery must agree
         with the chain machinery exactly."""
-        from repro.core import Mapping, TaskChain, evaluate_mapping
-        from repro.sim import simulate
+        from repro.core import evaluate_mapping
 
         a, b = _task("a", 3.0), _task("b", 5.0)
         edge = Edge(ecom=_ecom())
@@ -224,9 +271,53 @@ class TestSimulation:
         chain_mapping = Mapping(mapping.modules[0])
         perf = evaluate_mapping(chain, chain_mapping)
         assert tp == pytest.approx(perf.throughput, rel=1e-9)
-        sim = simulate_fj(g, mapping, n_datasets=200)
-        chain_sim = simulate(chain, chain_mapping, n_datasets=200)
-        assert sim.throughput == pytest.approx(chain_sim.throughput, rel=1e-3)
+        assert_same_run(
+            simulate_fj(g, mapping, n_datasets=200),
+            simulate(chain, chain_mapping, n_datasets=200, engine="event"),
+        )
+
+    @pytest.mark.parametrize("replication", [True, False],
+                             ids=["replicated", "unreplicated"])
+    @pytest.mark.parametrize("workload", sorted(PAPER_WORKLOADS))
+    def test_paper_optimum_matches_chain_simulator(self, workload, replication):
+        """The DP optimum of each paper workload runs bit for bit the same
+        through ``simulate_fj`` as through the chain simulator."""
+        machine = presets.iwarp64_message()
+        chain = PAPER_WORKLOADS[workload](machine).chain
+        mapping = optimal_mapping(chain, machine.total_procs,
+                                  machine.mem_per_proc_mb,
+                                  replication=replication).mapping
+        assert_same_run(
+            simulate_fj(chain_as_graph(chain), FJMapping([mapping.modules]),
+                        n_datasets=50),
+            simulate(chain, mapping, n_datasets=50, engine="event"),
+        )
+
+    def test_noisy_chain_matches_chain_simulator(self):
+        """Jitter and transfer interference draw from the noise stream in
+        the same event order, so a seeded noisy run matches too."""
+        chain = make_three_task_chain()
+        mapping = Mapping([ModuleSpec(0, 1, 2, 2), ModuleSpec(2, 2, 3)])
+        assert_same_run(
+            simulate_fj(chain_as_graph(chain), FJMapping([mapping.modules]),
+                        n_datasets=60, noise=NoiseModel(3, 0.05, 0.1)),
+            simulate(chain, mapping, n_datasets=60, engine="event",
+                     noise=NoiseModel(3, 0.05, 0.1)),
+        )
+
+    @pytest.mark.parametrize("engine", ["event", "fast", "fj"])
+    def test_two_datasets_rate_one_interval(self, engine):
+        """At n=2 there is no warm-up: the rate is the one completion after
+        the first over the interval between them, on every engine."""
+        chain = TaskChain([_task("solo")], [])
+        mapping = Mapping([ModuleSpec(0, 0, 2)])
+        if engine == "fj":
+            res = simulate_fj(chain_as_graph(chain), FJMapping([mapping.modules]),
+                              n_datasets=2)
+        else:
+            res = simulate(chain, mapping, n_datasets=2, engine=engine)
+        c0, c1 = res.completions
+        assert res.throughput == 1.0 / (c1 - c0)
 
     def test_unbalanced_branches_bound_and_refinement(self):
         """With unequal branch replication the analytic formula is only an

@@ -37,24 +37,6 @@ class TestSimulator:
         sim.run()
         assert log == [pytest.approx(1.0), pytest.approx(1.5)]
 
-    def test_until_stops_early(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(1.0, lambda: log.append(1))
-        sim.schedule(5.0, lambda: log.append(5))
-        sim.run(until=2.0)
-        assert log == [1]
-        assert sim.now == pytest.approx(2.0)
-        assert sim.pending == 1
-
-    def test_max_events(self):
-        sim = Simulator()
-        log = []
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda i=i: log.append(i))
-        sim.run(max_events=3)
-        assert log == [0, 1, 2]
-
     def test_schedule_at(self):
         sim = Simulator()
         hit = []
@@ -87,7 +69,7 @@ class TestSimulator:
         sim.schedule(2.0, lambda: log.append("b"))
         sim.run()
         assert log == ["a"]
-        assert sim.pending == 1
+        assert sim.now == pytest.approx(1.0)
 
     def test_stopped_run_resumes(self):
         sim = Simulator()
@@ -98,7 +80,6 @@ class TestSimulator:
         end = sim.run()           # pending events survive a stop()
         assert log == ["a", "b"]
         assert end == pytest.approx(2.0)
-        assert sim.pending == 0
 
     def test_simultaneous_failure_ties_break_by_insertion(self):
         # Two "failures" at the same instant must fire in schedule order
@@ -123,47 +104,16 @@ class TestSimulator:
 
 
 class TestRunResume:
-    """`run()` must be resumable: `until=`, `max_events=` and `stop()` all
-    leave the queue intact and a later `run()` picks up where it left off."""
-
-    def test_until_leaves_queue_intact_and_second_run_continues(self):
-        sim = Simulator()
-        log = []
-        for t in (1.0, 2.0, 3.0, 4.0):
-            sim.schedule(t, lambda t=t: log.append(t))
-        sim.run(until=2.5)
-        assert log == [1.0, 2.0]
-        assert sim.pending == 2
-        assert sim.now == pytest.approx(2.5)
-        end = sim.run()
-        assert log == [1.0, 2.0, 3.0, 4.0]
-        assert end == pytest.approx(4.0)
-        assert sim.pending == 0
-
-    def test_max_events_then_stop_interplay(self):
-        # stop() fired by the very last event allowed by max_events must
-        # not eat any further events, and the stopped flag must not leak
-        # into the next run() call.
-        sim = Simulator()
-        log = []
-        sim.schedule(1.0, lambda: log.append("a"))
-        sim.schedule(2.0, lambda: (log.append("b"), sim.stop()))
-        sim.schedule(3.0, lambda: log.append("c"))
-        sim.run(max_events=2)          # processes a, b; b also stops
-        assert log == ["a", "b"]
-        assert sim.pending == 1
-        sim.run(max_events=0)          # a zero budget processes nothing
-        assert log == ["a", "b"]
-        sim.run()
-        assert log == ["a", "b", "c"]
+    """`run()` must be resumable: `stop()` leaves the queue intact and a
+    later `run()` picks up where it left off."""
 
     def test_events_processed_accumulates_across_runs(self):
         sim = Simulator()
         for i in range(6):
-            sim.schedule(float(i), lambda: None)
-        sim.run(max_events=2)
+            sim.schedule(float(i), sim.stop if i in (1, 3) else lambda: None)
+        sim.run()
         assert sim.events_processed == 2
-        sim.run(until=3.5)
+        sim.run()
         assert sim.events_processed == 4
         sim.run()
         assert sim.events_processed == 6
