@@ -535,13 +535,32 @@ def throughput_of_totals(
 ) -> tuple[float, list[float]]:
     """Throughput and per-module effective responses for *total* allocations.
 
-    Applies the §3.2 maximal-replication rule to each module through a
-    :class:`ResponseReader`.  Infeasible totals (below the module minimum)
-    yield ``inf`` responses and zero throughput rather than raising, so
-    search algorithms can probe freely; one probing many allocations builds
-    one reader instead.
+    Applies the §3.2 maximal-replication rule to each module and prices it
+    from its cost models at that one allocation, adding exec, incoming and
+    outgoing communication in :func:`evaluate_module_chain`'s order, so a
+    feasible allocation prices to the bits of the scalar reference and of
+    a :class:`ResponseReader` — without the reader's per-size tables,
+    whose memory grows with the square of the largest total.  Infeasible
+    totals (below the module minimum, or next to one) yield ``inf``
+    responses and zero throughput rather than raising, so search
+    algorithms can probe freely; one probing many allocations builds one
+    reader instead.
     """
-    effective = ResponseReader(mchain, max(1, *totals)).responses(totals)
+    split = [split_replicas(p, info.p_min, info.replicable)
+             for info, p in zip(mchain.infos, totals)]
+    last = len(split) - 1
+    effective = []
+    for i, (r, s) in enumerate(split):
+        if r == 0 or (i > 0 and split[i - 1][0] == 0) or (
+                i < last and split[i + 1][0] == 0):
+            effective.append(math.inf)
+            continue
+        t = float(mchain.infos[i].exec_cost(s))
+        if i > 0:
+            t += float(mchain.ecoms[i - 1](split[i - 1][1], s))
+        if i < last:
+            t += float(mchain.ecoms[i](s, split[i + 1][1]))
+        effective.append(t / r)
     return bottleneck_throughput(effective), effective
 
 

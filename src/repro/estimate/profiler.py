@@ -56,40 +56,40 @@ def _profile_run(
         chain, mapping, n_datasets=n_datasets, noise=noise, collect_trace=True
     )
     data = ProfileData(runs=[result])
-    trace = result.trace
+    # Every observed duration, grouped by (kind, label) in one pass over the
+    # trace; each group keeps trace order.
+    durations: dict[tuple[str, str], list[float]] = {}
+    for ev in result.trace.events:
+        durations.setdefault((ev.kind, ev.label), []).append(ev.duration)
 
     for m in mapping.modules:
         # Execution samples: mean over observed slices of each task.
         for t_idx in range(m.start, m.stop + 1):
-            durations = trace.task_durations(chain.tasks[t_idx].name)
-            if durations:
+            task = chain.tasks[t_idx]
+            observed = durations.get(("task", task.name))
+            if observed:
                 data.exec_samples.setdefault(t_idx, []).append(
-                    (m.procs, float(np.mean(durations)))
+                    (m.procs, float(np.mean(observed)))
                 )
             # Memory: the observed per-processor footprint at this size.
-            task = chain.tasks[t_idx]
             mb = task.mem_fixed_mb + task.mem_parallel_mb / m.procs
             data.memory_samples.setdefault(t_idx, []).append((m.procs, mb))
         # Internal redistributions swallowed by this module.
         for e_idx in range(m.start, m.stop):
             label = f"{chain.tasks[e_idx].name}->{chain.tasks[e_idx + 1].name}"
-            durations = [
-                ev.duration
-                for ev in trace.events
-                if ev.kind == "icom" and ev.label == label
-            ]
-            if durations:
+            observed = durations.get(("icom", label))
+            if observed:
                 data.icom_samples.setdefault(e_idx, []).append(
-                    (m.procs, float(np.mean(durations)))
+                    (m.procs, float(np.mean(observed)))
                 )
-    # External transfers between adjacent modules.
+    # External transfers between adjacent modules (one endpoint: recv).
     for a, b in zip(mapping.modules, mapping.modules[1:]):
         e_idx = a.stop
         label = f"{chain.tasks[a.stop].name}->{chain.tasks[b.start].name}"
-        durations = trace.comm_durations(label, kind="recv")
-        if durations:
+        observed = durations.get(("recv", label))
+        if observed:
             data.ecom_samples.setdefault(e_idx, []).append(
-                (a.procs, b.procs, float(np.mean(durations)))
+                (a.procs, b.procs, float(np.mean(observed)))
             )
     return data
 

@@ -77,7 +77,8 @@ class Simulator:
             time, _, callback = heapq.heappop(heap)
             if time < self.now - 1e-12:
                 raise SimulationError("event queue corrupted: time went backwards")
-            self.now = max(self.now, time)
+            if time > self.now:
+                self.now = time
             callback()
             self.events_processed += 1
         return self.now

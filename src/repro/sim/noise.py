@@ -30,6 +30,11 @@ import numpy as np
 
 __all__ = ["NoiseModel", "DriftNoiseModel"]
 
+#: Jitter factors are drawn from the RNG this many at a time and handed out
+#: in draw order.  A batched ``standard_normal(n)`` yields the same sequence
+#: as ``n`` scalar draws, so buffering changes no value a caller sees.
+BLOCK = 1024
+
 
 class NoiseModel:
     """Deterministic noise source for the simulator.
@@ -51,21 +56,25 @@ class NoiseModel:
         if jitter < 0 or comm_interference < 0:
             raise ValueError("noise parameters must be non-negative")
         self._rng = np.random.default_rng(seed)
+        self._buf: list[float] = []  # drawn, not yet handed out (reversed)
         self.jitter = jitter
         self.comm_interference = comm_interference
         self.seed = seed
 
-    def _jitter_factor(self) -> float:
-        """One truncated-normal multiplicative jitter sample.
-
-        Draws from the RNG only when ``jitter > 0``, so jitter-free models
-        are RNG-silent and their values are pure functions of the context.
-        """
+    def _draw(self, n: int) -> np.ndarray:
+        """``n`` fresh jitter factors (ones, RNG-silent, when jitter-free)."""
         if self.jitter == 0:
-            return 1.0
-        f = 1.0 + self.jitter * float(self._rng.standard_normal())
+            return np.ones(n)
+        f = 1.0 + self.jitter * self._rng.standard_normal(n)
         lo, hi = 1.0 - 3 * self.jitter, 1.0 + 3 * self.jitter
-        return max(0.05, min(hi, max(lo, f)))
+        return np.maximum(0.05, np.clip(f, lo, hi))
+
+    def _jitter_factor(self) -> float:
+        """The next truncated-normal multiplicative jitter sample."""
+        buf = self._buf
+        if not buf:
+            buf.extend(self._draw(BLOCK)[::-1].tolist())
+        return buf.pop()
 
     def factor(self, dataset: int | None = None) -> float:
         """One multiplicative jitter sample for an execution-side operation.
@@ -89,11 +98,11 @@ class NoiseModel:
         data-set order, not in event-time order — so jittered fast runs are
         statistically, not bitwise, equivalent to event runs.
         """
-        if self.jitter == 0:
-            return np.ones(n)
-        f = 1.0 + self.jitter * self._rng.standard_normal(n)
-        lo, hi = 1.0 - 3 * self.jitter, 1.0 + 3 * self.jitter
-        return np.maximum(0.05, np.clip(f, lo, hi))
+        buf = self._buf
+        cut = max(0, len(buf) - n)
+        head = buf[cut:][::-1]
+        del buf[cut:]
+        return np.concatenate([head, self._draw(n - len(head))])
 
     def comm_factor(self, concurrent_transfers: int, dataset: int | None = None) -> float:
         """Jitter plus contention for a transfer starting while

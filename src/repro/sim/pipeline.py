@@ -140,21 +140,27 @@ class _Worker:
     ``stage`` is where processing (re)starts — ``"recv"`` for a fresh
     data set, ``"exec"``/``"send"`` for work inherited from a failed peer
     whose receive/execution already happened (inputs and outputs are
-    mirrored across instances).  ``current`` tracks the in-flight item's
-    fine-grained state: ``wait_recv``/``xfer_recv``/``exec``/``wait_send``/
-    ``xfer_send``.  The ascending-queue invariant is what keeps the
-    blocking rendezvous protocol deadlock-free under redistribution.
+    mirrored across instances).  The ascending-queue invariant is what
+    keeps the blocking rendezvous protocol deadlock-free under
+    redistribution.  The worker is a state machine: ``_d`` is the
+    in-flight data set, ``_idx`` the next in-edge, phase or out-edge of
+    its stage, and ``state`` its fine-grained state (``None`` when idle):
+    ``wait_recv``/``xfer_recv``/``exec``/``wait_send``/``xfer_send``.
+    Every event it schedules is a bound method, never a closure.
     """
 
-    __slots__ = ("run", "module", "instance", "ins", "outs", "queue",
-                 "alive", "idle", "current", "high", "_head")
+    __slots__ = ("run", "module", "instance", "key", "ins", "outs", "phases",
+                 "queue", "alive", "state", "high", "_head", "_d",
+                 "_idx", "_peer", "_first")
 
     def __init__(self, run: "_Run", module: int, instance: int, datasets):
         self.run = run
         self.module = module
         self.instance = instance
+        self.key = (module, instance)     # busy-time key
         self.ins = run.graph.in_edges[module]
         self.outs = run.graph.out_edges[module]
+        self.phases = run.graph.phases[module]  # [(kind, label, base_duration)]
         self.queue: list[tuple[int, str]] = [(d, "recv") for d in datasets]
         # The queue is consumed from the front via a head cursor rather
         # than list.pop(0): popping the front of a list is O(len), which
@@ -164,15 +170,13 @@ class _Worker:
         # and inherited datasets exceed everything already started.
         self._head = 0
         self.alive = True
-        self.idle = True
-        self.current: list | None = None  # [dataset, stage] while busy
+        self.state: str | None = None
         self.high = -1                    # largest dataset ever started
+        self._d, self._idx = -1, 0
+        # The transfer being received: its sender, and who arrived first.
+        self._peer, self._first = None, False
 
     # -- queue plumbing ---------------------------------------------------
-    def pending_items(self) -> list[tuple[int, str]]:
-        """The not-yet-started work items, in ascending dataset order."""
-        return self.queue[self._head:]
-
     def take_all(self) -> list[tuple[int, str]]:
         """Remove and return every pending item (failure redistribution)."""
         items = self.queue[self._head:]
@@ -194,10 +198,8 @@ class _Worker:
         if self._head >= len(self.queue):
             self.queue = []
             self._head = 0
-            self.idle = True
-            self.current = None
+            self.state = None
             return
-        self.idle = False
         d, stage = self.queue[self._head]
         self._head += 1
         if self._head > 512 and self._head * 2 > len(self.queue):
@@ -205,61 +207,86 @@ class _Worker:
             self._head = 0
         if d > self.high:
             self.high = d
+        self._d = d
+        self._idx = 0
         if stage == "recv":
-            self._recv(d, 0)
+            self._recv()
         elif stage == "exec":
-            self._begin_exec(d)
+            self._begin_exec()
         else:  # "send": execution already done on a failed peer
-            self._send(d, 0)
+            self._send()
 
-    def _recv(self, d: int, k: int):
+    def _recv(self):
+        """Arrive on the next in-edge (also the last transfer's callback)."""
+        k = self._idx
         if k == len(self.ins):
-            self._begin_exec(d)
+            self._begin_exec()
             return
-        self.current = [d, "wait_recv"]
-        self.run.rendezvous_arrive(self.ins[k], d, self,
-                                   lambda: self._recv(d, k + 1))
+        self._idx = k + 1
+        self.state = "wait_recv"
+        self.run.rendezvous_arrive(self.ins[k], self._d, self)
 
-    def _begin_exec(self, d: int):
+    def _begin_exec(self):
         if not self.alive:
             return
         run = self.run
-        self.current = [d, "exec"]
+        self.state = "exec"
         if not self.ins:
-            run.injections[d] = run.sim.now
-        phases = run.graph.phases[self.module]  # [(kind, label, base_duration)]
-        sim = run.sim
+            run.injections[self._d] = run.sim.now
+        self._idx = 0
+        self._phase()
 
-        def do_phase(idx: int):
-            if not self.alive:
-                return
-            if idx == len(phases):
-                self._send(d, 0)
-                return
-            kind, label, base = phases[idx]
-            dur = base * run.noise.factor(dataset=d)
-            key = (self.module, self.instance)
-            run.busy_time[key] = run.busy_time.get(key, 0.0) + dur
-            t0 = sim.now
-            if run.trace is not None:
-                run.trace.record(
-                    TraceEvent(self.module, self.instance, kind, label, d, t0, t0 + dur)
-                )
-            sim.schedule(dur, lambda: do_phase(idx + 1))
-
-        do_phase(0)
-
-    def _send(self, d: int, k: int):
+    def _phase(self):
+        """Start the next phase; also the completion event of the last."""
         if not self.alive:
             return
+        idx = self._idx
+        if idx == len(self.phases):
+            self._idx = 0
+            self._send()
+            return
+        self._idx = idx + 1
+        kind, label, base = self.phases[idx]
+        run = self.run
+        d = self._d
+        dur = base * run.noise.factor(dataset=d)
+        busy = run.busy_time
+        busy[self.key] = busy.get(self.key, 0.0) + dur
+        if run.trace is not None:
+            t0 = run.sim.now
+            run.trace.record(
+                TraceEvent(self.module, self.instance, kind, label, d, t0, t0 + dur)
+            )
+        run.sim.schedule(dur, self._phase)
+
+    def _send(self):
+        """Arrive on the next out-edge (also the last transfer's callback)."""
+        if not self.alive:
+            return
+        k = self._idx
         if k == len(self.outs):
             if not self.outs:
-                self.run.note_completion(d)
+                self.run.note_completion(self._d)
             self._pump()
             return
-        self.current = [d, "wait_send"]
-        self.run.rendezvous_arrive(self.outs[k], d, self,
-                                   lambda: self._send(d, k + 1))
+        self._idx = k + 1
+        self.state = "wait_send"
+        self.run.rendezvous_arrive(self.outs[k], self._d, self)
+
+    def _transfer_done(self):
+        """Completion event of the transfer this worker receives: resume
+        both endpoints, first arrival first."""
+        self.run.active_transfers -= 1
+        pair = ((self, self._recv), (self._peer, self._peer._send))
+        for w, resume in (pair if self._first else pair[::-1]):
+            if w.alive:
+                resume()
+            elif w is self:
+                # The receiver died mid-transfer.  The data arrived but
+                # nobody owns it: hand the dataset to a surviving
+                # instance, or drop it for end-of-stream replay.  (A dead
+                # *sender* needs nothing — downstream has the data.)
+                self.run.reassign_or_drop(self.module, self._d, "exec")
 
 
 class _Run:
@@ -284,8 +311,8 @@ class _Run:
         self.busy_time: dict[tuple[int, int], float] = (
             busy_time if busy_time is not None else {}
         )
-        # (edge, dataset) -> the (worker, on_done) parties waiting on it.
-        self._rendezvous: dict[tuple[int, int], list] = {}
+        # (edge, dataset) -> the worker waiting there for its partner.
+        self._rendezvous: dict[tuple[int, int], _Worker] = {}
         self.left = len(datasets)          # completions outstanding
         self.dropped: set[int] = set()     # datasets needing end-to-end replay
         self.faults_injected: list[FaultEvent] = []
@@ -312,7 +339,7 @@ class _Run:
                     w.alive = False
             self.module_workers.append(group)
             self.workers.extend(group)
-        self.workers_by_mi = {(w.module, w.instance): w for w in self.workers}
+        self.workers_by_mi = {w.key: w for w in self.workers}
 
     # -- stream bookkeeping ------------------------------------------------
     def note_completion(self, d: int) -> None:
@@ -325,16 +352,14 @@ class _Run:
         self._schedule_faults()
 
     # -- rendezvous communication -----------------------------------------
-    def rendezvous_arrive(self, edge: int, dataset: int, worker: _Worker, on_done):
+    def rendezvous_arrive(self, edge: int, dataset: int, worker: _Worker) -> None:
         key = (edge, dataset)
-        parties = self._rendezvous.setdefault(key, [])
-        parties.append((worker, on_done))
-        if len(parties) < 2:
+        wa = self._rendezvous.pop(key, None)
+        if wa is None:
+            self._rendezvous[key] = worker
             return
-        del self._rendezvous[key]
-        (wa, cb_a), (wb, cb_b) = parties
         graph = self.graph
-        sender, receiver = (wa, wb) if wa.module == graph.edge_src[edge] else (wb, wa)
+        sender, receiver = (wa, worker) if wa.module == graph.edge_src[edge] else (worker, wa)
         dur = graph.edge_base[edge] * self.noise.comm_factor(
             self.active_transfers, dataset=dataset
         )
@@ -357,51 +382,35 @@ class _Run:
                 )
         total = wasted + dur
         self.active_transfers += 1
-        for w in (wa, wb):
-            key2 = (w.module, w.instance)
-            self.busy_time[key2] = self.busy_time.get(key2, 0.0) + total
-            if w.current is not None and w.current[0] == dataset:
-                w.current[1] = "xfer_send" if w is sender else "xfer_recv"
+        busy = self.busy_time
+        for w in (wa, worker):
+            busy[w.key] = busy.get(w.key, 0.0) + total
+            if w.state is not None and w._d == dataset:
+                w.state = "xfer_send" if w is sender else "xfer_recv"
         t0 = self.sim.now
         if self.trace is not None:
             label = graph.edge_label[edge]
             if wasted > 0.0:
-                for w in (wa, wb):
+                for w in (wa, worker):
                     self.trace.record(
                         TraceEvent(w.module, w.instance, "fault", label,
                                    dataset, t0, t0 + wasted)
                     )
-            for w in (wa, wb):
+            for w in (wa, worker):
                 kind = "send" if w is sender else "recv"
                 self.trace.record(
                     TraceEvent(w.module, w.instance, kind, label, dataset,
                                t0 + wasted, t0 + total)
                 )
-
-        def complete():
-            self.active_transfers -= 1
-            for w, cb in ((wa, cb_a), (wb, cb_b)):
-                if w.alive:
-                    cb()
-                elif w is receiver:
-                    # The receiver died mid-transfer.  The data arrived but
-                    # nobody owns it: hand the dataset to a surviving
-                    # instance, or drop it for end-of-stream replay.  (A
-                    # dead *sender* needs nothing — downstream has the data.)
-                    self.reassign_or_drop(w.module, dataset, "exec")
-
-        self.sim.schedule(total, complete)
+        receiver._peer, receiver._first = sender, receiver is wa
+        self.sim.schedule(total, receiver._transfer_done)
 
     def _withdraw(self, edges: list[int], dataset: int, worker: _Worker) -> None:
         """Remove a party from its not-yet-paired rendezvous on ``edges``."""
         for edge in edges:
             key = (edge, dataset)
-            parties = [(w, cb) for (w, cb) in self._rendezvous.get(key, ())
-                       if w is not worker]
-            if parties:
-                self._rendezvous[key] = parties
-            else:
-                self._rendezvous.pop(key, None)
+            if self._rendezvous.get(key) is worker:
+                del self._rendezvous[key]
 
     # -- failure semantics --------------------------------------------------
     def kill_instance(self, module: int, instance: int) -> bool:
@@ -423,8 +432,8 @@ class _Run:
             )
         survivors = [x for x in self.module_workers[module] if x.alive]
         items = w.take_all()
-        if w.current is not None:
-            d, stage = w.current
+        if w.state is not None:
+            d, stage = w._d, w.state
             if stage == "wait_recv":
                 self._withdraw(w.ins, d, w)
                 items.insert(0, (d, "recv"))
@@ -434,8 +443,8 @@ class _Run:
                 self._withdraw(w.outs, d, w)
                 items.insert(0, (d, "send"))
             # xfer_recv / xfer_send resolve when the in-flight transfer
-            # completes — see complete() in rendezvous_arrive.
-            w.current = None
+            # completes — see _Worker._transfer_done.
+            w.state = None
         if not survivors:
             # Unreplicated (or fully dead) module: the stream cannot continue
             # under this mapping.  Freeze and hand over to the orchestrator
@@ -467,7 +476,7 @@ class _Run:
         self._rr[module] = counter + 1
         w = eligible[counter % len(eligible)]
         w.insert_item((dataset, stage))
-        if w.idle:
+        if w.state is None:  # idle
             w._pump()
 
     def drop_dataset(self, dataset: int, from_module: int) -> None:
@@ -484,13 +493,9 @@ class _Run:
                 if not x.alive:
                     continue
                 x.remove_dataset(dataset)
-                if (
-                    x.current is not None
-                    and x.current[0] == dataset
-                    and x.current[1] == "wait_recv"
-                ):
+                if x.state == "wait_recv" and x._d == dataset:
                     self._withdraw(x.ins, dataset, x)
-                    x.current = None
+                    x.state = None
                     x._pump()
 
     # -- fault scheduling ---------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -117,6 +118,28 @@ class TestProbeContract:
         tp, eff = throughput_of_totals(mchain, [6, 2])
         assert tp == 0.0
         assert eff == [math.inf, math.inf]
+
+    def test_huge_minimum_prices_in_bounded_memory(self):
+        # A module needing ~1e5 processors: pricing its one allocation must
+        # not build per-size tables, which would take (P+1)^2 floats each.
+        chain = random_chain(3, seed=2)
+        tasks = list(chain.tasks)
+        tasks[1] = Task("wide", PolynomialExec(0.2, 50.0, 1e-6),
+                        replicable=True, mem_parallel_mb=1e5)
+        mchain = build_module_chain(TaskChain(tasks, chain.edges),
+                                    singleton_clustering(3), 1.0)
+        assert mchain.infos[1].p_min == 100_000
+        totals = [3, 2 * 100_000 + 7, 5]
+        ref = evaluate_module_chain(mchain, totals_to_allocations(mchain, totals))
+        tracemalloc.start()
+        try:
+            tp, eff = throughput_of_totals(mchain, totals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert float.hex(tp) == float.hex(ref.throughput)
+        assert _hex(eff) == _hex(ref.effective_responses)
+        assert peak < 4 * 2**20
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,11 @@ transient communication faults.  Any change to event ordering, fault
 delivery, or the RNG discipline shows up as a diff here, which is the
 point: fault handling must stay deterministic under a fixed seed.
 
+A second fixture pins the trace of a healthy run with jitter and
+transfer interference on replicated modules — the path §5 profiling takes
+(``simulate(collect_trace=True)`` under a noise model) — so the order in
+which jitter is drawn and handed to phases and transfers stays fixed.
+
 Regenerate (after an *intentional* semantic change) by running this file
 as a script: ``PYTHONPATH=src:. python tests/sim/test_golden_trace.py``.
 """
@@ -15,11 +20,17 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.core import Mapping, ModuleSpec
-from repro.sim import FaultModel, ProcessorFailure, simulate_fault_tolerant
-
-from ..conftest import make_three_task_chain
+from repro.sim import (
+    FaultModel,
+    NoiseModel,
+    ProcessorFailure,
+    simulate,
+    simulate_fault_tolerant,
+)
+from tests.conftest import make_three_task_chain
 
 GOLDEN = Path(__file__).parent / "golden" / "fault_trace.txt"
+JITTER_GOLDEN = Path(__file__).parent / "golden" / "jittered_trace.txt"
 
 
 def _golden_run():
@@ -40,8 +51,23 @@ def _golden_run():
     )
 
 
+def _jittered_run():
+    """The profiler's path: a traced run under jitter and interference."""
+    return simulate(
+        make_three_task_chain(),
+        Mapping([ModuleSpec(0, 1, 2, 2), ModuleSpec(2, 2, 3, 1)]),
+        n_datasets=40,
+        noise=NoiseModel(seed=6, jitter=0.05, comm_interference=0.04),
+        collect_trace=True,
+    )
+
+
 def test_trace_matches_committed_golden():
     assert _golden_run().trace.dumps() == GOLDEN.read_text()
+
+
+def test_jittered_trace_matches_committed_golden():
+    assert _jittered_run().trace.dumps() == JITTER_GOLDEN.read_text()
 
 
 def test_same_seed_runs_are_byte_identical():
@@ -72,4 +98,5 @@ def test_dumps_is_parseable_and_ordered():
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     GOLDEN.write_text(_golden_run().trace.dumps())
-    print(f"regenerated {GOLDEN}")
+    JITTER_GOLDEN.write_text(_jittered_run().trace.dumps())
+    print(f"regenerated {GOLDEN} and {JITTER_GOLDEN}")

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Mapping, ModuleSpec
 from repro.experiments.drift_study import study_chain
 from repro.sim import DriftNoiseModel, NoiseModel, simulate
+from repro.sim.noise import BLOCK
 
 
 def drift_noise(drift=1e-3, comm_drift=0.0):
@@ -80,6 +82,109 @@ class TestDriftContext:
     def test_stationary_base_model_allows_datasets_free_batch(self):
         noise = NoiseModel.silent()
         assert noise.factors(5).tolist() == [1.0] * 5
+
+
+class _ScalarReference:
+    """The unbuffered jitter rule: one scalar ``standard_normal()`` per
+    operation on a fresh generator, then the truncation and the floor."""
+
+    def __init__(self, seed: int, jitter: float, interference: float,
+                 drift: float | None, comm_drift: float):
+        self.rng = np.random.default_rng(seed)
+        self.jitter = jitter
+        self.interference = interference
+        self.drift = drift
+        self.comm_drift = comm_drift
+
+    def jitter_factor(self) -> float:
+        if self.jitter == 0:
+            return 1.0
+        f = 1.0 + self.jitter * float(self.rng.standard_normal())
+        lo, hi = 1.0 - 3 * self.jitter, 1.0 + 3 * self.jitter
+        return max(0.05, min(hi, max(lo, f)))
+
+    def scale(self, rate: float, d: int) -> float:
+        if self.drift is None or rate == 0.0:
+            return 1.0
+        return float(np.cumprod(np.full(d + 1, 1.0 + rate))[d])
+
+    def factor(self, d: int) -> float:
+        f = self.jitter_factor()
+        return f if self.drift is None else f * self.scale(self.drift, d)
+
+    def comm_factor(self, c: int, d: int) -> float:
+        f = self.jitter_factor() * (1.0 + self.interference * max(0, c))
+        return f if self.drift is None else f * self.scale(self.comm_drift, d)
+
+    def factors(self, datasets, comm) -> list[float]:
+        out = []
+        for d, is_comm in zip(datasets, comm):
+            f = self.jitter_factor()
+            if self.drift is not None:
+                rate = self.comm_drift if is_comm else self.drift
+                f *= self.scale(rate, d)
+            out.append(f)
+        return out
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("factor"), st.integers(0, 50)),
+        st.tuples(st.just("comm"), st.integers(0, 50), st.integers(0, 4)),
+        st.tuples(st.just("factors"), st.lists(st.integers(0, 50),
+                                               max_size=2 * BLOCK + 40)),
+    ),
+    max_size=12,
+)
+
+
+class TestBufferedDraws:
+    """Jitter is drawn in blocks and handed out in order; every call sees
+    the values one scalar draw per operation gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           jitter=st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5]),
+           drifting=st.booleans(), ops=_OPS, data=st.data())
+    def test_any_interleaving_matches_scalar_draws(self, seed, jitter,
+                                                   drifting, ops, data):
+        interference = 0.03
+        drift = comm_drift = None
+        if drifting:
+            drift = data.draw(st.sampled_from([0.0, 1e-3]), label="drift")
+            comm_drift = data.draw(st.sampled_from([0.0, 1e-3, 5e-4]),
+                                   label="comm_drift")
+            model = DriftNoiseModel(seed=seed, jitter=jitter,
+                                    comm_interference=interference,
+                                    drift=drift, comm_drift=comm_drift)
+        else:
+            model = NoiseModel(seed=seed, jitter=jitter,
+                               comm_interference=interference)
+        ref = _ScalarReference(seed, jitter, interference, drift,
+                               0.0 if comm_drift is None else comm_drift)
+        for op in ops:
+            if op[0] == "factor":
+                assert model.factor(dataset=op[1]) == ref.factor(op[1])
+            elif op[0] == "comm":
+                got = model.comm_factor(op[2], dataset=op[1])
+                assert got == ref.comm_factor(op[2], op[1])
+            else:
+                datasets = op[1]
+                comm = [d % 3 == 0 for d in datasets]
+                got = model.factors(len(datasets), datasets=datasets,
+                                    comm=comm)
+                assert got.dtype == np.float64
+                assert got.tolist() == ref.factors(datasets, comm)
+
+    def test_jitter_free_models_leave_the_rng_untouched(self):
+        for model in (NoiseModel(seed=5, jitter=0.0, comm_interference=0.1),
+                      DriftNoiseModel(seed=5, jitter=0.0, drift=1e-3)):
+            before = model._rng.bit_generator.state
+            model.factor(dataset=3)
+            model.comm_factor(2, dataset=4)
+            model.factors(BLOCK + 3, datasets=np.arange(BLOCK + 3))
+            model.factors(0, datasets=np.arange(0))
+            assert model._rng.bit_generator.state == before
 
 
 class TestClassification:

@@ -68,6 +68,16 @@ def _plain_jittered():
                                      comm_interference=0.02))
 
 
+def _plain_jittered_long():
+    # Replicated modules on a long jittered stream: crosses many blocks of
+    # buffered jitter draws and each worker queue's head compaction.
+    chain = make_random_chain(4, seed=23, replicable_prob=1.0)
+    mapping = Mapping([ModuleSpec(0, 1, 2, 2), ModuleSpec(2, 3, 3, 3)])
+    return simulate(chain, mapping, n_datasets=6_000,
+                    noise=NoiseModel(seed=8, jitter=0.04,
+                                     comm_interference=0.03))
+
+
 def _plain_traced():
     return simulate(make_three_task_chain(), _SPLIT, n_datasets=120,
                     collect_trace=True)
@@ -121,6 +131,7 @@ def _controlled(engine: str, jitter: float):
 MATRIX = {
     "plain-healthy": _plain_healthy,
     "plain-jittered": _plain_jittered,
+    "plain-jittered-long": _plain_jittered_long,
     "plain-leaped": _plain_leaped,
     "plain-traced": _plain_traced,
     "plain-placed": _plain_placed,
