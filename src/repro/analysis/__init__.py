@@ -21,21 +21,21 @@ Two halves:
 
 Both halves share one vocabulary with the runtime pre-flight:
 :class:`~repro.core.exceptions.Severity`, and (for plans)
-:class:`~repro.core.exceptions.Violation`.
+:class:`~repro.core.exceptions.Violation` and the one report type,
+:class:`~repro.core.validate.PlanReport`, re-exported here.
 """
 
+from ..core.validate import PlanReport
 from .diagnostics import Diagnostic, Severity
 from .engine import LintEngine, LintReport, lint_paths, lint_source, self_check
 from .plan import (
     StaticPlan,
-    PlanReport,
     QueueState,
     Reassignment,
     load_plan,
     verify_plan,
     verify_redistribution,
 )
-from .rules import default_rules
 
 __all__ = [
     "Diagnostic",
@@ -45,7 +45,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "self_check",
-    "default_rules",
     "StaticPlan",
     "PlanReport",
     "QueueState",

@@ -11,12 +11,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .contracts import CONTRACT_RULE, DEFAULT_CONTRACTS, ClassIndex, check_contracts
 from .diagnostics import Diagnostic, Severity, report_to_dict
 from .pragmas import apply_pragmas, collect_pragmas
-from .rules import Rule, RuleContext, default_rules
+from .rules import PER_FILE_RULES, RuleContext
 
 __all__ = ["LintEngine", "LintReport", "lint_paths", "lint_source", "self_check"]
 
@@ -70,16 +70,9 @@ class LintReport:
 
 
 class LintEngine:
-    """Run a rule set (plus the contract pass) over sources."""
+    """Run the per-file rules and the contract pass over sources."""
 
-    def __init__(
-        self,
-        rules: Sequence[Rule] | None = None,
-        contracts=DEFAULT_CONTRACTS,
-        package_root: Path | None = None,
-    ):
-        self.rules = tuple(default_rules() if rules is None else rules)
-        self.contracts = contracts
+    def __init__(self, package_root: Path | None = None):
         self.package_root = package_root
 
     # -- path resolution ----------------------------------------------------
@@ -99,48 +92,42 @@ class LintEngine:
                 return parts[len(parts) - 1 - parts[::-1].index(anchor):]
         return parts[-2:] if len(parts) > 1 else parts
 
-    # -- single file --------------------------------------------------------
-    def lint_source(self, source: str, filename: str = "<string>") -> list[Diagnostic]:
-        """Lint one source string (fixture tests, editor integration)."""
-        ctx, index = self._parse(source, filename)
-        if ctx is None:
-            return index  # parse-error diagnostics
-        self._run_file_rules(ctx)
-        contract_ctx = {ctx.path: ctx}
-        check_contracts(index, self.contracts, contract_ctx, CONTRACT_RULE)
-        return self._finish(ctx, source)
-
-    def _parse(self, source: str, filename: str):
-        try:
-            tree = ast.parse(source, filename=filename)
-        except SyntaxError as exc:
-            return None, [
-                Diagnostic(
-                    "syntax-error", Severity.ERROR, filename,
+    # -- the per-file pipeline ----------------------------------------------
+    def _lint(self, sources: dict[str, str]) -> list[Diagnostic]:
+        """Parse each file, run the per-file rules, then the cross-module
+        contract pass over all of them, then each file's pragmas."""
+        diagnostics: list[Diagnostic] = []
+        index = ClassIndex()
+        contexts: dict[str, RuleContext] = {}
+        for path, source in sources.items():
+            try:
+                tree = ast.parse(source, filename=path)
+            except SyntaxError as exc:
+                diagnostics.append(Diagnostic(
+                    "syntax-error", Severity.ERROR, path,
                     exc.lineno or 1, (exc.offset or 1) - 1,
                     f"file does not parse: {exc.msg}",
-                )
-            ]
-        ctx = RuleContext(
-            path=filename,
-            parts=self._parts(Path(filename)),
-            tree=tree,
-            source=source,
-        )
-        index = ClassIndex()
-        index.add_file(filename, tree)
-        return ctx, index
+                ))
+                continue
+            ctx = RuleContext(path, self._parts(Path(path)), tree, source)
+            for rule in PER_FILE_RULES:
+                if rule.applies_to(ctx.parts):
+                    rule.check(ctx, rule)
+            index.add_file(path, tree)
+            contexts[path] = ctx
+        # Contract findings land in each file's context so that file's
+        # pragmas can suppress them.
+        check_contracts(index, DEFAULT_CONTRACTS, contexts, CONTRACT_RULE)
+        for path, ctx in contexts.items():
+            pragmas, pragma_diags = collect_pragmas(ctx.source, path)
+            diagnostics += apply_pragmas(ctx.diagnostics, pragmas, path)
+            diagnostics += pragma_diags
+        return diagnostics
 
-    def _run_file_rules(self, ctx: RuleContext) -> None:
-        for rule in self.rules:
-            if rule.applies_to(ctx.parts):
-                rule.check(ctx, rule)
+    def lint_source(self, source: str, filename: str = "<string>") -> list[Diagnostic]:
+        """Lint one source string (fixture tests, editor integration)."""
+        return self._lint({filename: source})
 
-    def _finish(self, ctx: RuleContext, source: str) -> list[Diagnostic]:
-        pragmas, pragma_diags = collect_pragmas(source, ctx.path)
-        return apply_pragmas(ctx.diagnostics, pragmas, ctx.path) + pragma_diags
-
-    # -- trees --------------------------------------------------------------
     def lint_paths(self, paths: Iterable[str | Path]) -> LintReport:
         """Lint files and directory trees; directories recurse over *.py."""
         files: list[Path] = []
@@ -155,12 +142,10 @@ class LintEngine:
                 files.append(p)
 
         report = LintReport()
-        index = ClassIndex()
-        contexts: dict[str, RuleContext] = {}
         sources: dict[str, str] = {}
         for f in files:
             try:
-                source = f.read_text()
+                sources[str(f)] = f.read_text()
             except OSError as exc:
                 report.diagnostics.append(
                     Diagnostic(
@@ -168,21 +153,8 @@ class LintEngine:
                         f"cannot read file: {exc}",
                     )
                 )
-                continue
-            report.files_scanned += 1
-            ctx, file_index = self._parse(source, str(f))
-            if ctx is None:
-                report.diagnostics.extend(file_index)
-                continue
-            self._run_file_rules(ctx)
-            index.add_file(ctx.path, ctx.tree)
-            contexts[ctx.path] = ctx
-            sources[ctx.path] = source
-        # Cross-module pass: contract findings land in each file's context
-        # so that file's pragmas can suppress them.
-        check_contracts(index, self.contracts, contexts, CONTRACT_RULE)
-        for path, ctx in contexts.items():
-            report.diagnostics.extend(self._finish(ctx, sources[path]))
+        report.files_scanned = len(sources)
+        report.diagnostics += self._lint(sources)
         return report
 
 

@@ -5,9 +5,11 @@ ILP/metaheuristic backend) is vetted here *without running the
 simulator*: structural tiling (by :class:`~repro.core.mapping.ModuleSpec`
 and :class:`~repro.core.mapping.Mapping` construction), everything
 :func:`~repro.core.validate.preflight` owns (coverage, replication
-legality, processor budget, memory minimums, machine geometry), and — for
-degradation plans — deadlock-freedom of the ascending-queue
-redistribution.
+legality, processor budget, per-instance minimums, machine geometry),
+the performance evaluation of :func:`~repro.core.validate.diagnose` when
+the plan carries a chain, and — for degradation plans — deadlock-freedom
+of the ascending-queue redistribution.  The result is the one
+:class:`~repro.core.validate.PlanReport`.
 
 The deadlock check is the static image of the simulator's runtime
 invariant (:meth:`repro.sim.pipeline._Run.reassign_or_drop`): an orphaned
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING
 from ..core.exceptions import PlanError, Violation
 from ..core.mapping import Mapping, ModuleSpec
 from ..core.task import TaskChain
-from ..core.validate import preflight
+from ..core.validate import PlanReport, diagnose
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..machine.machine import MachineSpec
@@ -39,7 +41,6 @@ __all__ = [
     "QueueState",
     "Reassignment",
     "StaticPlan",
-    "PlanReport",
     "load_plan",
     "verify_redistribution",
     "verify_plan",
@@ -149,44 +150,6 @@ def _resolve_machine(name, source: str):
         f"{source}: unknown machine {name!r}; known presets: "
         f"{sorted(specs)} (spec names {sorted(m.name for m in specs.values())})"
     )
-
-
-@dataclass
-class PlanReport:
-    """Every violation the static verifier found."""
-
-    violations: list[Violation]
-    source: str = "<memory>"
-    checked: tuple[str, ...] = ()        # which check families ran
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def raise_if_invalid(self) -> None:
-        if self.violations:
-            raise PlanError(self.violations)
-
-    def to_dict(self) -> dict:
-        return {
-            "format": "repro-plan-check/v1",
-            "source": self.source,
-            "ok": self.ok,
-            "checked": list(self.checked),
-            "violations": [v.to_dict() for v in self.violations],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def render(self) -> str:
-        if self.ok:
-            return (
-                f"plan ok ({', '.join(self.checked)} checked)"
-            )
-        lines = [f"plan rejected: {len(self.violations)} violation(s)"]
-        lines += [f"  {v}" for v in self.violations]
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +287,10 @@ def verify_plan(plan: StaticPlan) -> PlanReport:
     :meth:`ModuleSpec.from_dict` and the list with :class:`Mapping`,
     which report every bad field, gap and overlap (nothing else is
     meaningful on a broken tiling).  Then
-    :func:`~repro.core.validate.preflight` — coverage, replication,
-    budget, memory, and geometry when a machine is in scope — and the
-    redistribution.
+    :func:`~repro.core.validate.diagnose` — preflight's coverage,
+    replication, budget, per-instance minimums and geometry, and, when
+    the plan carries a chain, its performance — and the redistribution.
     """
-    checked = ["structure"]
     violations: list[Violation] = []
     specs = []
     for i, d in enumerate(plan.modules):
@@ -342,21 +304,20 @@ def verify_plan(plan: StaticPlan) -> PlanReport:
         except PlanError as err:
             violations = err.violations
     if violations:
-        return PlanReport(violations, source=plan.source, checked=tuple(checked))
+        return PlanReport(violations, source=plan.source, checked=("structure",))
 
-    checked.append("preflight")
-    if plan.machine is not None and plan.total_procs in (None, plan.machine.total_procs):
-        checked.append("geometry")
-    violations = preflight(
-        plan.chain, mapping, plan.total_procs, plan.mem_per_proc_mb, plan.machine
+    report = diagnose(
+        plan.chain, mapping, plan.machine, plan.mem_per_proc_mb, plan.total_procs
     )
+    report.source = plan.source
+    report.checked = ("structure", *report.checked)
     if plan.redistribution:
-        checked.append("redistribution")
+        report.checked += ("redistribution",)
         queues, moves, bad = _parse_redistribution(plan.redistribution)
-        violations += bad + verify_redistribution(
+        report.violations += bad + verify_redistribution(
             [m.replicas for m in mapping.modules], queues, moves
         )
-    return PlanReport(violations, source=plan.source, checked=tuple(checked))
+    return report
 
 
 def load_plan(path: str | Path) -> StaticPlan:

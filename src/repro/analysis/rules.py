@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from .diagnostics import Diagnostic, Severity
 
-__all__ = ["Rule", "RuleContext", "default_rules", "PER_FILE_RULES"]
+__all__ = ["Rule", "RuleContext", "PER_FILE_RULES"]
 
 
 @dataclass
@@ -410,9 +410,3 @@ PER_FILE_RULES: tuple[Rule, ...] = (
         _check_mutable_default,
     ),
 )
-
-
-def default_rules() -> tuple[Rule, ...]:
-    """The per-file rule set (the protocol-contract rule is separate —
-    it needs the whole-tree class index the engine builds)."""
-    return PER_FILE_RULES

@@ -76,7 +76,7 @@ from .latency import (
     throughput_latency_frontier,
 )
 from .sizing import SizingResult, min_processors_for_throughput, sizing_curve
-from .validate import Diagnosis, diagnose, ensure_valid_plan, preflight
+from .validate import PlanReport, diagnose, ensure_valid_plan, preflight
 
 __all__ = [
     # cost models
@@ -110,7 +110,7 @@ __all__ = [
     "LatencyResult", "optimal_latency_assignment",
     "throughput_latency_frontier",
     "SizingResult", "min_processors_for_throughput", "sizing_curve",
-    "Diagnosis", "diagnose", "preflight", "ensure_valid_plan",
+    "PlanReport", "diagnose", "preflight", "ensure_valid_plan",
     # baselines & oracles
     "data_parallel", "replicated_data_parallel", "even_task_parallel",
     "comm_blind_assignment",

@@ -26,6 +26,7 @@ from __future__ import annotations
 from .dp_cluster import ClusteredResult, optimal_mapping
 from .response import UNLIMITED_MEMORY_MB, SegmentCache
 from .task import TaskChain
+from .validate import ensure_valid_plan
 from .workspace import SolverWorkspace
 
 __all__ = ["RemapPlanner"]
@@ -70,28 +71,13 @@ class RemapPlanner:
                 cache=self.cache,
                 workspace=self.workspace,
             )
-            self.preflight(got.mapping, total_procs)
+            # Every plan handed to the runtime passes preflight first.
+            ensure_valid_plan(
+                self.chain, got.mapping, total_procs, self.mem_per_proc_mb
+            )
             self._plans[total_procs] = got
             self.solves += 1
         return got
-
-    def preflight(self, mapping, total_procs: int) -> None:
-        """Static pre-flight of a candidate plan for ``total_procs``.
-
-        Every plan this planner hands to the runtime — its own DP
-        solutions included — passes the static verifier first, raising a
-        structured :class:`~repro.core.exceptions.PlanError` instead of
-        surfacing as a mid-simulation deadlock or assert.  Also the hook
-        external backends (ILP, metaheuristics) go through when they
-        propose plans for a degraded machine.
-        """
-        from .validate import ensure_valid_plan
-
-        ensure_valid_plan(
-            self.chain, mapping,
-            total_procs=total_procs,
-            mem_per_proc_mb=self.mem_per_proc_mb,
-        )
 
     def update_chain(self, chain: TaskChain) -> "ChainDelta":
         """Repoint the planner at a chain with *changed cost tables*.
@@ -117,10 +103,6 @@ class RemapPlanner:
             self._plans.clear()
             self.updates += 1
         return delta
-
-    def plan_after_failures(self, machine_procs: int, procs_lost: int) -> ClusteredResult:
-        """Convenience: the plan for ``machine_procs - procs_lost`` survivors."""
-        return self.plan(machine_procs - procs_lost)
 
     def degradation_curve(self, machine_procs: int, max_failures: int) -> list:
         """Optimal throughput at 0..max_failures lost processors.

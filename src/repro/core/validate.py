@@ -1,23 +1,25 @@
 """Plan checks: the legality rules a mapping must meet, and the linter.
 
 :func:`preflight` is the one owner of the paper's legality rules (§2.2,
-§3.2): the modules cover the chain, only replicable segments get
-``r > 1``, the processor total fits the budget, each instance meets its
-memory minimum, and — with a machine in scope — the modules fit its
-geometry.  :func:`ensure_valid_plan` raises on its findings;
-:func:`diagnose` adds performance evaluation and smells (idle
+§3.2, §6.1): the modules cover the chain, only replicable segments get
+``r > 1``, the processor total fits the budget, each instance gets at
+least its minimum processor count (the tasks' ``min_procs`` floor or
+the memory footprint, whichever binds), and — with a machine in scope —
+the modules fit its geometry.  :func:`ensure_valid_plan` raises on its
+findings; :func:`diagnose` adds performance evaluation and smells (idle
 processors, a module starving the bottleneck, replication left on the
-table).  The CLI's ``check`` command wraps ``diagnose``, so a mapping
-produced elsewhere (a saved JSON, a hand-written one) can be vetted
-before deployment.
+table) and returns the one :class:`PlanReport`, which the static plan
+verifier (:func:`repro.analysis.verify_plan`, ``repro-map lint --plan``)
+also returns, so a mapping produced elsewhere (a saved JSON, a
+hand-written one) can be vetted before deployment.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Optional
 
-from .exceptions import InfeasibleError, InvalidMappingError, PlanError, Severity, Violation
+from .exceptions import PlanError, Severity, Violation
 from .mapping import Mapping
 from .replication import split_replicas
 from .response import (
@@ -29,7 +31,7 @@ from .response import (
 from .task import TaskChain
 
 __all__ = [
-    "Diagnosis",
+    "PlanReport",
     "diagnose",
     "preflight",
     "ensure_valid_plan",
@@ -37,21 +39,59 @@ __all__ = [
 
 
 @dataclass
-class Diagnosis:
+class PlanReport:
+    """Every finding about one plan, and its predicted throughput.
+
+    ``throughput`` is ``None`` when the plan was not evaluated; ``checked``
+    names the check families that ran.  The plan is ``ok`` when no
+    finding is an ERROR: warnings and performance observations do not
+    gate.
+    """
+
     violations: list[Violation]
-    throughput: Optional[float]          # None when the mapping cannot run
+    throughput: float | None = None
+    source: str = "<memory>"
+    checked: tuple[str, ...] = ()
+
+    @property
+    def errors(self) -> list[Violation]:
+        return [v for v in self.violations if v.severity is Severity.ERROR]
 
     @property
     def ok(self) -> bool:
-        return not any(v.severity is Severity.ERROR for v in self.violations)
+        return not self.errors
+
+    def raise_if_invalid(self) -> None:
+        if self.errors:
+            raise PlanError(self.errors)
+
+    def to_dict(self) -> dict:
+        return {
+            "format": "repro-plan-check/v1",
+            "source": self.source,
+            "ok": self.ok,
+            "checked": list(self.checked),
+            "violations": [v.to_dict() for v in self.violations],
+            "throughput": self.throughput,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def render(self) -> str:
-        lines = [f"[{v.severity}] {v}" for v in self.violations]
+        if self.ok:
+            lines = [f"plan ok ({', '.join(self.checked)} checked)"]
+        else:
+            lines = [f"plan rejected: {len(self.errors)} error(s)"]
+        lines += [f"  [{v.severity}] {v}" for v in self.violations]
         if self.throughput is not None:
             lines.append(f"predicted throughput: {self.throughput:.4g} data sets/s")
-        if not self.violations:
-            lines.insert(0, "no findings")
         return "\n".join(lines)
+
+
+def _geometry_in_scope(machine, total_procs) -> bool:
+    """Geometry applies to the whole machine only, not to a partial one."""
+    return machine is not None and total_procs in (None, machine.total_procs)
 
 
 def _limits(machine, total_procs, mem_per_proc_mb):
@@ -74,9 +114,10 @@ def preflight(
 ) -> list[Violation]:
     """Every static check a mapping must pass before it may execute.
 
-    Chain coverage and replication legality (when ``chain`` is known),
-    processor budget (when ``total_procs`` is known), per-module memory
-    minimums (when a memory limit is known), and machine geometry —
+    Chain coverage, replication legality and each instance's minimum
+    processor count — the tasks' ``min_procs`` floor and, when a memory
+    limit is known, the memory footprint — when ``chain`` is known;
+    processor budget (when ``total_procs`` is known); and machine geometry —
     rectangularity, packing and pathway caps via
     :func:`~repro.machine.feasibility.check_feasible` — when ``machine``
     is given and every other check passed.  ``machine`` also supplies
@@ -91,7 +132,7 @@ def preflight(
     :class:`~repro.core.exceptions.PlanError` instead of letting a bad
     plan surface as a mid-simulation deadlock or assert.
     """
-    geometry = machine is not None and total_procs in (None, machine.total_procs)
+    geometry = _geometry_in_scope(machine, total_procs)
     total_procs, mem_per_proc_mb = _limits(machine, total_procs, mem_per_proc_mb)
     violations: list[Violation] = []
     mchain = None
@@ -122,19 +163,23 @@ def preflight(
             f"mapping uses {mapping.total_procs} processors, machine "
             f"has {total_procs}",
         ))
-    if mchain is not None and mem_per_proc_mb not in (None, UNLIMITED_MEMORY_MB):
+    if mchain is not None:
         for i, (spec, info) in enumerate(zip(mapping.modules, mchain.infos)):
             if spec.procs >= info.p_min:
                 continue
-            names = ",".join(t.name for t in spec.tasks_of(chain))
+            tasks = spec.tasks_of(chain)
+            names = ",".join(t.name for t in tasks)
             if info.p_min == UNFIT:
                 fixed, _ = chain.segment_memory(spec.start, spec.stop)
                 why = (f"has a fixed footprint of {fixed} MB on every "
                        f"processor, over the {mem_per_proc_mb} MB "
                        f"per-processor memory")
             else:
+                bound = ("its tasks' min_procs"
+                         if info.p_min == max(t.min_procs for t in tasks)
+                         else "its memory footprint")
                 why = (f"needs >= {info.p_min} processors per instance for "
-                       f"its memory footprint, has {spec.procs}")
+                       f"{bound}, has {spec.procs}")
             violations.append(Violation(
                 "memory", f"module {{{names}}} {why}", module=i,
             ))
@@ -161,31 +206,33 @@ def ensure_valid_plan(
 
 
 def diagnose(
-    chain: TaskChain,
+    chain: TaskChain | None,
     mapping: Mapping,
     machine=None,
     mem_per_proc_mb: float | None = None,
     total_procs: int | None = None,
-) -> Diagnosis:
+) -> PlanReport:
     """:func:`preflight`, then performance evaluation and smells; never
     raises for mapping problems — reports them.
 
-    ``total_procs`` overrides the machine's processor count (the
+    A plan that passes preflight is evaluated only when ``chain`` is
+    known; ``checked`` then ends in ``"performance"`` and ``throughput``
+    is set.  ``total_procs`` overrides the machine's processor count (the
     partial-machine case, see :func:`preflight`).
     """
+    checked = ("preflight",)
+    if _geometry_in_scope(machine, total_procs):
+        checked += ("geometry",)
     violations = preflight(chain, mapping, total_procs, mem_per_proc_mb, machine)
-    if violations:
-        return Diagnosis(violations, None)
+    if violations or chain is None:
+        return PlanReport(violations, checked=checked)
     total_procs, mem = _limits(machine, total_procs, mem_per_proc_mb)
     mchain = build_module_chain(
-        chain, mapping.clustering(), float("inf") if mem is None else mem
+        chain, mapping.clustering(), UNLIMITED_MEMORY_MB if mem is None else mem
     )
-    try:
-        perf = evaluate_module_chain(
-            mchain, [(m.procs, m.replicas) for m in mapping.modules]
-        )
-    except (InfeasibleError, InvalidMappingError) as exc:
-        return Diagnosis([Violation("evaluate", str(exc))], None)
+    perf = evaluate_module_chain(
+        mchain, [(m.procs, m.replicas) for m in mapping.modules]
+    )
 
     # Performance smells.
     if total_procs is not None:
@@ -217,4 +264,4 @@ def diagnose(
                     f"replicating maximally)",
                     Severity.INFO, module=i,
                 ))
-    return Diagnosis(violations, perf.throughput)
+    return PlanReport(violations, perf.throughput, checked=(*checked, "performance"))

@@ -118,10 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list findings suppressed by '# repro: allow[rule]' pragmas",
     )
 
-    p_check = sub.add_parser("check", help="lint a saved mapping against a workload")
-    add_workload_args(p_check)
-    p_check.add_argument("--mapping", required=True, metavar="MAPPING.json")
-
     p_size = sub.add_parser("size", help="minimum processors for a throughput target")
     add_workload_args(p_size)
     p_size.add_argument("--target", type=float, required=True,
@@ -228,18 +224,6 @@ def _cmd_lint(args) -> int:
             json.dump(payload, fh, indent=2)
         print(f"diagnostics written to {args.json_out}")
     return 0 if ok else 1
-
-
-def _cmd_check(args) -> int:
-    from ..core.validate import diagnose
-    from .persist import load_mapping
-
-    machine = machine_by_name(args.machine)
-    workload = workload_by_name(args.workload, machine)
-    mapping = load_mapping(args.mapping)
-    diagnosis = diagnose(workload.chain, mapping, machine=machine)
-    print(diagnosis.render())
-    return 0 if diagnosis.ok else 1
 
 
 def _cmd_size(args) -> int:
@@ -456,8 +440,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_trace(args)
     if args.command == "lint":
         return _cmd_lint(args)
-    if args.command == "check":
-        return _cmd_check(args)
     if args.command == "size":
         return _cmd_size(args)
     if args.command == "table1":

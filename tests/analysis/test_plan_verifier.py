@@ -27,7 +27,6 @@ from repro.core import (
     ensure_valid_plan,
     preflight,
 )
-from repro.core.remap import RemapPlanner
 from repro.machine import by_name as machine_by_name
 from repro.sim.pipeline import simulate, simulate_fault_tolerant
 
@@ -236,13 +235,6 @@ class TestPreflightHooks:
             )
         assert any(v.code == "budget" for v in err.value.violations)
 
-    def test_remap_planner_preflights_external_plans(self):
-        chain = three_task_chain()
-        planner = RemapPlanner(chain)
-        big = Mapping([ModuleSpec(0, 2, 10_000)])
-        with pytest.raises(PlanError):
-            planner.preflight(big, total_procs=8)
-
     def test_preflight_returns_violations_without_raising(self):
         chain = three_task_chain()
         big = Mapping([ModuleSpec(0, 2, 10_000)])
@@ -356,6 +348,11 @@ def _fat_chain():
     ])
 
 
+def _floor_chain():
+    """One task that needs at least four processors per instance."""
+    return TaskChain([Task("a", PolynomialExec(0.0, 1.0, 0.0), min_procs=4)])
+
+
 # (chain, modules, machine, total_procs, mem_per_proc_mb, expected ERROR codes)
 BAD_MAPPINGS = {
     "task-count": (three_task_chain(), [ModuleSpec(0, 1, 2)], None, None, None,
@@ -374,6 +371,9 @@ BAD_MAPPINGS = {
                  ["replication", "budget", "memory"]),
     # No processor count holds the merged module's replicated footprint.
     "unfit": (_fat_chain(), [ModuleSpec(0, 2, 4)], None, 8, 64.0, ["memory"]),
+    # Below the task's min_procs floor with memory unlimited.
+    "below-floor": (_floor_chain(), [ModuleSpec(0, 0, 2)], None, None, None,
+                    ["memory"]),
 }
 
 
@@ -415,6 +415,17 @@ class TestOneVocabulary:
         assert "fixed footprint of 120 MB" in found[0].message
         with pytest.raises(PlanError) as err:
             ensure_valid_plan(chain, mapping, 8, 64)
+        assert err.value.violations == found
+
+    def test_below_floor_names_min_procs_and_cannot_simulate(self):
+        chain, mapping = _floor_chain(), Mapping([ModuleSpec(0, 0, 2)])
+        found = preflight(chain, mapping)
+        why = "needs >= 4 processors per instance for its tasks' min_procs"
+        assert why in found[0].message
+        # A memory limit that is not the binding bound is not blamed.
+        assert why in preflight(chain, mapping, mem_per_proc_mb=64)[0].message
+        with pytest.raises(PlanError) as err:
+            simulate(chain, mapping, n_datasets=4)
         assert err.value.violations == found
 
     def test_partial_machine_skips_geometry(self):

@@ -136,7 +136,7 @@ def test_remap_plans_fit_survivors(chain, P, lost):
     planner = RemapPlanner(chain)
     survivors = P - lost
     try:
-        plan = planner.plan_after_failures(P, lost)
+        plan = planner.plan(survivors)
     except InfeasibleError:
         return  # chain legitimately does not fit the shrunken machine
     ensure_valid_plan(chain, plan.mapping, survivors)  # raises on any violation

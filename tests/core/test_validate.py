@@ -1,10 +1,11 @@
-"""Tests for the mapping linter."""
+"""Tests for diagnose: preflight, evaluation and smells in one PlanReport."""
 
 import pytest
 
 from repro.core import (
     Mapping,
     ModuleSpec,
+    PlanReport,
     PolynomialExec,
     Severity,
     Task,
@@ -16,10 +17,10 @@ from repro.workloads import fft_hist
 from tests.conftest import make_random_chain
 
 
-def _codes(diagnosis, severity=None):
+def _codes(report, severity=None):
     return {
         v.code
-        for v in diagnosis.violations
+        for v in report.violations
         if severity is None or v.severity is severity
     }
 
@@ -28,6 +29,7 @@ class TestStructuralErrors:
     def test_wrong_task_count(self):
         chain = make_random_chain(3, seed=0)
         d = diagnose(chain, Mapping([ModuleSpec(0, 1, 2)]))
+        assert isinstance(d, PlanReport)
         assert not d.ok
         assert "structure" in _codes(d)
         assert d.throughput is None

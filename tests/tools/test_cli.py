@@ -106,7 +106,7 @@ class TestCommands:
         ]) == 1
         assert "infeasible" in capsys.readouterr().out
 
-    def test_check_command(self, capsys, tmp_path):
+    def test_lint_plan_predicts_throughput(self, capsys, tmp_path):
         from repro.core import Mapping, ModuleSpec
         from repro.tools import save_mapping
 
@@ -115,10 +115,25 @@ class TestCommands:
             tmp_path / "m.json",
         )
         assert main([
-            "check", "-w", "radar", "-m", "iwarp64-systolic",
-            "--mapping", str(path),
+            "lint", "--plan", str(path), "-w", "radar",
+            "-m", "iwarp64-systolic",
         ]) == 0
-        assert "throughput" in capsys.readouterr().out
+        assert "predicted throughput" in capsys.readouterr().out
+
+    def test_lint_plan_warning_does_not_gate(self, capsys, tmp_path):
+        from repro.core import Mapping, ModuleSpec
+        from repro.tools import save_mapping
+
+        path = save_mapping(
+            Mapping([ModuleSpec(0, 3, 4)]), tmp_path / "m.json"
+        )
+        assert main([
+            "lint", "--plan", str(path), "-w", "radar",
+            "-m", "iwarp64-systolic",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "plan ok" in out
+        assert "[warning] idle: 60 of 64 processors are idle" in out
 
     def test_lint_self_passes(self, capsys):
         assert main(["lint", "--self"]) == 0
