@@ -5,7 +5,10 @@ Times the assignment DP, the clustered DP (exhaustive and bisect) and the
 greedy heuristic across a ``(k, P)`` grid, records wall time and peak DP
 table bytes, **asserts the optimized solvers return byte-identical
 mappings** to a verbatim copy of the seed solver embedded below, and
-asserts bisect reaches the exhaustive optimum within its tolerance.  The
+asserts bisect reaches the exhaustive optimum within its tolerance.  Each
+cell also times exhaustive search bounded by the greedy heuristic's
+throughput, asserts it returns the unbounded plan byte for byte, and
+records how many clusterings it kept.  The
 full grid also asserts that greedy, the paper's cheap alternative (§4),
 beats the assignment DP on every cell with ``P >= 32``.  Results are
 written to ``BENCH_solver.json`` at the repo root.
@@ -36,6 +39,7 @@ from repro.core import (  # noqa: E402
     build_module_chain,
     default_workspace,
     greedy_assignment,
+    heuristic_mapping,
     optimal_assignment,
     optimal_mapping,
 )
@@ -155,7 +159,8 @@ def _timed(fn):
 
 
 def bench_cell(k, P, check_seed=True):
-    """One (k, P) grid cell: assignment DP, exhaustive, bisect, greedy."""
+    """One (k, P) grid cell: assignment DP, exhaustive (unbounded and
+    bounded by the heuristic), bisect, greedy."""
     chain = random_chain(k, seed=k * 101 + P)
     row = {"k": k, "P": P}
 
@@ -197,6 +202,22 @@ def bench_cell(k, P, check_seed=True):
             f"throughput mismatch k={k} P={P}: "
             f"{opt.throughput!r} != {seed_best[2]!r}"
         )
+
+    # Exhaustive search with the heuristic's throughput as its incumbent.
+    row["heuristic_s"], heur = _timed(lambda: heuristic_mapping(chain, P))
+    row["bounded_s"], bnd = _timed(
+        lambda: optimal_mapping(
+            chain, P, method="exhaustive", incumbent=heur.throughput
+        )
+    )
+    assert (bnd.clustering, bnd.totals, repr(bnd.mapping)) == (
+        opt.clustering, opt.totals, repr(opt.mapping)
+    ), f"bounded search changed the plan k={k} P={P}"
+    assert float.hex(bnd.throughput) == float.hex(opt.throughput), (
+        f"bounded search changed the throughput k={k} P={P}"
+    )
+    row["clusterings_solved"] = opt.clusterings_examined
+    row["clusterings_kept"] = bnd.clusterings_examined
 
     row["bisect_s"], bis = _timed(
         lambda: optimal_mapping(chain, P, method="bisect")
@@ -269,6 +290,8 @@ def main(argv=None):
             f"exhaustive {row['exhaustive_s']*1e3:8.2f} ms "
             f"(seed {row['exhaustive_seed_s']*1e3:8.2f} ms, "
             f"{row['exhaustive_speedup']:.1f}x)  "
+            f"bounded {row['bounded_s']*1e3:7.2f} ms "
+            f"({row['clusterings_kept']}/{row['clusterings_solved']} kept)  "
             f"bisect {row['bisect_s']*1e3:7.2f} ms  "
             f"greedy {row['greedy_s']*1e3:6.2f} ms"
         )

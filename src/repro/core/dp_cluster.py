@@ -6,7 +6,15 @@ Two solvers are provided.
     Enumerates all ``2**(k-1)`` contiguous clusterings and runs the §3.1/§3.2
     assignment DP on each.  Provably optimal; the paper's own footnote (§4.2)
     notes exhaustive clustering is practical for small ``k``, and every chain
-    in the paper's evaluation has ``k <= 4``.
+    in the paper's evaluation has ``k <= 4``.  Given an ``incumbent`` — a
+    throughput some mapping of the chain already reaches, e.g. the §4
+    heuristic's — it skips every clustering that provably cannot reach it:
+    a per-module lower bound on the effective response at each total,
+    read off the cached response factors, leaves each module a set of
+    admissible totals, and a clustering whose smallest admissible totals
+    already overrun the machine cannot reach the incumbent either.  The
+    result is bit-identical for any incumbent (an unreachable one falls
+    back to the full search); only the number of DPs run changes.
 
 ``optimal_mapping(..., method="bisect")``
     A polynomial-time algorithm in the spirit of the paper's Lemma 2
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import DPResult, optimal_assignment
+from .dp import optimal_assignment
 from .exceptions import InfeasibleError
 from .mapping import Mapping, all_clusterings
 from .replication import effective_tables
@@ -45,6 +53,7 @@ from .response import (
     totals_to_allocations,
 )
 from .task import TaskChain
+from .workspace import default_workspace
 
 __all__ = ["ClusteredResult", "optimal_mapping"]
 
@@ -78,6 +87,7 @@ def optimal_mapping(
     instance_size_ok=None,
     cache: SegmentCache | None = None,
     workspace=None,
+    incumbent: float | None = None,
 ) -> ClusteredResult:
     """Find the throughput-optimal mapping of ``chain`` onto ``total_procs``.
 
@@ -93,6 +103,15 @@ def optimal_mapping(
     machines — share segment tensors and DP arenas across solves.  Both
     apply to the exhaustive method only: bisect builds its own segment
     grids and ignores them.  A mismatched cache is ignored.
+
+    ``incumbent`` is a throughput some mapping of ``chain`` already reaches
+    on at most ``total_procs`` processors (the heuristic's, or the mapping
+    currently deployed).  The exhaustive search then runs the DP only on
+    clusterings that might reach it; ``clusterings_examined`` counts the
+    DPs that ran.  The returned mapping is the same, bit for bit, for any
+    incumbent: if none of the surviving clusterings reaches it, the skipped
+    ones are solved too.  Bisect, a non-positive incumbent and a
+    reduced-precision workspace ignore it.
     """
     if method == "auto":
         method = "exhaustive" if len(chain) <= 12 else "bisect"
@@ -101,7 +120,7 @@ def optimal_mapping(
     if method == "exhaustive":
         return _exhaustive_clusterings(
             chain, total_procs, mem_per_proc_mb, replication, instance_size_ok,
-            cache=cache, workspace=workspace,
+            cache=cache, workspace=workspace, incumbent=incumbent,
         )
     if method == "bisect":
         return _bisect_mapping(
@@ -130,6 +149,39 @@ def _totals_filter(mchain, total_procs: int, replication: bool, instance_size_ok
 # ---------------------------------------------------------------------------
 
 
+def _may_reach(mchain, total_procs: int, incumbent: float) -> bool:
+    """Can some allocation of ``mchain`` reach throughput ``incumbent``?
+
+    A ``False`` is a proof that every allocation of at most ``total_procs``
+    processors has throughput strictly below ``incumbent``.  Module ``j``'s
+    effective response at total ``pl`` is at least
+
+        LB_j[pl] = (min_q ce[q, pl] + min_pn com_out[pl, pn]) / denom[pl]
+
+    with ``q``/``pn`` over real neighbour totals (``1..P``), or the φ index
+    0 at the ends of the chain; float rounding is monotone, so the bound
+    holds bit for bit.  The totals with ``1 / LB_j >= incumbent`` — the
+    comparison ``throughput`` itself makes — are the only ones module ``j``
+    can hold, and their smallest values must fit on the machine together.
+    """
+    P = total_procs
+    last = len(mchain) - 1
+    floor = 0
+    for j in range(last + 1):
+        ce, com_out, denom, feasible = mchain.response_parts(j, P)
+        ce_min = ce[1:].min(axis=0) if j > 0 else ce[0]
+        out_min = com_out[:, 1:].min(axis=1) if j < last else com_out[:, 0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            keep = feasible & (1.0 / ((ce_min + out_min) / denom) >= incumbent)
+        admissible = np.flatnonzero(keep)
+        if admissible.size == 0:
+            return False
+        floor += int(admissible[0])
+        if floor > P:
+            return False
+    return True
+
+
 def _exhaustive_clusterings(
     chain: TaskChain,
     total_procs: int,
@@ -138,19 +190,22 @@ def _exhaustive_clusterings(
     instance_size_ok=None,
     cache: SegmentCache | None = None,
     workspace=None,
+    incumbent: float | None = None,
 ) -> ClusteredResult:
     # One segment cache shared by every clustering, so each distinct
     # (span, neighbour-context) builds its tensors exactly once.  A
     # caller-provided cache extends that sharing across solves.
     if cache is None:
         cache = SegmentCache(chain, mem_per_proc_mb)
-    best: DPResult | None = None
-    best_clustering = None
+    ws = workspace if workspace is not None else default_workspace()
+    if not (incumbent is not None and incumbent > 0
+            and ws.value_dtype == np.dtype(np.float64)):
+        incumbent = None
+    best = None  # (enumeration index, clustering, DPResult)
     examined = 0
-    for clustering in all_clusterings(len(chain)):
-        mchain = cache.module_chain(clustering)
-        if mchain.total_min_procs > total_procs:
-            continue
+
+    def solve(at, clustering, mchain):
+        nonlocal best, examined
         examined += 1
         try:
             res = optimal_assignment(
@@ -160,21 +215,41 @@ def _exhaustive_clusterings(
                 allowed_totals=_totals_filter(
                     mchain, total_procs, replication, instance_size_ok
                 ),
-                workspace=workspace,
+                workspace=ws,
             )
         except InfeasibleError:
+            return
+        # The first clustering in enumeration order wins ties.
+        if best is None or res.throughput > best[2].throughput or (
+            res.throughput == best[2].throughput and at < best[0]
+        ):
+            best = (at, clustering, res)
+
+    skipped = []
+    for at, clustering in enumerate(all_clusterings(len(chain))):
+        mchain = cache.module_chain(clustering)
+        if mchain.total_min_procs > total_procs:
             continue
-        # Strict > keeps the first clustering in enumeration order on ties.
-        if best is None or res.throughput > best.throughput:
-            best, best_clustering = res, clustering
+        if incumbent is not None and not _may_reach(
+            mchain if replication else strip_replication(mchain),
+            total_procs, incumbent,
+        ):
+            skipped.append((at, clustering, mchain))
+            continue
+        solve(at, clustering, mchain)
+    if best is None or (incumbent is not None and best[2].throughput < incumbent):
+        # The incumbent was out of reach, so skipping proved nothing.
+        for args in skipped:
+            solve(*args)
     if best is None:
         raise InfeasibleError(
             f"no clustering of {chain.name!r} fits on {total_procs} processors"
         )
+    _, clustering, res = best
     return ClusteredResult(
-        clustering=best_clustering,
-        totals=best.totals,
-        performance=best.performance,
+        clustering=clustering,
+        totals=res.totals,
+        performance=res.performance,
         method="exhaustive",
         clusterings_examined=examined,
     )

@@ -54,11 +54,17 @@ class RemapPlanner:
         self.updates = 0     # update_chain calls that changed something
         self.evictions = 0   # cache entries evicted across all updates
 
-    def plan(self, total_procs: int) -> ClusteredResult:
+    def plan(
+        self, total_procs: int, incumbent: float | None = None
+    ) -> ClusteredResult:
         """The optimal mapping for ``total_procs`` surviving processors.
 
         Memoised; raises :class:`~repro.core.exceptions.InfeasibleError`
-        when the chain no longer fits.
+        when the chain no longer fits.  ``incumbent``, a throughput some
+        mapping of the current chain reaches on ``total_procs`` processors,
+        lets the search skip clusterings that cannot reach it (see
+        :func:`~repro.core.dp_cluster.optimal_mapping`); the plan does not
+        depend on it, so the memo stays keyed by ``total_procs`` alone.
         """
         got = self._plans.get(total_procs)
         if got is None:
@@ -70,6 +76,7 @@ class RemapPlanner:
                 method=self.method,
                 cache=self.cache,
                 workspace=self.workspace,
+                incumbent=incumbent,
             )
             # Every plan handed to the runtime passes preflight first.
             ensure_valid_plan(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ..core.cost import PolynomialEComm, PolynomialExec, PolynomialIComm
 from ..core.exceptions import ModelFitError
@@ -49,6 +48,9 @@ class FitDiagnostics:
 def _nnls_fit(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     if not np.isfinite(design).all() or not np.isfinite(target).all():
         raise ModelFitError("non-finite values in profile samples")
+    # Imported here: scipy is most of the mapper's import time otherwise.
+    from scipy.optimize import nnls
+
     coeffs, _ = nnls(design, target)
     return coeffs
 

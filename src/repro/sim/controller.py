@@ -392,7 +392,9 @@ class AdaptiveController:
         chain — base execution costs, external communication scaled by
         ``s_comm / s_exec`` — and only edge-adjacent cache entries are
         recomputed.  Normalised throughputs divide by ``s_exec`` to return
-        to true seconds.  Returns ``(plan, t_new, t_current)``.
+        to true seconds.  The current mapping, priced on the updated
+        chain first, is the search's incumbent: clusterings that cannot
+        beat it are skipped.  Returns ``(plan, t_new, t_current)``.
         """
         self.s_exec, self.s_comm = s_x, s_c
         believed = scale_chain(
@@ -400,12 +402,12 @@ class AdaptiveController:
             name=f"{self.base_chain.name}@drift",
         )
         delta = self.planner.update_chain(believed)
-        plan = self.planner.plan(self.total_procs)
-        t_new = plan.throughput / s_x
         mchain = self.planner.cache.module_chain(self.mapping.clustering())
         perf = evaluate_module_chain(
             mchain, [(m.procs, m.replicas) for m in self.mapping.modules]
         )
+        plan = self.planner.plan(self.total_procs, incumbent=perf.throughput)
+        t_new = plan.throughput / s_x
         t_cur = perf.throughput / s_x
         self.audit.append({
             "epoch": obs.index, "chain": believed, "plan": plan,

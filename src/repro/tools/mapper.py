@@ -5,9 +5,10 @@
 1. **Profile** — execute the program (the simulator stands in for the
    iWarp) under a small training set of mappings (§5, 8 runs);
 2. **Fit** — least-squares the polynomial cost and memory models;
-3. **Map** — run both the optimal DP mapper (§3) and the greedy heuristic
-   (§4) on the *fitted* chain and compare them (§6.3's key result is that
-   they agree);
+3. **Map** — run the greedy heuristic (§4), then the optimal DP mapper
+   (§3) on the *fitted* chain, bounded by the heuristic's throughput: §6.3's
+   key result is that they agree, so the DP skips every clustering that
+   cannot reach it;
 4. **Constrain** — find the best machine-feasible mapping (§6.1);
 5. optionally **Validate** — run the chosen mapping on the "real" system
    and compare measured with predicted throughput (Table 2).
@@ -74,16 +75,17 @@ def auto_map(
         noise=profile_noise,
     )
     fitted = est.fitted_chain
-    # One solve session: the DP fills the segment cache, the heuristic's
-    # greedy probes read its response factors, and the feasible search
-    # starts from the optimum instead of re-solving.
+    # One solve session: the heuristic's greedy probes fill the segment
+    # cache, the DP reads those response factors and uses the heuristic's
+    # throughput as its incumbent, and the feasible search starts from the
+    # optimum instead of re-solving.
     cache = SegmentCache(fitted, machine.mem_per_proc_mb)
-    optimal = optimal_mapping(
-        fitted, machine.total_procs, machine.mem_per_proc_mb, method=method,
-        cache=cache,
-    )
     heuristic = heuristic_mapping(
         fitted, machine.total_procs, machine.mem_per_proc_mb, cache=cache
+    )
+    optimal = optimal_mapping(
+        fitted, machine.total_procs, machine.mem_per_proc_mb, method=method,
+        cache=cache, incumbent=heuristic.throughput,
     )
     feasible = optimal_feasible_mapping(
         fitted, machine, method=method, cache=cache, optimum=optimal

@@ -7,17 +7,22 @@ brute-force oracle and across every optimization configuration.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import (
+    Edge,
     InfeasibleError,
     PolynomialExec,
     SegmentCache,
     SolverWorkspace,
     Task,
     TaskChain,
+    ZeroBinary,
+    ZeroUnary,
     brute_force_mapping,
     build_module_chain,
     heuristic_mapping,
@@ -234,3 +239,120 @@ class TestUnfitSegment:
         )
         oracle = brute_force_mapping(TaskChain(self._tasks()), self.P, self.MEM)
         assert tp == pytest.approx(oracle.throughput, rel=RTOL)
+
+
+# --------------------------------------------------------------------------
+# Incumbent-bounded exhaustive search
+# --------------------------------------------------------------------------
+
+
+def _plan_bits(res):
+    return (res.clustering, res.totals, repr(res.mapping),
+            float.hex(res.throughput))
+
+
+def _zero_cost(k):
+    tasks = [Task(f"t{i}", ZeroUnary()) for i in range(k)]
+    return TaskChain(tasks, [Edge(ZeroUnary(), ZeroBinary())] * (k - 1),
+                     name="zero-cost")
+
+
+#: Per-instance size rules the rectangular-subarray constraint stands for.
+SIZE_RULES = [None, lambda s: s == 1 or s % 2 == 0,
+              lambda s: s & (s - 1) == 0]
+
+
+@st.composite
+def bounded_cases(draw):
+    """Small chains with memory limits (``UNFIT`` segments included),
+    replication on or off, size rules, zero costs and a machine at the
+    sum of the minimums."""
+    k = draw(st.integers(1, 5))
+    if draw(st.integers(0, 5)) == 0:
+        chain = _zero_cost(k)
+    else:
+        chain = random_chain(
+            k, seed=draw(st.integers(0, 10**6)),
+            with_memory=draw(st.booleans()),
+            replicable_prob=draw(st.sampled_from([0.0, 0.7, 1.0])),
+        )
+    mem = draw(st.sampled_from([math.inf, 0.08, 0.15, 1.0, 4.0]))
+    floors = [
+        build_module_chain(chain, c, mem).total_min_procs
+        for c in all_clusterings(k)
+    ]
+    if min(floors) <= 16 and draw(st.booleans()):
+        P = draw(st.sampled_from(sorted({f for f in floors if f <= 16})))
+    else:
+        P = draw(st.integers(1, 16))
+    return (chain, P, mem, draw(st.booleans()),
+            draw(st.sampled_from(SIZE_RULES)))
+
+
+@given(case=bounded_cases())
+def test_bounded_search_matches_unbounded(case):
+    """For any incumbent the bounded search returns the unbounded plan's
+    bits and runs no more DPs."""
+    chain, P, mem, replication, size_ok = case
+    kw = dict(replication=replication, method="exhaustive",
+              instance_size_ok=size_ok)
+    try:
+        ref = optimal_mapping(chain, P, mem, **kw)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            optimal_mapping(chain, P, mem, incumbent=1.0, **kw)
+        return
+    incumbents = [ref.throughput, 0.0, 2 * ref.throughput]
+    try:
+        incumbents.append(
+            heuristic_mapping(chain, P, mem, replication=replication).throughput
+        )
+    except InfeasibleError:
+        pass
+    for incumbent in incumbents:
+        got = optimal_mapping(chain, P, mem, incumbent=incumbent, **kw)
+        assert _plan_bits(got) == _plan_bits(ref), incumbent
+        assert got.clusterings_examined <= ref.clusterings_examined
+
+
+class TestIncumbentBound:
+    CHAIN = random_chain(5, seed=23)
+    P = 16
+
+    def test_heuristic_incumbent_prunes(self):
+        ref = optimal_mapping(self.CHAIN, self.P, method="exhaustive")
+        heur = heuristic_mapping(self.CHAIN, self.P)
+        got = optimal_mapping(self.CHAIN, self.P, method="exhaustive",
+                              incumbent=heur.throughput)
+        assert _plan_bits(got) == _plan_bits(ref)
+        assert got.clusterings_examined < ref.clusterings_examined
+
+    def test_unreachable_incumbent_falls_back(self):
+        """An incumbent above the optimum proves nothing: every clustering
+        is solved, each once, and the unbounded plan comes back."""
+        ref = optimal_mapping(self.CHAIN, self.P, method="exhaustive")
+        got = optimal_mapping(self.CHAIN, self.P, method="exhaustive",
+                              incumbent=ref.throughput * (1 + 1e-12))
+        assert _plan_bits(got) == _plan_bits(ref)
+        assert got.clusterings_examined == ref.clusterings_examined
+
+    def test_zero_cost_chain_with_infinite_incumbent(self):
+        chain = _zero_cost(4)
+        ref = optimal_mapping(chain, 8, method="exhaustive")
+        assert ref.throughput == math.inf
+        got = optimal_mapping(chain, 8, method="exhaustive", incumbent=math.inf)
+        assert _plan_bits(got) == _plan_bits(ref)
+        # Every clustering reaches inf, so none is skipped or solved twice.
+        assert got.clusterings_examined == ref.clusterings_examined
+
+    def test_float32_workspace_and_bisect_ignore_it(self):
+        ws = SolverWorkspace(value_dtype=np.float32)
+        ref = optimal_mapping(self.CHAIN, self.P, method="exhaustive",
+                              workspace=ws)
+        got = optimal_mapping(self.CHAIN, self.P, method="exhaustive",
+                              workspace=ws, incumbent=ref.throughput)
+        assert got.clusterings_examined == ref.clusterings_examined
+        bis = optimal_mapping(self.CHAIN, self.P, method="bisect")
+        assert _plan_bits(optimal_mapping(
+            self.CHAIN, self.P, method="bisect", incumbent=bis.throughput
+        )) == _plan_bits(bis)

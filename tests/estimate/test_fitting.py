@@ -1,8 +1,14 @@
 """Tests for model fitting (§5)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import ModelFitError, PolynomialEComm, PolynomialExec
 from repro.estimate import fit_ecom, fit_exec, fit_icom, fit_memory
 
@@ -98,3 +104,16 @@ class TestFitMemory:
     def test_too_few(self):
         with pytest.raises(ModelFitError):
             fit_memory([(2, 1.0)])
+
+
+def test_mapper_import_leaves_scipy_out():
+    """Importing the mapper loads no ``scipy.optimize``: the NNLS fit
+    imports it on first use, so every CLI subcommand starts faster."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = "import sys, repro.tools.mapper; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
