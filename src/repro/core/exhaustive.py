@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .exceptions import InfeasibleError
 from .mapping import Mapping, all_clusterings
 from .response import (
     ModuleChain,
+    Pricer,
     ResponseReader,
     bottleneck_throughput,
     build_module_chain,
@@ -61,26 +63,29 @@ def enumerate_allocations(
         yield from rec(0, total, [])
 
 
+def best_allocation(price: Pricer, total_procs: int) -> tuple[list[int], float, int]:
+    """The best totals, their throughput and the number of allocations
+    priced, enumerating every allocation on any pricer."""
+    best_tp, best_totals, n = -1.0, None, 0
+    for totals in enumerate_allocations(price.p_min, total_procs):
+        n += 1
+        tp = bottleneck_throughput(price.responses(totals))
+        if tp > best_tp:
+            best_tp, best_totals = tp, list(totals)
+    if best_totals is None:
+        raise InfeasibleError(
+            f"no allocation of {total_procs} processors meets minimums {price.p_min}"
+        )
+    return best_totals, best_tp, n
+
+
 def brute_force_assignment(
     mchain: ModuleChain, total_procs: int, replication: bool = True
 ) -> BruteForceResult:
     """Optimal allocation by exhaustive enumeration (test oracle)."""
     if not replication:
         mchain = strip_replication(mchain)
-    minimums = [info.p_min for info in mchain.infos]
-    price = ResponseReader(mchain, total_procs)
-    best_tp, best_totals, n = -1.0, None, 0
-    for totals in enumerate_allocations(minimums, total_procs):
-        n += 1
-        tp = bottleneck_throughput(price.responses(totals))
-        if tp > best_tp:
-            best_tp, best_totals = tp, list(totals)
-    if best_totals is None:
-        from .exceptions import InfeasibleError
-
-        raise InfeasibleError(
-            f"no allocation of {total_procs} processors meets minimums {minimums}"
-        )
+    best_totals, _, n = best_allocation(ResponseReader(mchain, total_procs), total_procs)
     perf = evaluate_module_chain(mchain, totals_to_allocations(mchain, best_totals))
     return BruteForceResult(
         totals=best_totals,
@@ -109,8 +114,6 @@ def brute_force_mapping(
         if best is None or res.throughput > best.throughput:
             best = res
     if best is None:
-        from .exceptions import InfeasibleError
-
         raise InfeasibleError(
             f"no clustering of {chain.name} fits on {total_procs} processors"
         )

@@ -15,7 +15,10 @@ Variants:
 * ``backtracking`` — a bounded local-search post-pass moving one or two
   processors between modules (or parking them idle), motivated by
   Theorem 2's guarantee that plain greedy overallocates by at most two
-  processors per module under convexity assumptions.
+  processors per module under convexity assumptions.  Last in each round
+  it splits two processors one each into the bottleneck and one other
+  module.  The loop and the search take any ``core.response`` pricer, so
+  fork/join graphs run them too.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .mapping import Mapping
 from .response import (
     MappingPerformance,
     ModuleChain,
+    Pricer,
     ResponseReader,
     bottleneck_throughput,
     evaluate_module_chain,
@@ -35,6 +39,9 @@ from .response import (
 )
 
 __all__ = ["GreedyResult", "greedy_assignment"]
+
+#: Round limit of the local search, for chains and fork/join graphs alike.
+MAX_BACKTRACK_ROUNDS = 64
 
 
 @dataclass
@@ -62,7 +69,7 @@ def greedy_assignment(
     replication: bool = True,
     slowest_only: bool = False,
     backtracking: bool = False,
-    max_backtrack_rounds: int = 64,
+    max_backtrack_rounds: int = MAX_BACKTRACK_ROUNDS,
 ) -> GreedyResult:
     """Run the §4.1 greedy heuristic on a module chain.
 
@@ -71,39 +78,50 @@ def greedy_assignment(
     """
     if not replication:
         mchain = strip_replication(mchain)
-    l = len(mchain)
     P = int(total_procs)
-
-    # Step 1: minimum allocation.
-    minimums = [info.p_min for info in mchain.infos]
-    if sum(minimums) > P:
-        raise InfeasibleError(
-            f"modules need at least {sum(minimums)} processors, machine has {P}"
-        )
-    totals = list(minimums)
-    spare = P - sum(totals)
-
-    # Probes read the DP's response factors; a step moves one module, so
-    # only it and its neighbours are re-read.
+    # Probes read the DP's response factors.
     price = ResponseReader(mchain, P)
+    totals, trajectory = greedy_loop(price, P, slowest_only)
+    moves = 0
+    if backtracking:
+        totals, _, moves = local_search(
+            price, totals, P, trajectory[-1], max_backtrack_rounds
+        )
+
+    perf = evaluate_module_chain(mchain, totals_to_allocations(mchain, totals))
+    return GreedyResult(
+        totals=totals,
+        performance=perf,
+        steps=len(trajectory) - 1,
+        trajectory=trajectory,
+        backtrack_moves=moves,
+    )
+
+
+def greedy_loop(
+    price: Pricer, P: int, slowest_only: bool = False
+) -> tuple[list[int], list[float]]:
+    """The §4.1 loop on any pricer, from the minimums:
+    each processor goes to the bottleneck or one of its ``neighbours``.
+    Returns the best totals seen and the best throughput after each step."""
+    # Step 1: minimum allocation.
+    totals = list(price.p_min)
+    spare = P - sum(totals)
+    if spare < 0:
+        raise InfeasibleError(
+            f"modules need at least {sum(totals)} processors, machine has {P}"
+        )
+    # A step moves one module, so only it and its neighbours are re-priced.
     eff = price.responses(totals)
     best_tp = bottleneck_throughput(eff)
     best_totals = list(totals)
     trajectory = [best_tp]
-    steps = 0
 
     # Steps 2-3: hand out one processor at a time.
     while spare > 0:
-        slow = max(range(l), key=eff.__getitem__)
-        if slowest_only:
-            candidates = [slow]
-        else:
-            # Prefer the bottleneck module itself on ties.
-            candidates = [slow]
-            if slow > 0:
-                candidates.append(slow - 1)
-            if slow < l - 1:
-                candidates.append(slow + 1)
+        slow = max(range(len(eff)), key=eff.__getitem__)
+        # Prefer the bottleneck module itself on ties.
+        candidates = [slow] if slowest_only else [slow, *price.neighbours(slow)]
         best_c, best_c_tp, best_c_eff = candidates[0], -1.0, eff
         for c in candidates:
             totals[c] += 1
@@ -115,71 +133,58 @@ def greedy_assignment(
         totals[best_c] += 1
         eff = best_c_eff
         spare -= 1
-        steps += 1
         if best_c_tp > best_tp:
             best_tp = best_c_tp
             best_totals = list(totals)
         trajectory.append(best_tp)
-
-    totals = best_totals
-    moves = 0
-    if backtracking:
-        totals, best_tp, moves = _local_search(
-            price, totals, P, best_tp, max_backtrack_rounds
-        )
-
-    perf = evaluate_module_chain(mchain, totals_to_allocations(mchain, totals))
-    return GreedyResult(
-        totals=totals,
-        performance=perf,
-        steps=steps,
-        trajectory=trajectory,
-        backtrack_moves=moves,
-    )
+    return best_totals, trajectory
 
 
-def _local_search(
-    price: ResponseReader,
-    totals: list[int],
-    P: int,
-    best_tp: float,
-    max_rounds: int,
+def local_search(
+    price: Pricer, totals: list[int], P: int, best_tp: float,
+    max_rounds: int = MAX_BACKTRACK_ROUNDS,
 ) -> tuple[list[int], float, int]:
     """Bounded hill-climbing over ±1/±2 processor moves between modules.
 
-    Moves considered each round: shift ``d ∈ {1, 2}`` processors from module
-    ``a`` to module ``b`` (``a != b``), retire ``d`` processors from ``a``
-    to the idle pool, or draw ``d`` from the pool into ``b``.  Only strict
-    throughput improvements are accepted, so the search terminates.
+    Moves considered each round, in this order: for ``d`` = 1 then 2,
+    retire ``d`` processors from module ``a`` to the idle pool, shift ``d``
+    from ``a`` to module ``b`` (``a != b``), draw ``d`` from the pool into
+    ``b``; then split two processors from ``a`` (or the pool) one each
+    into the bottleneck module and another module ``c``.  The first strict
+    throughput improvement is taken, so the search terminates.  Any pricer
+    works; moves are priced by ``price.update``.
     """
     l = len(totals)
     totals = list(totals)
     eff = price.responses(totals)
     spare = P - sum(totals)
     moves = 0
+    # A move takes one processor per entry of ``take`` (one module, or the
+    # pool when empty) and gives one per entry of ``give``.
+    candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for d in (1, 2):
+        for a in range(l):
+            candidates.append(((a,) * d, ()))                         # retire
+            candidates += [((a,) * d, (b,) * d) for b in range(l) if b != a]
+        candidates += [((), (b,) * d) for b in range(l)]              # draw
     for _ in range(max_rounds):
         improved = False
-        candidates: list[tuple[int | None, int | None, int]] = []
-        for d in (1, 2):
-            for a in range(l):
-                candidates.append((a, None, d))          # retire to pool
-                for b in range(l):
-                    if a != b:
-                        candidates.append((a, b, d))      # shift a -> b
-            for b in range(l):
-                candidates.append((None, b, d))          # draw from pool
-        for a, b, d in candidates:
-            if a is not None and totals[a] - d < price.p_min[a]:
+        # Parallel bottlenecks (the branches of a fork) only improve
+        # together: feed the bottleneck and one other module at once.
+        slow = max(range(l), key=eff.__getitem__)
+        pairs = [(slow, c) for c in range(l) if c != slow]
+        splits = [((a, a), bc) for a in range(l) for bc in pairs if a not in bc]
+        splits += [((), bc) for bc in pairs]
+        for take, give in (*candidates, *splits):
+            if len(give) - len(take) > spare:
                 continue
-            if a is None and spare < d:
+            if take and totals[take[0]] - len(take) < price.p_min[take[0]]:
                 continue
-            if a is not None:
-                totals[a] -= d
-            if b is not None:
-                totals[b] += d
-            probe = price.update(
-                eff, totals, [m for m in (a, b) if m is not None]
-            )
+            for m in take:
+                totals[m] -= 1
+            for m in give:
+                totals[m] += 1
+            probe = price.update(eff, totals, dict.fromkeys(take + give))
             tp = bottleneck_throughput(probe)
             if tp > best_tp * (1 + 1e-12):
                 best_tp, eff = tp, probe
@@ -187,11 +192,10 @@ def _local_search(
                 moves += 1
                 improved = True
                 break
-            # undo
-            if a is not None:
-                totals[a] += d
-            if b is not None:
-                totals[b] -= d
+            for m in take:
+                totals[m] += 1
+            for m in give:
+                totals[m] -= 1
         if not improved:
             break
     return totals, best_tp, moves

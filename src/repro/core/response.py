@@ -41,6 +41,7 @@ __all__ = [
     "evaluate_module_chain",
     "evaluate_mapping",
     "ResponseReader",
+    "GraphPricer",
     "bottleneck_throughput",
 ]
 
@@ -465,21 +466,92 @@ def evaluate_mapping(
     return evaluate_module_chain(mchain, allocations)
 
 
-class ResponseReader:
-    """Effective responses of *total* allocations, read off the DP's factors.
+class Pricer:
+    """Effective responses of *total* allocations: the interface greedy,
+    its local search and brute force probe through.  A subclass sets
+    ``p_min`` and ``_neighbours`` and prices one module in ``effective``.
+    """
 
-    The one pricing table of the probing solvers (greedy, its local search,
-    brute force).  Module ``i``'s effective response when modules ``i-1``,
-    ``i``, ``i+1`` hold ``q``, ``pl``, ``pn`` processors in total is
+    def neighbours(self, i: int) -> list[int]:
+        """The modules whose allocation module ``i``'s response reads."""
+        return self._neighbours[i]
+
+    def responses(self, totals: Sequence[int]) -> list[float]:
+        """Every module's effective response under ``totals``."""
+        return [self.effective(totals, i) for i in range(len(self.p_min))]
+
+    def update(self, effective: list[float], totals: Sequence[int], changed) -> list[float]:
+        """``effective`` re-priced after the modules in ``changed`` moved:
+        only they and their neighbours see a different allocation."""
+        out = list(effective)
+        for c in changed:
+            for i in (c, *self._neighbours[c]):
+                out[i] = self.effective(totals, i)
+        return out
+
+
+class GraphPricer(Pricer):
+    """The one cost-model pricer of chains and fork/join module graphs.
+
+    ``modules`` carry ``exec_cost``, ``p_min`` and ``replicable``; ``links``
+    is the ``(src, dst, ecom)`` table.  A module's response is exec, then
+    in-links, then out-links at the §3.2 instance sizes, over its replica
+    count (:func:`evaluate_module_chain`'s order and bits on a chain), or
+    ``inf`` when it or a linked module is below its minimum.
+    """
+
+    def __init__(self, modules: Sequence, links: Sequence[tuple[int, int, BinaryCost]]):
+        self.modules = list(modules)
+        self.p_min = [m.p_min for m in self.modules]
+        # Per module: (neighbour, ecom, outgoing), in-links first.
+        self._links: list[list[tuple[int, BinaryCost, bool]]] = [[] for _ in self.modules]
+        for src, dst, ecom in links:
+            self._links[dst].append((src, ecom, False))
+        for src, dst, ecom in links:
+            self._links[src].append((dst, ecom, True))
+        self._neighbours = [[j for j, _, _ in ls] for ls in self._links]
+        self._memo: dict[tuple[int, ...], float] = {}
+
+    def _split(self, totals: Sequence[int], i: int) -> tuple[int, int]:
+        m = self.modules[i]
+        return split_replicas(int(totals[i]), m.p_min, m.replicable)
+
+    def response(self, totals: Sequence[int], i: int) -> tuple[float, int]:
+        """Module ``i``'s one-instance response and replica count."""
+        r, s = self._split(totals, i)
+        if r == 0:
+            return math.inf, 0
+        t = float(self.modules[i].exec_cost(s))
+        for j, ecom, outgoing in self._links[i]:
+            rj, sj = self._split(totals, j)
+            if rj == 0:
+                return math.inf, r
+            t += float(ecom(s, sj) if outgoing else ecom(sj, s))
+        return t, r
+
+    def effective(self, totals: Sequence[int], i: int) -> float:
+        """Effective response of module ``i`` under ``totals``, memoised on
+        the totals it reads: a search re-probes the same neighbourhoods."""
+        key = (i, totals[i], *[totals[j] for j in self._neighbours[i]])
+        if key not in self._memo:
+            t, r = self.response(totals, i)
+            self._memo[key] = t / r if r else math.inf
+        return self._memo[key]
+
+
+class ResponseReader(Pricer):
+    """A chain's pricer that reads the DP's factors instead of cost models.
+
+    Module ``i``'s effective response when modules ``i-1``, ``i``, ``i+1``
+    hold ``q``, ``pl``, ``pn`` processors in total is
 
         (ce[q, pl] + com_out[pl, pn]) / denom[pl]
 
     from :meth:`ModuleChain.response_parts`, so a chain carrying a
     :class:`SegmentCache` shares the factors the DP built.  ``q``/``pn``
     are 0 at the ends of the chain (no neighbour).  The sum is
-    (exec + in) + out, the order :func:`evaluate_module_chain` adds in, so
-    a feasible allocation prices to the same bits; a module below its
-    minimum, or next to one, prices at ``inf`` (its transfer cannot run).
+    (exec + in) + out, so it gives the bits of the path-graph
+    :class:`GraphPricer`.
 
     Entries at index ``<= max_procs`` do not depend on ``max_procs``: one
     reader built for the machine size prices every probe of a solve.
@@ -487,7 +559,9 @@ class ResponseReader:
 
     def __init__(self, mchain: ModuleChain, max_procs: int):
         self.p_min = [info.p_min for info in mchain.infos]
-        self.parts = [mchain.response_parts(i, max_procs) for i in range(len(mchain))]
+        l = len(mchain)
+        self._neighbours = [[j for j in (i - 1, i + 1) if 0 <= j < l] for i in range(l)]
+        self.parts = [mchain.response_parts(i, max_procs) for i in range(l)]
 
     def effective(self, totals: Sequence[int], i: int) -> float:
         """Effective response of module ``i`` under ``totals``."""
@@ -507,60 +581,24 @@ class ResponseReader:
         ce, com_out, denom, _ = self.parts[i]
         return (ce.item(q, p) + com_out.item(p, pn)) / denom.item(p)
 
-    def responses(self, totals: Sequence[int]) -> list[float]:
-        """Every module's effective response under ``totals``."""
-        return [self.effective(totals, i) for i in range(len(self.p_min))]
-
-    def update(
-        self, effective: list[float], totals: Sequence[int], changed
-    ) -> list[float]:
-        """``effective`` re-read after the modules in ``changed`` moved:
-        only they and their neighbours see a different allocation."""
-        out = list(effective)
-        last = len(out) - 1
-        for c in changed:
-            for i in range(max(c - 1, 0), min(c + 1, last) + 1):
-                out[i] = self.effective(totals, i)
-        return out
-
 
 def bottleneck_throughput(effective: Sequence[float]) -> float:
-    """``1 / max(effective)``, or 0.0 when the bottleneck cannot run."""
+    """``1 / max(effective)``: ``inf`` when the worst response is exactly
+    0 (nothing costs anything), 0.0 when the bottleneck cannot run."""
     worst = max(effective)
-    return 0.0 if not math.isfinite(worst) or worst <= 0 else 1.0 / worst
+    if worst == 0:
+        return math.inf
+    return 1.0 / worst if 0 < worst < math.inf else 0.0
 
 
 def throughput_of_totals(
     mchain: ModuleChain, totals: Sequence[int]
 ) -> tuple[float, list[float]]:
-    """Throughput and per-module effective responses for *total* allocations.
-
-    Applies the §3.2 maximal-replication rule to each module and prices it
-    from its cost models at that one allocation, adding exec, incoming and
-    outgoing communication in :func:`evaluate_module_chain`'s order, so a
-    feasible allocation prices to the bits of the scalar reference and of
-    a :class:`ResponseReader` — without the reader's per-size tables,
-    whose memory grows with the square of the largest total.  Infeasible
-    totals (below the module minimum, or next to one) yield ``inf``
-    responses and zero throughput rather than raising, so search
-    algorithms can probe freely; one probing many allocations builds one
-    reader instead.
-    """
-    split = [split_replicas(p, info.p_min, info.replicable)
-             for info, p in zip(mchain.infos, totals)]
-    last = len(split) - 1
-    effective = []
-    for i, (r, s) in enumerate(split):
-        if r == 0 or (i > 0 and split[i - 1][0] == 0) or (
-                i < last and split[i + 1][0] == 0):
-            effective.append(math.inf)
-            continue
-        t = float(mchain.infos[i].exec_cost(s))
-        if i > 0:
-            t += float(mchain.ecoms[i - 1](split[i - 1][1], s))
-        if i < last:
-            t += float(mchain.ecoms[i](s, split[i + 1][1]))
-        effective.append(t / r)
+    """Throughput and per-module effective responses for *total*
+    allocations: the chain priced as a path graph by :class:`GraphPricer`.
+    One probing many allocations builds one pricer instead."""
+    links = [(i, i + 1, ecom) for i, ecom in enumerate(mchain.ecoms)]
+    effective = GraphPricer(mchain.infos, links).responses(totals)
     return bottleneck_throughput(effective), effective
 
 

@@ -7,6 +7,11 @@ module's response is the sum of *all* its transfer costs (a fork pays one
 per branch, serialised at the sender) plus execution, divided by its
 replica count; throughput is the reciprocal of the worst module.
 
+Pricing and search live in :mod:`repro.core`: everything here prices with
+:class:`~repro.core.response.GraphPricer` over the modules' out-links, and
+the greedy (always followed by the Theorem 2 local search) and the oracle
+are the chain solvers' own loops on that pricer.
+
 **Accuracy caveat** (tested in ``tests/fjgraph``): for *linear* chains the
 bottleneck formula is the exact steady-state period of the bufferless
 rendezvous network (the paper's setting).  With forks and joins the
@@ -26,10 +31,11 @@ from dataclasses import dataclass, field, replace
 
 from ..core.cost import BinaryCost, UnaryCost
 from ..core.exceptions import InfeasibleError, InvalidMappingError, PlanError, Violation
-from ..core.exhaustive import enumerate_allocations
+from ..core.exhaustive import best_allocation
+from ..core.greedy import greedy_loop, local_search
 from ..core.mapping import Mapping, ModuleSpec, all_clusterings
 from ..core.replication import split_replicas
-from ..core.response import module_info
+from ..core.response import GraphPricer, bottleneck_throughput, module_info
 from ..core.validate import preflight
 from .graph import FJGraph
 
@@ -95,7 +101,6 @@ class FJModule:
     p_min: int
     replicable: bool
     name: str
-    in_links: list[tuple[int, BinaryCost]] = field(default_factory=list)
     out_links: list[tuple[int, BinaryCost]] = field(default_factory=list)
 
 
@@ -132,7 +137,6 @@ def build_modules(
                 prev = idx - 1
                 ecom = seg.edges[start - 1].ecom
                 modules[prev].out_links.append((idx, ecom))
-                modules[idx].in_links.append((prev, ecom))
 
     # Fork/join links.
     for sec_idx, section in enumerate(graph.sections):
@@ -149,9 +153,7 @@ def build_modules(
             f_ecom = section.fork_edges[b].ecom
             j_ecom = section.join_edges[b].ecom
             modules[fork].out_links.append((head, f_ecom))
-            modules[head].in_links.append((fork, f_ecom))
             modules[tail].out_links.append((join, j_ecom))
-            modules[join].in_links.append((tail, j_ecom))
     return modules
 
 
@@ -161,137 +163,89 @@ class FJPerformance:
     effective_responses: list[float]
     bottleneck: int
     throughput: float
-    module_names: list[str]
 
 
-def _effective_sizes(
-    modules: list[FJModule], totals: list[int]
-) -> tuple[list[int], list[int]]:
-    sizes, reps = [], []
-    for m, p in zip(modules, totals):
-        r, s = split_replicas(int(p), m.p_min, m.replicable)
-        sizes.append(s)
-        reps.append(r)
-    return sizes, reps
+def _pricer(modules: list[FJModule]) -> GraphPricer:
+    """The core graph pricer over the modules and their out-links."""
+    return GraphPricer(modules, [(i, j, ecom) for i, m in enumerate(modules)
+                                 for j, ecom in m.out_links])
 
 
 def evaluate_fj(modules: list[FJModule], totals: list[int]) -> FJPerformance:
     """Evaluate total allocations over the module graph (§3.2 replication
     rule applied per module).  Infeasible totals give zero throughput."""
-    sizes, reps = _effective_sizes(modules, totals)
-    responses = []
-    for i, m in enumerate(modules):
-        if reps[i] == 0:
-            responses.append(float("inf"))
-            continue
-        t = float(m.exec_cost(sizes[i]))
-        for j, ecom in m.in_links:
-            t += float(ecom(sizes[j], sizes[i])) if sizes[j] > 0 else float("inf")
-        for j, ecom in m.out_links:
-            t += float(ecom(sizes[i], sizes[j])) if sizes[j] > 0 else float("inf")
-        responses.append(t)
-    effective = [
-        t / r if r > 0 else float("inf") for t, r in zip(responses, reps)
-    ]
-    worst = max(effective)
-    tp = 1.0 / worst if worst > 0 and worst != float("inf") else 0.0
-    bottleneck = effective.index(worst)
+    price = _pricer(modules)
+    responses = [price.response(totals, i)[0] for i in range(len(modules))]
+    effective = price.responses(totals)
     return FJPerformance(
         responses=responses,
         effective_responses=effective,
-        bottleneck=bottleneck,
-        throughput=tp,
-        module_names=[m.name for m in modules],
+        bottleneck=effective.index(max(effective)),
+        throughput=bottleneck_throughput(effective),
     )
 
 
 def greedy_fj_assignment(
     modules: list[FJModule], total_procs: int
 ) -> tuple[list[int], float]:
-    """§4.1 greedy generalised to the module graph: award each processor to
-    the bottleneck module or one of its graph neighbours."""
-    totals = [m.p_min for m in modules]
-    spare = total_procs - sum(totals)
-    if spare < 0:
-        raise InfeasibleError(
-            f"modules need {sum(totals)} processors, machine has {total_procs}"
-        )
-    best_tp = evaluate_fj(modules, totals).throughput
-    best_totals = list(totals)
-    while spare > 0:
-        perf = evaluate_fj(modules, totals)
-        slow = perf.bottleneck
-        neighbours = [slow]
-        neighbours += [j for j, _ in modules[slow].in_links]
-        neighbours += [j for j, _ in modules[slow].out_links]
-        best_c, best_c_tp = neighbours[0], -1.0
-        for c in neighbours:
-            totals[c] += 1
-            tp = evaluate_fj(modules, totals).throughput
-            totals[c] -= 1
-            if tp > best_c_tp:
-                best_c, best_c_tp = c, tp
-        totals[best_c] += 1
-        spare -= 1
-        if best_c_tp > best_tp:
-            best_tp, best_totals = best_c_tp, list(totals)
-    return best_totals, best_tp
+    """§4.1 greedy on the module graph — each processor goes to the
+    bottleneck module or one of its graph neighbours — followed by the
+    Theorem 2 local search."""
+    price = _pricer(modules)
+    totals, trajectory = greedy_loop(price, total_procs)
+    totals, tp, _ = local_search(price, totals, total_procs, trajectory[-1])
+    return totals, tp
 
 
 def brute_force_fj(
     modules: list[FJModule], total_procs: int
 ) -> tuple[list[int], float]:
     """Exhaustive assignment oracle for small instances."""
-    minimums = [m.p_min for m in modules]
-    if sum(minimums) > total_procs:
-        raise InfeasibleError("minimums exceed the machine")
-    best_tp, best = -1.0, None
-    for totals in enumerate_allocations(minimums, total_procs):
-        tp = evaluate_fj(modules, totals).throughput
-        if tp > best_tp:
-            best_tp, best = tp, totals
-    return best, best_tp
+    totals, tp, _ = best_allocation(_pricer(modules), total_procs)
+    return totals, tp
 
 
 def _mapping_from_totals(
-    graph: FJGraph,
-    clusterings: list[tuple[tuple[int, int], ...]],
-    modules: list[FJModule],
-    totals: list[int],
+    graph: FJGraph, modules: list[FJModule], totals: list[int]
 ) -> FJMapping:
-    sizes, reps = _effective_sizes(modules, totals)
     per_segment: list[list[ModuleSpec]] = [[] for _ in graph.segments]
-    for m, s, r in zip(modules, sizes, reps):
+    for m, p in zip(modules, totals):
+        r, s = split_replicas(p, m.p_min, m.replicable)
         per_segment[m.segment].append(ModuleSpec(m.start, m.stop, s, r))
     return FJMapping(per_segment)
+
+
+#: Per-segment clustering combinations :func:`greedy_fj_mapping` tries.
+_MAX_CLUSTERINGS = 512
+#: Top analytic candidates re-ranked by simulation, and their stream length.
+_SIM_CANDIDATES = 4
+_SIM_DATASETS = 120
 
 
 def greedy_fj_mapping(
     graph: FJGraph,
     total_procs: int,
     mem_per_proc_mb: float = float("inf"),
-    max_clusterings: int = 512,
     refine_with_sim: bool = False,
-    sim_candidates: int = 4,
-    sim_datasets: int = 120,
 ) -> tuple[FJMapping, float]:
-    """Full heuristic mapper: enumerate per-segment clusterings (bounded)
-    and run the greedy assignment on each flattened module graph.
+    """Full heuristic mapper: enumerate per-segment clusterings (the first
+    512 combinations) and run the greedy assignment on each flattened
+    module graph.
 
-    With ``refine_with_sim`` the top ``sim_candidates`` clusterings by the
-    analytic bound are re-ranked by short noiseless simulations (the bound
-    is optimistic on fork/join structures — see the module docstring), and
-    the returned throughput is the *measured* one.
+    With ``refine_with_sim`` the top 4 clusterings by the analytic bound
+    are re-ranked by short noiseless simulations (the bound is optimistic
+    on fork/join structures — see the module docstring), and the returned
+    throughput is the *measured* one.
     """
     options = [list(all_clusterings(len(seg.tasks))) for seg in graph.segments]
-    combos = itertools.islice(itertools.product(*options), max_clusterings)
+    combos = itertools.islice(itertools.product(*options), _MAX_CLUSTERINGS)
     candidates = []
     for combo in combos:
         modules = build_modules(graph, list(combo), mem_per_proc_mb)
         if sum(m.p_min for m in modules) > total_procs:
             continue
         totals, tp = greedy_fj_assignment(modules, total_procs)
-        candidates.append((tp, list(combo), totals, modules))
+        candidates.append((tp, totals, modules))
     if not candidates:
         raise InfeasibleError(
             f"no clustering of {graph.name!r} fits on {total_procs} processors"
@@ -299,17 +253,15 @@ def greedy_fj_mapping(
     candidates.sort(key=lambda c: -c[0])
 
     if not refine_with_sim:
-        tp, combo, totals, modules = candidates[0]
-        return _mapping_from_totals(graph, combo, modules, totals), tp
+        tp, totals, modules = candidates[0]
+        return _mapping_from_totals(graph, modules, totals), tp
 
     from .sim import simulate_fj
 
     best = None
-    for tp, combo, totals, modules in candidates[:sim_candidates]:
-        mapping = _mapping_from_totals(graph, combo, modules, totals)
-        measured = simulate_fj(
-            graph, mapping, n_datasets=sim_datasets
-        ).throughput
+    for tp, totals, modules in candidates[:_SIM_CANDIDATES]:
+        mapping = _mapping_from_totals(graph, modules, totals)
+        measured = simulate_fj(graph, mapping, n_datasets=_SIM_DATASETS).throughput
         if best is None or measured > best[1]:
             best = (mapping, measured)
     return best

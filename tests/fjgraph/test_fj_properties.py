@@ -2,21 +2,32 @@
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Edge,
+    InfeasibleError,
     Mapping,
     ModuleSpec,
     PolynomialEComm,
     PolynomialExec,
     SimulationError,
     Task,
+    TaskChain,
+    ZeroBinary,
+    ZeroUnary,
+    all_clusterings,
+    build_module_chain,
     clustering_from_boundaries,
+    greedy_assignment,
     singleton_clustering,
+    throughput_of_totals,
 )
+from repro.core.response import UNFIT
 from repro.fjgraph import (
     FJGraph,
     FJMapping,
@@ -29,6 +40,7 @@ from repro.fjgraph import (
     simulate_fj,
 )
 from repro.sim import NoiseModel, simulate
+from repro.workloads import random_chain
 from tests.conftest import make_random_chain
 
 from .test_fjgraph import assert_same_run, chain_as_graph
@@ -178,3 +190,61 @@ def test_chain_as_graph_matches_chain_simulator(run):
         assert fj == ch
     else:
         assert_same_run(fj, ch)
+
+
+@st.composite
+def wrapped_chains(draw):
+    """A random chain under any clustering and memory limit (``UNFIT``
+    segments and zero-cost edges included), as a module chain and as the
+    module graph of the chain wrapped as an :class:`FJGraph`."""
+    k = draw(st.integers(1, 5))
+    chain = random_chain(k, seed=draw(st.integers(0, 10**6)),
+                         with_memory=draw(st.booleans()))
+    if draw(st.booleans()):
+        chain = TaskChain(chain.tasks,
+                          [Edge(ZeroUnary(), ZeroBinary()) for _ in chain.edges],
+                          name="zero-edges")
+    mem = draw(st.sampled_from([math.inf, 0.08, 0.15, 1.0, 4.0]))
+    clustering = draw(st.sampled_from(list(all_clusterings(k))))
+    return (build_module_chain(chain, clustering, mem),
+            build_modules(chain_as_graph(chain), [clustering], mem))
+
+
+def _hex(values) -> list[str]:
+    return [float.hex(float(v)) for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=wrapped_chains(), data=st.data())
+def test_graph_pricing_matches_chain_pricing(pair, data):
+    """A chain wrapped as a graph prices to the chain's bits, on totals
+    below the minimums and on ``UNFIT`` segments too."""
+    mchain, mods = pair
+    totals = [
+        data.draw(st.integers(0, 8)) if info.p_min == UNFIT
+        else max(0, info.p_min + data.draw(st.integers(-1, 6)))
+        for info in mchain.infos
+    ]
+    tp, eff = throughput_of_totals(mchain, totals)
+    perf = evaluate_fj(mods, totals)
+    assert float.hex(perf.throughput) == float.hex(tp)
+    assert _hex(perf.effective_responses) == _hex(eff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=wrapped_chains(), extra=st.integers(0, 10))
+def test_graph_greedy_matches_chain_greedy(pair, extra):
+    """The fork/join greedy on a chain wrapped as a graph is the chain
+    greedy with its local search: same totals, same throughput bits."""
+    mchain, mods = pair
+    P = min(mchain.total_min_procs, 60) + extra
+    if mchain.total_min_procs > P:
+        with pytest.raises(InfeasibleError):
+            greedy_assignment(mchain, P, backtracking=True)
+        with pytest.raises(InfeasibleError):
+            greedy_fj_assignment(mods, P)
+        return
+    chain_res = greedy_assignment(mchain, P, backtracking=True)
+    totals, tp = greedy_fj_assignment(mods, P)
+    assert totals == chain_res.totals
+    assert float.hex(tp) == float.hex(chain_res.throughput)
