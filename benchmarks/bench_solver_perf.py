@@ -41,7 +41,11 @@ from repro.core import (  # noqa: E402
     greedy_assignment,
     heuristic_mapping,
     optimal_assignment,
-    optimal_mapping,
+)
+from repro.core.dp_cluster import (  # noqa: E402
+    BISECT_TOL,
+    bisect_mapping,
+    exhaustive_mapping,
 )
 from repro.core.mapping import all_clusterings, singleton_clustering  # noqa: E402
 from repro.core.response import (  # noqa: E402
@@ -187,7 +191,7 @@ def bench_cell(k, P, check_seed=True):
     # Exhaustive clustered DP (the tentpole speedup target).
     ws2 = SolverWorkspace()
     row["exhaustive_s"], opt = _timed(
-        lambda: optimal_mapping(chain, P, method="exhaustive")
+        lambda: exhaustive_mapping(chain, P)
     )
     del ws2
     if check_seed:
@@ -206,9 +210,7 @@ def bench_cell(k, P, check_seed=True):
     # Exhaustive search with the heuristic's throughput as its incumbent.
     row["heuristic_s"], heur = _timed(lambda: heuristic_mapping(chain, P))
     row["bounded_s"], bnd = _timed(
-        lambda: optimal_mapping(
-            chain, P, method="exhaustive", incumbent=heur.throughput
-        )
+        lambda: exhaustive_mapping(chain, P, incumbent=heur.throughput)
     )
     assert (bnd.clustering, bnd.totals, repr(bnd.mapping)) == (
         opt.clustering, opt.totals, repr(opt.mapping)
@@ -220,12 +222,12 @@ def bench_cell(k, P, check_seed=True):
     row["clusterings_kept"] = bnd.clusterings_examined
 
     row["bisect_s"], bis = _timed(
-        lambda: optimal_mapping(chain, P, method="bisect")
+        lambda: bisect_mapping(chain, P)
     )
     row["bisect_vs_exhaustive_rel"] = (
         abs(bis.throughput - opt.throughput) / opt.throughput
     )
-    assert row["bisect_vs_exhaustive_rel"] <= 1e-9, (  # bisect's tol
+    assert row["bisect_vs_exhaustive_rel"] <= BISECT_TOL, (
         f"bisect off the exhaustive optimum k={k} P={P}: "
         f"rel {row['bisect_vs_exhaustive_rel']:.3g}"
     )

@@ -31,7 +31,7 @@ def main() -> None:
     print(f"=== {wl.name}: {wl.description}")
     print(f"    tracker replicable: {wl.chain.tasks[-1].replicable}")
 
-    best_tp = optimal_mapping(wl.chain, P, mem, method="exhaustive")
+    best_tp = optimal_mapping(wl.chain, P, mem)
     print(f"throughput-optimal: {format_mapping(best_tp.mapping, wl.chain)}")
     print(f"  -> {best_tp.throughput:.1f} data sets/s, "
           f"latency {best_tp.performance.latency * 1e3:.1f} ms")

@@ -24,6 +24,9 @@ from .task import TaskChain
 
 __all__ = ["HeuristicResult", "heuristic_mapping"]
 
+#: Round limit of the clustering hill-climb.
+MAX_CLUSTERING_ROUNDS = 64
+
 
 @dataclass
 class HeuristicResult:
@@ -74,7 +77,6 @@ def heuristic_mapping(
     mem_per_proc_mb: float = float("inf"),
     replication: bool = True,
     backtracking: bool = True,
-    max_rounds: int = 64,
     cache: SegmentCache | None = None,
 ) -> HeuristicResult:
     """Run the full §4 heuristic: clustering search + greedy assignment.
@@ -105,7 +107,7 @@ def heuristic_mapping(
             )
 
     rounds = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_CLUSTERING_ROUNDS):
         rounds += 1
         best_nb, best_nb_score = None, best_score
         for nb in _neighbours(current):

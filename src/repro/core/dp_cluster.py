@@ -1,8 +1,9 @@
 """Optimal mapping with clustering + replication + allocation (paper §3.3).
 
-Two solvers are provided.
+:func:`optimal_mapping` runs one of two algorithms, picked by the chain's
+length (:data:`EXHAUSTIVE_MAX_TASKS`).
 
-``optimal_mapping(..., method="exhaustive")``
+:func:`exhaustive_mapping`
     Enumerates all ``2**(k-1)`` contiguous clusterings and runs the §3.1/§3.2
     assignment DP on each.  Provably optimal; the paper's own footnote (§4.2)
     notes exhaustive clustering is practical for small ``k``, and every chain
@@ -16,7 +17,7 @@ Two solvers are provided.
     result is bit-identical for any incumbent (an unreachable one falls
     back to the full search); only the number of DPs run changes.
 
-``optimal_mapping(..., method="bisect")``
+:func:`bisect_mapping`
     A polynomial-time algorithm in the spirit of the paper's Lemma 2
     (``O(P^4 k^2)`` there): bisection on the bottleneck response ``τ``
     around a feasibility dynamic program over module *segments*.  A state is
@@ -26,11 +27,13 @@ Two solvers are provided.
     effective response being at most ``τ``.  Each feasibility check costs
     ``O(k^3 P^3)`` vectorised operations and the bisection adds a
     ``log(1/ε)`` factor; the returned mapping is exact (it is re-evaluated
-    analytically), with optimality certified to relative tolerance ``tol``.
+    analytically), with optimality certified to relative tolerance
+    :data:`BISECT_TOL`.
 
-Both fold in replication via the §3.2 effective-processor rule and memory
-constraints via per-segment minimum processor counts; both agree with the
-brute-force oracle in the test suite.
+Both fold in replication via the §3.2 effective-processor rule, memory
+constraints via per-segment minimum processor counts and instance sizes
+via one mask per solve; both read segments through a :class:`SegmentCache`
+and agree with the brute-force oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -45,17 +48,22 @@ from .mapping import Mapping, all_clusterings
 from .replication import effective_tables
 from .response import (
     MappingPerformance,
+    ModuleInfo,
     SegmentCache,
-    build_module_chain,
     evaluate_module_chain,
-    module_info,
     strip_replication,
     totals_to_allocations,
 )
 from .task import TaskChain
 from .workspace import default_workspace
 
-__all__ = ["ClusteredResult", "optimal_mapping"]
+__all__ = ["ClusteredResult", "bisect_mapping", "exhaustive_mapping",
+           "optimal_mapping"]
+
+#: Longest chain :func:`optimal_mapping` solves by exhaustive search.
+EXHAUSTIVE_MAX_TASKS = 12
+#: Relative tolerance to which :func:`bisect_mapping` certifies the optimum.
+BISECT_TOL = 1e-9
 
 
 @dataclass
@@ -82,8 +90,6 @@ def optimal_mapping(
     total_procs: int,
     mem_per_proc_mb: float = float("inf"),
     replication: bool = True,
-    method: str = "auto",
-    tol: float = 1e-9,
     instance_size_ok=None,
     cache: SegmentCache | None = None,
     workspace=None,
@@ -91,18 +97,19 @@ def optimal_mapping(
 ) -> ClusteredResult:
     """Find the throughput-optimal mapping of ``chain`` onto ``total_procs``.
 
-    ``method`` is ``"exhaustive"``, ``"bisect"``, or ``"auto"`` (exhaustive
-    up to 12 tasks, bisect beyond).  ``instance_size_ok`` optionally
-    restricts the per-instance processor counts any module may use (e.g. to
-    rectangular subarray sizes, §6.1): a callable ``f(size: int) -> bool``.
+    Chains of up to :data:`EXHAUSTIVE_MAX_TASKS` tasks are solved by
+    :func:`exhaustive_mapping`, longer ones by :func:`bisect_mapping`; the
+    result's ``method`` names the one that ran.  ``instance_size_ok``
+    optionally restricts the per-instance processor counts any module may
+    use (e.g. to rectangular subarray sizes, §6.1): a callable
+    ``f(size: int) -> bool``.
 
     ``cache`` (a :class:`SegmentCache` bound to the same chain and memory
     limit) and ``workspace`` (a :class:`~repro.core.workspace.SolverWorkspace`)
     let a caller that solves repeatedly — notably the fault-tolerance
     :class:`~repro.core.remap.RemapPlanner` re-solving on ever-smaller
-    machines — share segment tensors and DP arenas across solves.  Both
-    apply to the exhaustive method only: bisect builds its own segment
-    grids and ignores them.  A mismatched cache is ignored.
+    machines — share segment tensors and DP arenas across solves.  A
+    mismatched cache is ignored.
 
     ``incumbent`` is a throughput some mapping of ``chain`` already reaches
     on at most ``total_procs`` processors (the heuristic's, or the mapping
@@ -110,37 +117,46 @@ def optimal_mapping(
     clusterings that might reach it; ``clusterings_examined`` counts the
     DPs that ran.  The returned mapping is the same, bit for bit, for any
     incumbent: if none of the surviving clusterings reaches it, the skipped
-    ones are solved too.  Bisect, a non-positive incumbent and a
-    reduced-precision workspace ignore it.
+    ones are solved too.  Bisection ignores ``workspace`` and
+    ``incumbent``.
     """
-    if method == "auto":
-        method = "exhaustive" if len(chain) <= 12 else "bisect"
-    if cache is not None and not cache.serves(chain, mem_per_proc_mb):
-        cache = None
-    if method == "exhaustive":
-        return _exhaustive_clusterings(
-            chain, total_procs, mem_per_proc_mb, replication, instance_size_ok,
-            cache=cache, workspace=workspace, incumbent=incumbent,
-        )
-    if method == "bisect":
-        return _bisect_mapping(
-            chain, total_procs, mem_per_proc_mb, replication, tol, instance_size_ok
-        )
-    raise ValueError(f"unknown method {method!r}")
+    args = (chain, total_procs, mem_per_proc_mb, replication,
+            instance_size_ok, cache)
+    if len(chain) <= EXHAUSTIVE_MAX_TASKS:
+        return exhaustive_mapping(*args, workspace, incumbent)
+    return bisect_mapping(*args)
 
 
-def _totals_filter(mchain, total_procs: int, replication: bool, instance_size_ok):
-    """Build the per-module allowed-totals mask from an instance-size rule."""
+def _size_mask(total_procs: int, instance_size_ok):
+    """``instance_size_ok`` over sizes ``0..total_procs``, or ``None``."""
     if instance_size_ok is None:
         return None
-    ok_size = np.array(
+    return np.array(
         [instance_size_ok(s) for s in range(total_procs + 1)], dtype=bool
     )
-    masks = []
-    for info in mchain.infos:
-        rep = replication and info.replicable
-        r, s = effective_tables(total_procs, info.p_min, rep)
-        masks.append((r > 0) & ok_size[s])
+
+
+def _feasible_tables(info: ModuleInfo, total_procs: int, replication: bool,
+                     ok_size):
+    """``(r, s, feasible)`` of one module over totals ``0..total_procs``:
+    instance count and size, zeroed where the total is unusable."""
+    r, s = effective_tables(
+        total_procs, info.p_min, replication and info.replicable
+    )
+    feasible = r > 0
+    if ok_size is not None:
+        feasible = feasible & ok_size[s]
+        r = np.where(feasible, r, 0)
+        s = np.where(feasible, s, 0)
+    return r, s, feasible
+
+
+def _totals_filter(mchain, total_procs: int, replication: bool, ok_size):
+    """The per-module allowed-totals mask under an instance-size mask."""
+    if ok_size is None:
+        return None
+    masks = [_feasible_tables(info, total_procs, replication, ok_size)[2]
+             for info in mchain.infos]
     return lambda i: masks[i]
 
 
@@ -182,21 +198,27 @@ def _may_reach(mchain, total_procs: int, incumbent: float) -> bool:
     return True
 
 
-def _exhaustive_clusterings(
+def exhaustive_mapping(
     chain: TaskChain,
     total_procs: int,
-    mem_per_proc_mb: float,
-    replication: bool,
+    mem_per_proc_mb: float = float("inf"),
+    replication: bool = True,
     instance_size_ok=None,
     cache: SegmentCache | None = None,
     workspace=None,
     incumbent: float | None = None,
 ) -> ClusteredResult:
+    """The optimum over every clustering, one assignment DP each.
+
+    Arguments as for :func:`optimal_mapping`.  A non-positive incumbent and
+    a reduced-precision workspace ignore ``incumbent``.
+    """
     # One segment cache shared by every clustering, so each distinct
     # (span, neighbour-context) builds its tensors exactly once.  A
     # caller-provided cache extends that sharing across solves.
-    if cache is None:
+    if cache is None or not cache.serves(chain, mem_per_proc_mb):
         cache = SegmentCache(chain, mem_per_proc_mb)
+    ok_size = _size_mask(total_procs, instance_size_ok)
     ws = workspace if workspace is not None else default_workspace()
     if not (incumbent is not None and incumbent > 0
             and ws.value_dtype == np.dtype(np.float64)):
@@ -213,7 +235,7 @@ def _exhaustive_clusterings(
                 total_procs,
                 replication=replication,
                 allowed_totals=_totals_filter(
-                    mchain, total_procs, replication, instance_size_ok
+                    mchain, total_procs, replication, ok_size
                 ),
                 workspace=ws,
             )
@@ -265,24 +287,12 @@ class _Segment:
 
     __slots__ = ("start", "stop", "p_min", "r", "s", "ex", "in_grid", "feasible")
 
-    def __init__(self, chain: TaskChain, start: int, stop: int, P: int,
-                 mem_per_proc_mb: float, replication: bool,
-                 instance_size_ok=None):
-        info = module_info(chain, start, stop, mem_per_proc_mb)
-        self.start = start
-        self.stop = stop
-        self.p_min = info.p_min
-        self.r, self.s = effective_tables(
-            P, self.p_min, replication and info.replicable
+    def __init__(self, chain: TaskChain, info: ModuleInfo, P: int,
+                 replication: bool, ok_size):
+        self.start, self.stop, self.p_min = info.start, info.stop, info.p_min
+        self.r, self.s, self.feasible = _feasible_tables(
+            info, P, replication, ok_size
         )
-        self.feasible = self.r > 0
-        if instance_size_ok is not None:
-            ok_size = np.array(
-                [instance_size_ok(s) for s in range(P + 1)], dtype=bool
-            )
-            self.feasible = self.feasible & ok_size[self.s]
-            self.r = np.where(self.feasible, self.r, 0)
-            self.s = np.where(self.feasible, self.s, 0)
         self.ex = np.full(P + 1, np.inf)
         ok = self.feasible
         self.ex[ok] = info.exec_cost(self.s[ok].astype(float))
@@ -290,10 +300,10 @@ class _Segment:
         # of the previous module (raw 1..P); sp = 0 means "no previous
         # module" and is valid only for segments starting the chain.
         self.in_grid = np.full((P + 1, P + 1), np.inf)
-        if start == 0:
+        if self.start == 0:
             self.in_grid[0, ok] = 0.0
         else:
-            ecom = chain.edges[start - 1].ecom
+            ecom = chain.edges[self.start - 1].ecom
             sp = np.arange(1, P + 1, dtype=float)
             vals = ecom(sp[:, None], self.s[ok].astype(float)[None, :])
             block = np.full((P, P + 1), np.inf)
@@ -311,22 +321,26 @@ def _out_grid(chain: TaskChain, A: "_Segment", B: "_Segment", P: int) -> np.ndar
     return grid
 
 
-def _bisect_mapping(
+def bisect_mapping(
     chain: TaskChain,
     total_procs: int,
-    mem_per_proc_mb: float,
-    replication: bool,
-    tol: float,
+    mem_per_proc_mb: float = float("inf"),
+    replication: bool = True,
     instance_size_ok=None,
+    cache: SegmentCache | None = None,
 ) -> ClusteredResult:
+    """The optimum by bisection on the bottleneck response, certified to
+    :data:`BISECT_TOL`.  Arguments as for :func:`optimal_mapping`."""
+    if cache is None or not cache.serves(chain, mem_per_proc_mb):
+        cache = SegmentCache(chain, mem_per_proc_mb)
+    ok_size = _size_mask(total_procs, instance_size_ok)
     k = len(chain)
     P = int(total_procs)
     segments = {}
     for start in range(k):
         for stop in range(start, k):
             seg = _Segment(
-                chain, start, stop, P, mem_per_proc_mb, replication,
-                instance_size_ok,
+                chain, cache.info(start, stop), P, replication, ok_size
             )
             if seg.p_min <= P and seg.feasible.any():
                 segments[(start, stop)] = seg
@@ -437,10 +451,10 @@ def _bisect_mapping(
             f"no clustering of {chain.name!r} fits on {P} processors"
         )
     clustering, totals = _walk_back(final, parents, segments, k)
-    perf = _evaluate(chain, clustering, totals, mem_per_proc_mb, replication)
+    perf = _evaluate(cache, clustering, totals, replication)
     hi = max(perf.effective_responses)
     lo = 0.0
-    while hi - lo > tol * max(hi, 1e-300):
+    while hi - lo > BISECT_TOL * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
         ok, _, _ = run(mid, track=False)
         if ok:
@@ -449,10 +463,10 @@ def _bisect_mapping(
             lo = mid
     ok, final, parents = run(hi, track=True)
     if not ok:  # numerical safety: widen once
-        hi = hi * (1 + 16 * tol) + 1e-300
+        hi = hi * (1 + 16 * BISECT_TOL) + 1e-300
         ok, final, parents = run(hi, track=True)
     clustering, totals = _walk_back(final, parents, segments, k)
-    perf = _evaluate(chain, clustering, totals, mem_per_proc_mb, replication)
+    perf = _evaluate(cache, clustering, totals, replication)
     return ClusteredResult(
         clustering=clustering,
         totals=totals,
@@ -477,8 +491,8 @@ def _walk_back(final, parents, segments, k):
     return tuple(spans), totals
 
 
-def _evaluate(chain, clustering, totals, mem_per_proc_mb, replication):
-    mchain = build_module_chain(chain, clustering, mem_per_proc_mb)
+def _evaluate(cache, clustering, totals, replication):
+    mchain = cache.module_chain(clustering)
     if not replication:
         mchain = strip_replication(mchain)
     return evaluate_module_chain(mchain, totals_to_allocations(mchain, totals))

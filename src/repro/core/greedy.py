@@ -69,7 +69,6 @@ def greedy_assignment(
     replication: bool = True,
     slowest_only: bool = False,
     backtracking: bool = False,
-    max_backtrack_rounds: int = MAX_BACKTRACK_ROUNDS,
 ) -> GreedyResult:
     """Run the §4.1 greedy heuristic on a module chain.
 
@@ -84,9 +83,7 @@ def greedy_assignment(
     totals, trajectory = greedy_loop(price, P, slowest_only)
     moves = 0
     if backtracking:
-        totals, _, moves = local_search(
-            price, totals, P, trajectory[-1], max_backtrack_rounds
-        )
+        totals, _, moves = local_search(price, totals, P, trajectory[-1])
 
     perf = evaluate_module_chain(mchain, totals_to_allocations(mchain, totals))
     return GreedyResult(
@@ -141,8 +138,7 @@ def greedy_loop(
 
 
 def local_search(
-    price: Pricer, totals: list[int], P: int, best_tp: float,
-    max_rounds: int = MAX_BACKTRACK_ROUNDS,
+    price: Pricer, totals: list[int], P: int, best_tp: float
 ) -> tuple[list[int], float, int]:
     """Bounded hill-climbing over ±1/±2 processor moves between modules.
 
@@ -167,7 +163,7 @@ def local_search(
             candidates.append(((a,) * d, ()))                         # retire
             candidates += [((a,) * d, (b,) * d) for b in range(l) if b != a]
         candidates += [((), (b,) * d) for b in range(l)]              # draw
-    for _ in range(max_rounds):
+    for _ in range(MAX_BACKTRACK_ROUNDS):
         improved = False
         # Parallel bottlenecks (the branches of a fork) only improve
         # together: feed the bottleneck and one other module at once.

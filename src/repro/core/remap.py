@@ -12,9 +12,12 @@ assignment solver for exactly that loop:
 * plans are memoised per surviving processor count — repeated failures
   that land on the same survivor count (or an idempotent retry) cost a
   dictionary lookup;
-* the solver's reusable :class:`~repro.core.workspace.SolverWorkspace`
-  arena is threaded through, so repeated remaps do not re-allocate the DP
-  tensors.
+* every re-solve runs in the process-wide
+  :class:`~repro.core.workspace.SolverWorkspace`, so repeated remaps do
+  not re-allocate the DP tensors.
+
+Each re-solve is :func:`~repro.core.dp_cluster.optimal_mapping` with
+replication, so the chain's length picks the algorithm.
 
 The simulator's :func:`~repro.sim.pipeline.simulate_fault_tolerant` drives
 this planner; it is equally usable standalone for capacity planning
@@ -27,7 +30,6 @@ from .dp_cluster import ClusteredResult, optimal_mapping
 from .response import UNLIMITED_MEMORY_MB, SegmentCache
 from .task import TaskChain
 from .validate import ensure_valid_plan
-from .workspace import SolverWorkspace
 
 __all__ = ["RemapPlanner"]
 
@@ -39,15 +41,9 @@ class RemapPlanner:
         self,
         chain: TaskChain,
         mem_per_proc_mb: float = UNLIMITED_MEMORY_MB,
-        method: str = "auto",
-        replication: bool = True,
-        workspace: SolverWorkspace | None = None,
     ):
         self.chain = chain
         self.mem_per_proc_mb = mem_per_proc_mb
-        self.method = method
-        self.replication = replication
-        self.workspace = workspace
         self.cache = SegmentCache(chain, mem_per_proc_mb)
         self._plans: dict[int, ClusteredResult] = {}
         self.solves = 0
@@ -72,10 +68,7 @@ class RemapPlanner:
                 self.chain,
                 total_procs,
                 self.mem_per_proc_mb,
-                replication=self.replication,
-                method=self.method,
                 cache=self.cache,
-                workspace=self.workspace,
                 incumbent=incumbent,
             )
             # Every plan handed to the runtime passes preflight first.
@@ -133,6 +126,6 @@ class RemapPlanner:
 
     def __repr__(self):
         return (
-            f"RemapPlanner(chain={self.chain.name!r}, method={self.method!r}, "
+            f"RemapPlanner(chain={self.chain.name!r}, "
             f"plans={len(self._plans)}, solves={self.solves})"
         )

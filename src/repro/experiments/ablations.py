@@ -44,14 +44,13 @@ def run(workloads: list[Workload] | None = None) -> list[AblationRow]:
     for wl in workloads if workloads is not None else table2_roster():
         P = wl.machine.total_procs
         mem = wl.machine.mem_per_proc_mb
-        full = optimal_mapping(wl.chain, P, mem, method="exhaustive")
+        full = optimal_mapping(wl.chain, P, mem)
 
         singles = build_module_chain(
             wl.chain, singleton_clustering(len(wl.chain)), mem
         )
         no_cluster = optimal_assignment(singles, P)
-        no_repl = optimal_mapping(wl.chain, P, mem, replication=False,
-                                  method="exhaustive")
+        no_repl = optimal_mapping(wl.chain, P, mem, replication=False)
         # Comm-blind allocates on the optimal clustering but ignores the
         # communication model entirely.
         blind_chain = build_module_chain(wl.chain, full.clustering, mem)

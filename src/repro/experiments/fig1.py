@@ -49,7 +49,7 @@ def run(workload: Workload | None = None, n_datasets: int = 120) -> list[Fig1Sty
         ("(c) replicated data parallel", "whole chain replicated maximally",
          replicated_data_parallel(wl.chain, P, mem)),
         ("(d) task + data + replication", "optimal mixed mapping (§3)",
-         optimal_mapping(wl.chain, P, mem, method="exhaustive").performance),
+         optimal_mapping(wl.chain, P, mem).performance),
     ]
     out = []
     for i, (label, desc, perf) in enumerate(styles):

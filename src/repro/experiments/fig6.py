@@ -26,7 +26,7 @@ class Fig6Result:
 
 def run(n: int = 256) -> Fig6Result:
     wl = fft_hist(n, iwarp64_message())
-    feas = optimal_feasible_mapping(wl.chain, wl.machine, method="exhaustive")
+    feas = optimal_feasible_mapping(wl.chain, wl.machine)
     return Fig6Result(workload=wl, feasible=feas)
 
 

@@ -49,7 +49,7 @@ def run(workloads: list[Workload] | None = None, points: int = 8) -> list[Fronti
     for i, wl in enumerate(workloads if workloads is not None else table2_roster()):
         mach = wl.machine
         best = optimal_mapping(
-            wl.chain, mach.total_procs, mach.mem_per_proc_mb, method="exhaustive"
+            wl.chain, mach.total_procs, mach.mem_per_proc_mb
         )
         mchain = build_module_chain(
             wl.chain, best.clustering, mach.mem_per_proc_mb

@@ -35,7 +35,7 @@ class AgreementRow:
 
 
 def _compare(chain, P, mem) -> tuple[bool, float, bool, float]:
-    dp = optimal_mapping(chain, P, mem, method="exhaustive")
+    dp = optimal_mapping(chain, P, mem)
     gaps = []
     agrees = []
     for backtracking in (True, False):

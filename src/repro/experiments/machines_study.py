@@ -40,10 +40,7 @@ def run(n: int = 256) -> list[MachineRow]:
     for name in sorted(PRESETS):
         mach = PRESETS[name]()
         wl = fft_hist(n, mach)
-        res = optimal_mapping(
-            wl.chain, mach.total_procs, mach.mem_per_proc_mb,
-            method="exhaustive",
-        )
+        res = optimal_mapping(wl.chain, mach.total_procs, mach.mem_per_proc_mb)
         base = data_parallel(wl.chain, mach.total_procs, mach.mem_per_proc_mb)
         rows.append(
             MachineRow(

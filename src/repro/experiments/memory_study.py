@@ -36,9 +36,7 @@ def run(workload: Workload | None = None,
     wl = workload or fft_hist(256, iwarp64_message())
     points = []
     for mem in sweep:
-        res = optimal_mapping(
-            wl.chain, wl.machine.total_procs, mem, method="exhaustive"
-        )
+        res = optimal_mapping(wl.chain, wl.machine.total_procs, mem)
         points.append(
             MemoryPoint(
                 mem_per_proc_mb=mem,

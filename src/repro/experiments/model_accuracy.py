@@ -38,9 +38,7 @@ def _heldout_mappings(wl: Workload, fitted) -> list[Mapping]:
     mach = wl.machine
     k = len(wl.chain)
     out = [
-        optimal_mapping(
-            fitted, mach.total_procs, mach.mem_per_proc_mb, method="exhaustive"
-        ).mapping
+        optimal_mapping(fitted, mach.total_procs, mach.mem_per_proc_mb).mapping
     ]
     # A half/half split of the chain (if it fits).
     try:

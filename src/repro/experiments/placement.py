@@ -71,7 +71,7 @@ def _shuffle_placement(placements: list[list[Rect]], seed: int) -> list[list[Rec
 def run(workload: Workload | None = None, shuffles: int = 5,
         n_datasets: int = 150) -> PlacementResult:
     wl = workload or fft_hist(256, iwarp64_message())
-    feas = optimal_feasible_mapping(wl.chain, wl.machine, method="exhaustive")
+    feas = optimal_feasible_mapping(wl.chain, wl.machine)
     mapping = feas.mapping
     placements = feas.report.placements
 

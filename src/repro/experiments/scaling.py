@@ -42,14 +42,14 @@ def _solve_both(chain, P) -> ScalePoint:
     # Warm-up pass: the growth exponents measure the solvers' asymptotic
     # work, so exclude one-time costs (workspace arena allocation, memoized
     # cost tables) that would otherwise dominate the small-P points.
-    optimal_mapping(chain, P, method="exhaustive")
+    optimal_mapping(chain, P)
     heuristic_mapping(chain, P)
     _wchain = build_module_chain(chain, singleton_clustering(len(chain)))
     optimal_assignment(_wchain, P)
     greedy_assignment(_wchain, P)
 
     t0 = time.perf_counter()
-    dp = optimal_mapping(chain, P, method="exhaustive")
+    dp = optimal_mapping(chain, P)
     t1 = time.perf_counter()
     heur = heuristic_mapping(chain, P)
     t2 = time.perf_counter()

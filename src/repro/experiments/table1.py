@@ -44,10 +44,8 @@ def run(workloads: list[Workload] | None = None) -> list[Table1Row]:
     rows = []
     for wl in workloads if workloads is not None else fft_hist_configs():
         mach = wl.machine
-        opt = optimal_mapping(
-            wl.chain, mach.total_procs, mach.mem_per_proc_mb, method="exhaustive"
-        )
-        feas = optimal_feasible_mapping(wl.chain, mach, method="exhaustive")
+        opt = optimal_mapping(wl.chain, mach.total_procs, mach.mem_per_proc_mb)
+        feas = optimal_feasible_mapping(wl.chain, mach)
         rows.append(Table1Row(wl, opt, feas))
     return rows
 

@@ -46,7 +46,6 @@ def run(workload: Workload | None = None) -> list[BudgetPoint]:
         )
         best = optimal_mapping(
             est.fitted_chain, mach.total_procs, mach.mem_per_proc_mb,
-            method="exhaustive",
         )
         rows = validate_model(
             wl.chain, est.fitted_chain, [best.mapping],

@@ -39,6 +39,9 @@ from .packing import PackingResult, pack_rectangles
 from .systolic import max_link_load
 from .topology import Rect, is_rectangularizable
 
+#: Most perturbed variants of the optimum checked against the geometry.
+MAX_CANDIDATES = 200
+
 __all__ = ["FeasibilityReport", "check_feasible", "optimal_feasible_mapping", "FeasibleResult"]
 
 
@@ -138,22 +141,21 @@ def optimal_feasible_mapping(
     chain: TaskChain,
     machine: MachineSpec,
     replication: bool = True,
-    method: str = "auto",
-    max_candidates: int = 200,
     cache: SegmentCache | None = None,
     optimum: ClusteredResult | None = None,
 ) -> FeasibleResult:
     """Best mapping satisfying the machine's geometric constraints.
 
     ``optimum`` is the unconstrained optimum, ``optimal_mapping(chain,
-    machine.total_procs, machine.mem_per_proc_mb, replication, method)``;
-    it is computed here when omitted.  If it passes :func:`check_feasible`
-    it is returned as is: no feasible mapping beats it.  Otherwise the
-    clustering DP runs again with instance sizes restricted to rectangular
-    subarray sizes, the result's packing/pathways are verified, and if
-    geometry still rejects the allocation, bounded perturbations (shrinking
-    instance sizes or replica counts) are searched in predicted-throughput
-    order.
+    machine.total_procs, machine.mem_per_proc_mb, replication)``; it is
+    computed here when omitted, by the algorithm :func:`optimal_mapping`
+    picks for the chain.  If it passes :func:`check_feasible` it is
+    returned as is: no feasible mapping beats it.  Otherwise the clustering
+    DP runs again with instance sizes restricted to rectangular subarray
+    sizes, the result's packing/pathways are verified, and if geometry
+    still rejects the allocation, the best :data:`MAX_CANDIDATES` bounded
+    perturbations (shrinking instance sizes or replica counts) are tried in
+    predicted-throughput order.
 
     ``cache`` (a :class:`SegmentCache` bound to ``chain`` and the machine's
     memory limit) is shared by both solves; a mismatched cache is ignored.
@@ -164,7 +166,7 @@ def optimal_feasible_mapping(
     if optimum is None:
         optimum = optimal_mapping(
             chain, machine.total_procs, mem_per_proc_mb=mem,
-            replication=replication, method=method, cache=cache,
+            replication=replication, cache=cache,
         )
     base = optimum
     report = check_feasible(base.mapping, machine)
@@ -173,7 +175,7 @@ def optimal_feasible_mapping(
         size_ok = lambda s: is_rectangularizable(s, machine.rows, machine.cols)
         base = optimal_mapping(
             chain, machine.total_procs, mem_per_proc_mb=mem,
-            replication=replication, method=method, instance_size_ok=size_ok,
+            replication=replication, instance_size_ok=size_ok,
             cache=cache,
         )
         report = check_feasible(base.mapping, machine)
@@ -205,7 +207,7 @@ def optimal_feasible_mapping(
     candidates.sort(key=lambda p: -p.throughput)
 
     tried = 1
-    for perf in candidates[:max_candidates]:
+    for perf in candidates[:MAX_CANDIDATES]:
         tried += 1
         rep = check_feasible(perf.mapping, machine)
         if rep:

@@ -48,7 +48,6 @@ from ..core.response import (
     evaluate_module_chain,
 )
 from ..core.task import TaskChain
-from ..core.workspace import SolverWorkspace
 
 __all__ = [
     "ControllerConfig",
@@ -190,16 +189,11 @@ class AdaptiveController:
         total_procs: int,
         mem_per_proc_mb: float = UNLIMITED_MEMORY_MB,
         config: ControllerConfig | None = None,
-        method: str = "auto",
-        workspace: SolverWorkspace | None = None,
     ):
         self.base_chain = chain
         self.total_procs = total_procs
         self.config = config or ControllerConfig()
-        self.planner = RemapPlanner(
-            chain, mem_per_proc_mb=mem_per_proc_mb, method=method,
-            workspace=workspace,
-        )
+        self.planner = RemapPlanner(chain, mem_per_proc_mb=mem_per_proc_mb)
         plan = self.planner.plan(total_procs)
         self.mapping = plan.mapping
         self.initial_mapping = plan.mapping
@@ -442,8 +436,6 @@ class AdaptiveController:
             cold = optimal_mapping(
                 entry["chain"], self.total_procs,
                 self.planner.mem_per_proc_mb,
-                replication=self.planner.replication,
-                method=self.planner.method,
             )
             if cold.mapping != plan.mapping:
                 raise AssertionError(

@@ -68,6 +68,9 @@ __all__ = [
     "SimulationResult", "simulate", "simulate_fast", "simulate_fault_tolerant",
 ]
 
+#: Segments a fault-tolerant stream may take before it must have drained.
+MAX_SEGMENTS = 32
+
 
 @dataclass
 class SimulationResult:
@@ -743,22 +746,19 @@ class _FaultReplan(_Once):
 
     def __init__(self, mapping: Mapping, n: int, faults: FaultModel,
                  machine_procs: int, remap_latency: float,
-                 mem_per_proc_mb: float, planner, method: str,
-                 max_segments: int):
+                 mem_per_proc_mb: float, planner):
         super().__init__(mapping, n)
         self.faults = faults
         self.machine_procs = machine_procs
         self.remap_latency = remap_latency
         self.mem_per_proc_mb = mem_per_proc_mb
         self.planner = planner
-        self.method = method
-        self.max_segments = max_segments
         self.segments = 0
 
     def _segment(self, mapping, datasets, t0=0.0, dead=None) -> _Segment:
-        if self.segments >= self.max_segments:
+        if self.segments >= MAX_SEGMENTS:
             raise SimulationError(
-                f"stream did not drain within {self.max_segments} segments "
+                f"stream did not drain within {MAX_SEGMENTS} segments "
                 f"({len(datasets)} data sets outstanding)"
             )
         self.segments += 1
@@ -789,8 +789,7 @@ class _FaultReplan(_Once):
         surviving = self.machine_procs - self.faults.procs_lost
         if self.planner is None:
             self.planner = RemapPlanner(
-                stream.chain, mem_per_proc_mb=self.mem_per_proc_mb,
-                method=self.method,
+                stream.chain, mem_per_proc_mb=self.mem_per_proc_mb
             )
         try:
             plan = self.planner.plan(surviving)
@@ -1075,8 +1074,6 @@ def simulate_fault_tolerant(
     remap_latency: float = 0.05,
     mem_per_proc_mb: float = float("inf"),
     planner=None,
-    method: str = "auto",
-    max_segments: int = 32,
 ) -> SimulationResult:
     """Run a stream to completion across failures, degradation, and remaps.
 
@@ -1092,14 +1089,21 @@ def simulate_fault_tolerant(
     same ``"auto"`` rule as :func:`simulate`, so a run whose fault model
     injects nothing may take the fast path.
 
-    ``planner`` (a :class:`~repro.core.remap.RemapPlanner`) carries the
-    solver's segment cache across remaps and memoises plans per surviving
-    processor count; one is created on demand.  Raises
-    :class:`SimulationError` when the chain no longer fits on the survivors
-    or the stream fails to drain within ``max_segments`` segments.
+    ``planner`` (a :class:`~repro.core.remap.RemapPlanner` for ``chain``
+    and ``mem_per_proc_mb``) carries the solver's segment cache across
+    remaps and memoises plans per surviving processor count; one is created
+    on demand.  Each re-solve picks its algorithm from the chain's length.
+    Raises :class:`SimulationError` when the planner serves another chain
+    or memory limit, when the chain no longer fits on the survivors, or
+    when the stream fails to drain within :data:`MAX_SEGMENTS` segments.
     """
     if n_datasets < 2:
         raise SimulationError("need at least 2 data sets to measure throughput")
+    if planner is not None and (
+        planner.chain is not chain or planner.mem_per_proc_mb != mem_per_proc_mb
+    ):
+        raise SimulationError(f"planner serves another chain or memory limit "
+                              f"than this run of {chain.name!r}")
     faults = faults if faults is not None else FaultModel.silent()
     machine_procs = machine_procs if machine_procs is not None else mapping.total_procs
     ensure_valid_plan(
@@ -1107,8 +1111,7 @@ def simulate_fault_tolerant(
         mem_per_proc_mb=mem_per_proc_mb,
     )
     policy = _FaultReplan(mapping, n_datasets, faults, machine_procs,
-                          remap_latency, mem_per_proc_mb, planner, method,
-                          max_segments)
+                          remap_latency, mem_per_proc_mb, planner)
     return _run_stream(chain, policy, n_datasets,
                        noise or NoiseModel.silent(), "auto", warmup_fraction,
                        faults=faults, collect_trace=collect_trace)

@@ -63,9 +63,12 @@ def auto_map(
     workload: Workload,
     profile_datasets: int = 60,
     profile_noise: NoiseModel | None = None,
-    method: str = "auto",
 ) -> MappingPlan:
-    """Run the complete §5 + §3/§4 + §6.1 pipeline for one workload."""
+    """Run the complete §5 + §3/§4 + §6.1 pipeline for one workload.
+
+    The optimum comes from :func:`~repro.core.dp_cluster.optimal_mapping`,
+    which picks its algorithm from the length of the fitted chain.
+    """
     machine = workload.machine
     est = estimate_chain(
         workload.chain,
@@ -84,11 +87,11 @@ def auto_map(
         fitted, machine.total_procs, machine.mem_per_proc_mb, cache=cache
     )
     optimal = optimal_mapping(
-        fitted, machine.total_procs, machine.mem_per_proc_mb, method=method,
-        cache=cache, incumbent=heuristic.throughput,
+        fitted, machine.total_procs, machine.mem_per_proc_mb, cache=cache,
+        incumbent=heuristic.throughput,
     )
     feasible = optimal_feasible_mapping(
-        fitted, machine, method=method, cache=cache, optimum=optimal
+        fitted, machine, cache=cache, optimum=optimal
     )
     return MappingPlan(
         workload=workload,

@@ -33,7 +33,7 @@ class TestDataParallel:
         for seed in range(8):
             chain = make_random_chain(3, seed=seed)
             dp_perf = data_parallel(chain, 16)
-            opt = optimal_mapping(chain, 16, method="exhaustive")
+            opt = optimal_mapping(chain, 16)
             assert opt.throughput >= dp_perf.throughput * (1 - 1e-12)
 
     def test_memory_infeasibility(self):

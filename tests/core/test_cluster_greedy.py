@@ -20,7 +20,7 @@ class TestHeuristicQuality:
     @pytest.mark.parametrize("seed", range(12))
     def test_close_to_optimal(self, seed):
         chain = make_random_chain(4, seed=seed)
-        opt = optimal_mapping(chain, 12, method="exhaustive")
+        opt = optimal_mapping(chain, 12)
         heur = heuristic_mapping(chain, 12)
         assert heur.throughput <= opt.throughput * (1 + 1e-9)
         assert heur.throughput >= opt.throughput * 0.85
@@ -31,7 +31,7 @@ class TestHeuristicQuality:
         hits, n = 0, 15
         for seed in range(n):
             chain = make_random_chain(3, seed=500 + seed)
-            opt = optimal_mapping(chain, 12, method="exhaustive")
+            opt = optimal_mapping(chain, 12)
             heur = heuristic_mapping(chain, 12)
             if heur.throughput == pytest.approx(opt.throughput, rel=1e-9):
                 hits += 1

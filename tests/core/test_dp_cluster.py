@@ -18,6 +18,7 @@ from repro.core import (
     brute_force_mapping,
     optimal_mapping,
 )
+from repro.core.dp_cluster import bisect_mapping
 from tests.conftest import make_random_chain
 
 
@@ -25,29 +26,29 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(10))
     def test_exhaustive_matches_oracle(self, seed):
         chain = make_random_chain(3, seed=seed)
-        res = optimal_mapping(chain, 10, method="exhaustive")
+        res = optimal_mapping(chain, 10)
         bf = brute_force_mapping(chain, 10)
         assert res.throughput == pytest.approx(bf.throughput)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bisect_matches_oracle(self, seed):
         chain = make_random_chain(3, seed=seed)
-        res = optimal_mapping(chain, 10, method="bisect")
+        res = bisect_mapping(chain, 10)
         bf = brute_force_mapping(chain, 10)
         assert res.throughput == pytest.approx(bf.throughput, rel=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_solvers_agree_with_memory(self, seed):
         chain = make_random_chain(4, seed=50 + seed, with_memory=True)
-        exh = optimal_mapping(chain, 12, mem_per_proc_mb=1.5, method="exhaustive")
-        bis = optimal_mapping(chain, 12, mem_per_proc_mb=1.5, method="bisect")
+        exh = optimal_mapping(chain, 12, mem_per_proc_mb=1.5)
+        bis = bisect_mapping(chain, 12, mem_per_proc_mb=1.5)
         assert bis.throughput == pytest.approx(exh.throughput, rel=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_solvers_agree_no_replication(self, seed):
         chain = make_random_chain(4, seed=80 + seed)
-        exh = optimal_mapping(chain, 9, replication=False, method="exhaustive")
-        bis = optimal_mapping(chain, 9, replication=False, method="bisect")
+        exh = optimal_mapping(chain, 9, replication=False)
+        bis = bisect_mapping(chain, 9, replication=False)
         assert bis.throughput == pytest.approx(exh.throughput, rel=1e-6)
 
 
@@ -62,7 +63,7 @@ class TestClusteringDecisions:
             for _ in range(2)
         ]
         chain = TaskChain(tasks, edges)
-        res = optimal_mapping(chain, 8, method="exhaustive")
+        res = optimal_mapping(chain, 8)
         assert res.clustering == ((0, 2),)
 
     def test_costly_internal_comm_encourages_splitting(self):
@@ -74,7 +75,7 @@ class TestClusteringDecisions:
                  ecom=PolynomialEComm(0.01, 0.0, 0.0, 0.0, 0.0))
         ]
         chain = TaskChain(tasks, edges)
-        res = optimal_mapping(chain, 8, method="exhaustive")
+        res = optimal_mapping(chain, 8)
         assert res.clustering == ((0, 0), (1, 1))
 
     def test_memory_can_force_splitting(self):
@@ -88,7 +89,7 @@ class TestClusteringDecisions:
         edges = [Edge(icom=PolynomialIComm(0.1, 0.0, 0.4),
                       ecom=PolynomialEComm(0.2, 0.5, 0.5, 0.0, 0.0))]
         chain = TaskChain(tasks, edges)
-        res = optimal_mapping(chain, 12, mem_per_proc_mb=1.0, method="exhaustive")
+        res = optimal_mapping(chain, 12, mem_per_proc_mb=1.0)
         bf = brute_force_mapping(chain, 12, mem_per_proc_mb=1.0)
         assert res.throughput == pytest.approx(bf.throughput)
         assert res.clustering == ((0, 0), (1, 1))
@@ -103,33 +104,29 @@ class TestClusteringDecisions:
         # Singleton: each needs ceil(3/1) = 3 procs -> 9 total > 8.
         # Merged: 9 MB / 1 MB = 9 > 8 either... use mem 2: each needs 2 (6 total),
         # merged needs ceil(9/2) = 5.
-        res = optimal_mapping(chain, 5, mem_per_proc_mb=2.0, method="exhaustive")
+        res = optimal_mapping(chain, 5, mem_per_proc_mb=2.0)
         assert res.clustering == ((0, 2),)
 
     def test_infeasible_chain_raises(self):
         tasks = [Task("a", PolynomialExec(0.0, 1.0, 0.0), mem_parallel_mb=100.0)]
         chain = TaskChain(tasks)
         with pytest.raises(InfeasibleError):
-            optimal_mapping(chain, 4, mem_per_proc_mb=1.0, method="exhaustive")
+            optimal_mapping(chain, 4, mem_per_proc_mb=1.0)
         with pytest.raises(InfeasibleError):
-            optimal_mapping(chain, 4, mem_per_proc_mb=1.0, method="bisect")
+            bisect_mapping(chain, 4, mem_per_proc_mb=1.0)
 
 
 class TestMethodDispatch:
     def test_auto_uses_exhaustive_for_small_k(self):
-        chain = make_random_chain(3, seed=5)
-        res = optimal_mapping(chain, 8, method="auto")
-        assert res.method == "exhaustive"
-
-    def test_unknown_method_rejected(self):
-        chain = make_random_chain(3, seed=5)
-        with pytest.raises(ValueError):
-            optimal_mapping(chain, 8, method="magic")
+        """Exhaustive search is chosen for every chain of up to 12 tasks."""
+        for k in (3, 12):
+            res = optimal_mapping(make_random_chain(k, seed=5), 8)
+            assert res.method == "exhaustive"
 
     def test_single_task_chain(self):
         chain = TaskChain([Task("solo", PolynomialExec(0.5, 6.0, 0.0))])
-        exh = optimal_mapping(chain, 6, method="exhaustive")
-        bis = optimal_mapping(chain, 6, method="bisect")
+        exh = optimal_mapping(chain, 6)
+        bis = bisect_mapping(chain, 6)
         assert exh.throughput == pytest.approx(bis.throughput, rel=1e-6)
         assert exh.clustering == ((0, 0),)
 
@@ -137,7 +134,7 @@ class TestMethodDispatch:
 class TestResultShape:
     def test_mapping_consistent_with_totals(self):
         chain = make_random_chain(4, seed=11)
-        res = optimal_mapping(chain, 12, method="exhaustive")
+        res = optimal_mapping(chain, 12)
         assert len(res.totals) == len(res.clustering)
         assert sum(res.totals) <= 12
         for spec, total in zip(res.mapping.modules, res.totals):

@@ -96,7 +96,7 @@ class TestAllowedTotals:
         P = 12
         ok_size = lambda s: is_rectangularizable(s, 3, 4)
         via_mapping = optimal_mapping(
-            chain, P, replication=False, method="exhaustive",
+            chain, P, replication=False,
             instance_size_ok=ok_size,
         )
         mc = _mchain(chain)

@@ -31,6 +31,11 @@ from repro.core import (
     optimal_mapping,
     throughput_of_totals,
 )
+from repro.core.dp_cluster import (
+    BISECT_TOL,
+    bisect_mapping,
+    exhaustive_mapping,
+)
 from repro.core.response import UNFIT
 from repro.fjgraph import FJGraph, build_modules, greedy_fj_mapping
 from repro.core.mapping import all_clusterings, singleton_clustering
@@ -60,15 +65,14 @@ class TestOracleEquivalence:
     def test_exhaustive_matches_brute_force(self, case):
         chain, P, mem = chains_matrix()[case]
         oracle = brute_force_mapping(chain, P, mem)
-        res = optimal_mapping(chain, P, mem, method="exhaustive")
+        res = optimal_mapping(chain, P, mem)
         assert res.throughput == pytest.approx(oracle.throughput, rel=RTOL)
 
     @pytest.mark.parametrize("case", range(len(chains_matrix())))
     def test_no_replication_matches_brute_force(self, case):
         chain, P, mem = chains_matrix()[case]
         oracle = brute_force_mapping(chain, P, mem, replication=False)
-        res = optimal_mapping(chain, P, mem, method="exhaustive",
-                              replication=False)
+        res = optimal_mapping(chain, P, mem, replication=False)
         assert res.throughput == pytest.approx(oracle.throughput, rel=RTOL)
 
 
@@ -76,7 +80,7 @@ class TestConfigurationInvariance:
     """Every perf configuration must return byte-identical mappings."""
 
     def _solve(self, chain, P, mem, **kw):
-        return optimal_mapping(chain, P, mem, method="exhaustive", **kw)
+        return optimal_mapping(chain, P, mem, **kw)
 
     @pytest.mark.parametrize("case", range(len(chains_matrix())))
     def test_workspace_reuse_is_stateless(self, case):
@@ -173,7 +177,7 @@ class TestSegmentCache:
     def test_memory_constrained_cache_equivalence(self):
         chain, P, mem = random_chain(4, seed=41, with_memory=True), 16, 2.0
         oracle = brute_force_mapping(chain, P, mem)
-        res = optimal_mapping(chain, P, mem, method="exhaustive")
+        res = optimal_mapping(chain, P, mem)
         assert res.throughput == pytest.approx(oracle.throughput, rel=RTOL)
 
 
@@ -195,7 +199,7 @@ class TestSingleModuleRegression:
 
     def test_single_module_dp(self):
         chain = random_chain(1, seed=3)
-        res = optimal_mapping(chain, 10, method="exhaustive")
+        res = optimal_mapping(chain, 10)
         oracle = brute_force_mapping(chain, 10)
         assert res.throughput == pytest.approx(oracle.throughput, rel=RTOL)
 
@@ -222,8 +226,8 @@ class TestUnfitSegment:
         oracle = brute_force_mapping(chain, self.P, self.MEM)
         assert oracle.clustering == singleton_clustering(3)
         for res in (
-            optimal_mapping(chain, self.P, self.MEM, method="exhaustive"),
-            optimal_mapping(chain, self.P, self.MEM, method="bisect"),
+            optimal_mapping(chain, self.P, self.MEM),
+            bisect_mapping(chain, self.P, self.MEM),
             heuristic_mapping(chain, self.P, self.MEM),
         ):
             assert res.clustering == singleton_clustering(3)
@@ -294,8 +298,7 @@ def test_bounded_search_matches_unbounded(case):
     """For any incumbent the bounded search returns the unbounded plan's
     bits and runs no more DPs."""
     chain, P, mem, replication, size_ok = case
-    kw = dict(replication=replication, method="exhaustive",
-              instance_size_ok=size_ok)
+    kw = dict(replication=replication, instance_size_ok=size_ok)
     try:
         ref = optimal_mapping(chain, P, mem, **kw)
     except InfeasibleError:
@@ -315,44 +318,61 @@ def test_bounded_search_matches_unbounded(case):
         assert got.clusterings_examined <= ref.clusterings_examined
 
 
+@given(case=bounded_cases())
+def test_bisect_matches_exhaustive(case):
+    """Bisection reaches the exhaustive optimum to its tolerance under the
+    same constraints, and finds the same cases infeasible."""
+    chain, P, mem, replication, size_ok = case
+    kw = dict(replication=replication, instance_size_ok=size_ok)
+    try:
+        ref = exhaustive_mapping(chain, P, mem, **kw)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            bisect_mapping(chain, P, mem, **kw)
+        return
+    got = bisect_mapping(chain, P, mem, **kw)
+    assert got.throughput == pytest.approx(ref.throughput, rel=BISECT_TOL)
+
+
 class TestIncumbentBound:
     CHAIN = random_chain(5, seed=23)
     P = 16
 
     def test_heuristic_incumbent_prunes(self):
-        ref = optimal_mapping(self.CHAIN, self.P, method="exhaustive")
+        ref = optimal_mapping(self.CHAIN, self.P)
         heur = heuristic_mapping(self.CHAIN, self.P)
-        got = optimal_mapping(self.CHAIN, self.P, method="exhaustive",
-                              incumbent=heur.throughput)
+        got = optimal_mapping(self.CHAIN, self.P, incumbent=heur.throughput)
         assert _plan_bits(got) == _plan_bits(ref)
         assert got.clusterings_examined < ref.clusterings_examined
 
     def test_unreachable_incumbent_falls_back(self):
         """An incumbent above the optimum proves nothing: every clustering
         is solved, each once, and the unbounded plan comes back."""
-        ref = optimal_mapping(self.CHAIN, self.P, method="exhaustive")
-        got = optimal_mapping(self.CHAIN, self.P, method="exhaustive",
-                              incumbent=ref.throughput * (1 + 1e-12))
+        ref = optimal_mapping(self.CHAIN, self.P)
+        got = optimal_mapping(
+            self.CHAIN, self.P, incumbent=ref.throughput * (1 + 1e-12)
+        )
         assert _plan_bits(got) == _plan_bits(ref)
         assert got.clusterings_examined == ref.clusterings_examined
 
     def test_zero_cost_chain_with_infinite_incumbent(self):
         chain = _zero_cost(4)
-        ref = optimal_mapping(chain, 8, method="exhaustive")
+        ref = optimal_mapping(chain, 8)
         assert ref.throughput == math.inf
-        got = optimal_mapping(chain, 8, method="exhaustive", incumbent=math.inf)
+        got = optimal_mapping(chain, 8, incumbent=math.inf)
         assert _plan_bits(got) == _plan_bits(ref)
         # Every clustering reaches inf, so none is skipped or solved twice.
         assert got.clusterings_examined == ref.clusterings_examined
 
     def test_float32_workspace_and_bisect_ignore_it(self):
         ws = SolverWorkspace(value_dtype=np.float32)
-        ref = optimal_mapping(self.CHAIN, self.P, method="exhaustive",
-                              workspace=ws)
-        got = optimal_mapping(self.CHAIN, self.P, method="exhaustive",
-                              workspace=ws, incumbent=ref.throughput)
+        ref = optimal_mapping(self.CHAIN, self.P, workspace=ws)
+        got = optimal_mapping(self.CHAIN, self.P, workspace=ws,
+                              incumbent=ref.throughput)
         assert got.clusterings_examined == ref.clusterings_examined
-        bis = optimal_mapping(self.CHAIN, self.P, method="bisect")
-        assert _plan_bits(optimal_mapping(
-            self.CHAIN, self.P, method="bisect", incumbent=bis.throughput
-        )) == _plan_bits(bis)
+        # Past 12 tasks the dispatch runs bisection, which has no bound.
+        long = random_chain(13, seed=23)
+        bis = bisect_mapping(long, 4)
+        assert _plan_bits(
+            optimal_mapping(long, 4, incumbent=bis.throughput)
+        ) == _plan_bits(bis)

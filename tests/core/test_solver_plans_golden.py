@@ -34,8 +34,8 @@ from repro.core import (
     comm_blind_assignment,
     greedy_assignment,
     heuristic_mapping,
-    optimal_mapping,
 )
+from repro.core.dp_cluster import bisect_mapping, exhaustive_mapping
 from repro.core.latency import (
     optimal_latency_assignment,
     throughput_latency_frontier,
@@ -96,12 +96,10 @@ def _chain_cases() -> dict:
 
 def _chain_fingerprint(chain, P, mem, machine, replication, small) -> dict:
     out = {}
-    ex = optimal_mapping(chain, P, mem, replication=replication,
-                         method="exhaustive")
+    ex = exhaustive_mapping(chain, P, mem, replication=replication)
     out["exhaustive"] = _plan(ex)
-    out["bisect"] = _plan(optimal_mapping(chain, P, mem,
-                                          replication=replication,
-                                          method="bisect"))
+    out["bisect"] = _plan(bisect_mapping(chain, P, mem,
+                                         replication=replication))
     out["heuristic"] = _plan(heuristic_mapping(chain, P, mem,
                                                replication=replication))
     mchain = build_module_chain(chain, ex.clustering, mem)

@@ -13,6 +13,7 @@ from repro.core import (
     optimal_mapping,
     singleton_clustering,
 )
+from repro.core.dp_cluster import bisect_mapping
 from tests.conftest import make_random_chain
 
 pytestmark = pytest.mark.slow
@@ -48,13 +49,13 @@ class TestLongChains:
     @pytest.mark.parametrize("k", [6, 8])
     def test_bisect_agrees_with_exhaustive(self, k):
         chain = make_random_chain(k, seed=10 + k)
-        exh = optimal_mapping(chain, 12, method="exhaustive")
-        bis = optimal_mapping(chain, 12, method="bisect")
+        exh = optimal_mapping(chain, 12)
+        bis = bisect_mapping(chain, 12)
         assert bis.throughput == pytest.approx(exh.throughput, rel=1e-6)
 
     def test_auto_switches_to_bisect_for_long_chains(self):
         chain = make_random_chain(13, seed=99)
-        res = optimal_mapping(chain, 8, method="auto")
+        res = optimal_mapping(chain, 8)
         assert res.method == "bisect"
         assert res.throughput > 0
 

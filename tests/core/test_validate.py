@@ -94,7 +94,7 @@ class TestSmells:
 
         wl = fft_hist(256, iwarp64_message())
         best = optimal_mapping(
-            wl.chain, 64, wl.machine.mem_per_proc_mb, method="exhaustive"
+            wl.chain, 64, wl.machine.mem_per_proc_mb
         )
         d = diagnose(wl.chain, best.mapping, machine=wl.machine)
         assert d.ok

@@ -75,7 +75,7 @@ class TestEstimateChain:
         chain = make_random_chain(3, seed=11, with_memory=True)
         noise = NoiseModel(seed=2, jitter=0.02, comm_interference=0.01)
         est = estimate_chain(chain, 16, mem_per_proc_mb=2.0, noise=noise)
-        res = optimal_mapping(est.fitted_chain, 16, 2.0, method="exhaustive")
+        res = optimal_mapping(est.fitted_chain, 16, 2.0)
         rows = validate_model(
             chain, est.fitted_chain, [res.mapping],
             noise=NoiseModel(seed=3, jitter=0.02, comm_interference=0.01),

@@ -85,9 +85,9 @@ class TestTabulatedEstimation:
         chain = make_random_chain(3, seed=21)
         est_p = estimate_chain(chain, 14, model_family="polynomial")
         est_t = estimate_chain(chain, 14, model_family="tabulated")
-        rp = optimal_mapping(est_p.fitted_chain, 14, method="exhaustive")
-        rt = optimal_mapping(est_t.fitted_chain, 14, method="exhaustive")
-        truth = optimal_mapping(chain, 14, method="exhaustive")
+        rp = optimal_mapping(est_p.fitted_chain, 14)
+        rt = optimal_mapping(est_t.fitted_chain, 14)
+        truth = optimal_mapping(chain, 14)
         assert rp.throughput == pytest.approx(truth.throughput, rel=0.05)
         assert rt.throughput == pytest.approx(truth.throughput, rel=0.05)
 

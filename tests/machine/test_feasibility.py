@@ -82,7 +82,7 @@ class TestOptimalFeasible:
         chain = make_random_chain(3, seed=seed, with_memory=True)
         mach = iwarp64_message()
         unconstrained = optimal_mapping(
-            chain, mach.total_procs, mach.mem_per_proc_mb, method="exhaustive"
+            chain, mach.total_procs, mach.mem_per_proc_mb
         )
         feas = optimal_feasible_mapping(chain, mach)
         assert feas.throughput <= unconstrained.throughput * (1 + 1e-9)

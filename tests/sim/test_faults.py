@@ -26,6 +26,8 @@ from repro.core import (
     evaluate_mapping,
 )
 from repro.core.remap import RemapPlanner
+from repro.core.resolve import scale_chain
+from repro.experiments import fault_study
 from repro.sim import (
     FaultModel,
     ProcessorFailure,
@@ -263,6 +265,22 @@ class TestInfeasibleRemap:
                 chain, mapping, n_datasets=120, faults=faults,
                 machine_procs=6, mem_per_proc_mb=4.0,
             )
+
+
+@pytest.mark.parametrize("context", ["chain", "memory"])
+def test_planner_for_another_context_is_rejected(context):
+    """A planner built for another chain remaps with that chain's costs: on
+    the fault study it deploys a plan predicted at 0.237/s that runs at
+    about 0.15/s, where the run's own planner reaches 0.228/s."""
+    chain, mapping = fault_study.study_setup()
+    planner = (RemapPlanner(scale_chain(chain, comm_scale=0.01))
+               if context == "chain" else RemapPlanner(chain, 64.0))
+    faults = FaultModel(failures=[ProcessorFailure(fault_study.FAIL_AT, 1, 0)])
+    with pytest.raises(SimulationError, match="planner serves another"):
+        simulate_fault_tolerant(
+            chain, mapping, n_datasets=120, faults=faults,
+            machine_procs=fault_study.MACHINE_PROCS, planner=planner,
+        )
 
 
 def test_module_chain_fixture_assumptions():

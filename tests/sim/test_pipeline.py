@@ -24,7 +24,7 @@ class TestAgainstAnalyticModel:
     @pytest.mark.parametrize("seed", range(6))
     def test_noiseless_throughput_matches_prediction(self, seed):
         chain = make_random_chain(3, seed=seed)
-        res = optimal_mapping(chain, 12, method="exhaustive")
+        res = optimal_mapping(chain, 12)
         sim = simulate(chain, res.mapping, n_datasets=300)
         assert sim.throughput == pytest.approx(res.throughput, rel=1e-6)
 
@@ -37,7 +37,7 @@ class TestAgainstAnalyticModel:
 
     def test_latency_at_least_sum_of_stages(self):
         chain = make_three_task_chain()
-        res = optimal_mapping(chain, 12, method="exhaustive")
+        res = optimal_mapping(chain, 12)
         perf = evaluate_mapping(chain, res.mapping)
         sim = simulate(chain, res.mapping, n_datasets=200)
         # Pipelined latency includes queueing, so it can only exceed the
@@ -55,7 +55,7 @@ class TestAgainstAnalyticModel:
 class TestNoise:
     def test_noise_is_reproducible(self):
         chain = make_three_task_chain()
-        res = optimal_mapping(chain, 12, method="exhaustive")
+        res = optimal_mapping(chain, 12)
         noise_a = NoiseModel(seed=7, jitter=0.05)
         noise_b = NoiseModel(seed=7, jitter=0.05)
         a = simulate(chain, res.mapping, n_datasets=100, noise=noise_a)
@@ -65,14 +65,14 @@ class TestNoise:
 
     def test_different_seeds_differ(self):
         chain = make_three_task_chain()
-        res = optimal_mapping(chain, 12, method="exhaustive")
+        res = optimal_mapping(chain, 12)
         a = simulate(chain, res.mapping, 100, noise=NoiseModel(seed=1, jitter=0.05))
         b = simulate(chain, res.mapping, 100, noise=NoiseModel(seed=2, jitter=0.05))
         assert a.throughput != b.throughput
 
     def test_small_noise_small_deviation(self):
         chain = make_three_task_chain()
-        res = optimal_mapping(chain, 12, method="exhaustive")
+        res = optimal_mapping(chain, 12)
         noisy = simulate(
             chain, res.mapping, 400,
             noise=NoiseModel(seed=3, jitter=0.03, comm_interference=0.02),

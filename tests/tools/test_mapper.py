@@ -35,7 +35,6 @@ class TestAutoMap:
         wl, p = plan
         truth = optimal_mapping(
             wl.chain, wl.machine.total_procs, wl.machine.mem_per_proc_mb,
-            method="exhaustive",
         )
         assert p.predicted_throughput == pytest.approx(truth.throughput, rel=0.15)
 

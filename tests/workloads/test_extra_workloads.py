@@ -30,7 +30,6 @@ class TestAirshed:
         mach = wl.machine
         res = optimal_mapping(
             wl.chain, mach.total_procs, mach.mem_per_proc_mb,
-            method="exhaustive",
         )
         last = res.mapping.modules[-1]
         assert (last.start, last.stop) == (3, 3)   # deposit alone
@@ -64,7 +63,6 @@ class TestSar:
         mach = wl.machine
         res = optimal_mapping(
             wl.chain, mach.total_procs, mach.mem_per_proc_mb,
-            method="exhaustive",
         )
         # Heavier compute:comm than FFT-Hist -> at most two modules.
         assert len(res.mapping) <= 2

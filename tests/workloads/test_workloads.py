@@ -59,7 +59,7 @@ class TestFFTHistRegime:
     def test_256_clusters_like_the_paper(self, mach_builder):
         mach = mach_builder()
         wl = fft_hist(256, mach)
-        res = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb, method="exhaustive")
+        res = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb)
         assert res.clustering == ((0, 0), (1, 2))
         # Small instances, heavy replication (paper: p=3-4, r=6-11).
         for spec in res.mapping.modules:
@@ -70,7 +70,7 @@ class TestFFTHistRegime:
     def test_512_clusters_like_the_paper(self, mach_builder):
         mach = mach_builder()
         wl = fft_hist(512, mach)
-        res = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb, method="exhaustive")
+        res = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb)
         assert res.clustering == ((0, 0), (1, 2))
         # Large instances, little replication (paper: p=12-20, r=1-3).
         for spec in res.mapping.modules:
@@ -81,11 +81,9 @@ class TestFFTHistRegime:
         mach = iwarp64_message()
         tp256 = optimal_mapping(
             fft_hist(256, mach).chain, 64, mach.mem_per_proc_mb,
-            method="exhaustive",
         ).throughput
         tp512 = optimal_mapping(
             fft_hist(512, mach).chain, 64, mach.mem_per_proc_mb,
-            method="exhaustive",
         ).throughput
         assert tp256 == pytest.approx(14.60, rel=0.15)   # paper: 14.60
         assert tp512 == pytest.approx(3.14, rel=0.15)    # paper: 3.14
@@ -96,8 +94,7 @@ class TestFFTHistRegime:
         for n in (256, 512):
             mach = iwarp64_message()
             wl = fft_hist(n, mach)
-            opt = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb,
-                                  method="exhaustive").throughput
+            opt = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb).throughput
             dp = data_parallel(wl.chain, 64, mach.mem_per_proc_mb).throughput
             assert 1.9 <= opt / dp <= 9.5
 
@@ -111,15 +108,13 @@ class TestRadar:
     def test_throughput_magnitude(self):
         mach = iwarp64_systolic()
         wl = radar(mach)
-        res = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb,
-                              method="exhaustive")
+        res = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb)
         assert res.throughput == pytest.approx(81.21, rel=0.15)  # paper
 
     def test_ratio_in_band(self):
         mach = iwarp64_systolic()
         wl = radar(mach)
-        opt = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb,
-                              method="exhaustive").throughput
+        opt = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb).throughput
         dp = data_parallel(wl.chain, 64, mach.mem_per_proc_mb).throughput
         assert 2.0 <= opt / dp <= 9.5
 
@@ -141,8 +136,7 @@ class TestStereo:
     def test_throughput_magnitude(self):
         mach = iwarp64_systolic()
         wl = stereo(mach)
-        res = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb,
-                              method="exhaustive")
+        res = optimal_mapping(wl.chain, 64, mach.mem_per_proc_mb)
         assert res.throughput == pytest.approx(43.12, rel=0.15)  # paper
 
     def test_parameter_validation(self):
