@@ -97,6 +97,12 @@ class BinaryCost:
             return float(out)
         return out
 
+    def unscaled(self) -> tuple["BinaryCost", float]:
+        """``(model, factor)`` with ``self(ps, pr) == factor * model(ps, pr)``
+        bit for bit: the segment cache keeps one grid per model and
+        rescales it, so an edge whose factor drifts reuses its grid."""
+        return self, 1.0
+
     def to_dict(self) -> dict:  # pragma: no cover
         raise NotImplementedError(f"{type(self).__name__} is not serialisable")
 
@@ -411,6 +417,13 @@ class ScaledBinary(BinaryCost):
 
     def evaluate(self, ps, pr):
         return self.factor * self.base.evaluate(ps, pr)
+
+    def unscaled(self) -> tuple[BinaryCost, float]:
+        # A positive finite factor keeps a grid's 0 and +inf entries as
+        # they are; any other factor is evaluated as a model of its own.
+        if 0.0 < self.factor < float("inf"):
+            return self.base, self.factor
+        return self, 1.0
 
     def to_dict(self) -> dict:
         return {"kind": "scaled_binary", "factor": self.factor, "base": self.base.to_dict()}

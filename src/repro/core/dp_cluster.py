@@ -169,27 +169,16 @@ def _may_reach(mchain, total_procs: int, incumbent: float) -> bool:
     """Can some allocation of ``mchain`` reach throughput ``incumbent``?
 
     A ``False`` is a proof that every allocation of at most ``total_procs``
-    processors has throughput strictly below ``incumbent``.  Module ``j``'s
-    effective response at total ``pl`` is at least
-
-        LB_j[pl] = (min_q ce[q, pl] + min_pn com_out[pl, pn]) / denom[pl]
-
-    with ``q``/``pn`` over real neighbour totals (``1..P``), or the φ index
-    0 at the ends of the chain; float rounding is monotone, so the bound
-    holds bit for bit.  The totals with ``1 / LB_j >= incumbent`` — the
-    comparison ``throughput`` itself makes — are the only ones module ``j``
-    can hold, and their smallest values must fit on the machine together.
+    processors has throughput strictly below ``incumbent``.  Module ``j``
+    can only hold the totals whose throughput bound
+    (:meth:`~repro.core.response.ModuleChain.throughput_bound`) reaches
+    ``incumbent`` — the comparison ``throughput`` itself makes — and the
+    smallest of them must fit on the machine together.
     """
     P = total_procs
-    last = len(mchain) - 1
     floor = 0
-    for j in range(last + 1):
-        ce, com_out, denom, feasible = mchain.response_parts(j, P)
-        ce_min = ce[1:].min(axis=0) if j > 0 else ce[0]
-        out_min = com_out[:, 1:].min(axis=1) if j < last else com_out[:, 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            keep = feasible & (1.0 / ((ce_min + out_min) / denom) >= incumbent)
-        admissible = np.flatnonzero(keep)
+    for j in range(len(mchain)):
+        admissible = np.flatnonzero(mchain.throughput_bound(j, P) >= incumbent)
         if admissible.size == 0:
             return False
         floor += int(admissible[0])

@@ -86,15 +86,18 @@ class RemapPlanner:
         drift re-prices tasks and edges while the program structure stays
         fixed.  The delta against the current chain is computed
         structurally (:func:`~repro.core.resolve.diff_chains`) and only
-        the segment-cache entries that delta touches are evicted — the
-        next :meth:`plan` call recomputes exactly the stale tensors and is
+        the segment-cache entries that delta touches are evicted
+        (:meth:`~repro.core.response.SegmentCache.invalidate`) — the next
+        :meth:`plan` call recomputes exactly the stale tables and is
         byte-identical to a cold solve of the new chain.  Memoised plans
         are dropped unless nothing changed.  Returns the delta.
         """
         from .resolve import diff_chains
 
         delta = diff_chains(self.chain, chain)
-        self.evictions += self.cache.invalidate(delta.tasks, delta.edges)
+        self.evictions += self.cache.invalidate(
+            delta.tasks, delta.edges, delta.ecom_only
+        )
         # Rebind both references even on a trivial delta: optimal_mapping
         # ignores a cache whose ``chain`` is not the solved chain object.
         self.chain = chain

@@ -15,11 +15,14 @@ optimal mapping is invariant under a *global* rescaling of every cost, so a
 uniform execution slowdown ``s_x`` plus a communication slowdown ``s_c``
 is equivalently solved as the original chain with only the external
 communication scaled by ``s_c / s_x`` (:func:`scale_chain` with
-``comm_scale=``).  Task execution costs — and the segment exec tensors,
-the expensive part of the cache — are then untouched across re-solves;
-only edge-adjacent response parts are evicted.  The solved throughput is
-in normalised time and must be divided by ``s_x`` to get back to true
-seconds (the controller does this).
+``comm_scale=``).  Every edge then differs, but only in its external
+communication (:attr:`ChainDelta.ecom_only`), so the cache keeps every
+segment's :class:`~repro.core.response.ModuleInfo` and exec table, and
+each edge's grid of its unscaled model, which it rescales by the edge's
+new factor; only the response parts adjacent to an edge are evicted and
+recomposed.  The solved throughput is in normalised time and must be
+divided by ``s_x`` to get back to true seconds (the controller does
+this).
 
 Differential guarantee: an incremental re-solve after
 :meth:`RemapPlanner.update_chain` is **byte-identical** to a cold solve of
@@ -40,10 +43,16 @@ __all__ = ["ChainDelta", "diff_chains", "scale_chain"]
 
 @dataclass(frozen=True)
 class ChainDelta:
-    """Indices of the tasks and edges that differ between two chains."""
+    """Indices of the tasks and edges that differ between two chains.
+
+    ``ecom_only`` names the changed edges whose internal communication is
+    the same: only their external communication changed, so segments that
+    swallow them keep their execution costs.
+    """
 
     tasks: tuple[int, ...]
     edges: tuple[int, ...]
+    ecom_only: tuple[int, ...] = ()
 
     @property
     def trivial(self) -> bool:
@@ -51,7 +60,8 @@ class ChainDelta:
         return not self.tasks and not self.edges
 
     def __repr__(self):
-        return f"ChainDelta(tasks={list(self.tasks)}, edges={list(self.edges)})"
+        return (f"ChainDelta(tasks={list(self.tasks)}, edges={list(self.edges)}, "
+                f"ecom_only={list(self.ecom_only)})")
 
 
 def _same_model(a, b) -> bool:
@@ -85,12 +95,6 @@ def _same_task(a: Task, b: Task) -> bool:
     )
 
 
-def _same_edge(a: Edge, b: Edge) -> bool:
-    if a is b:
-        return True
-    return _same_model(a.icom, b.icom) and _same_model(a.ecom, b.ecom)
-
-
 def diff_chains(old: TaskChain, new: TaskChain) -> ChainDelta:
     """The per-index delta between two structurally matching chains.
 
@@ -107,11 +111,16 @@ def diff_chains(old: TaskChain, new: TaskChain) -> ChainDelta:
         i for i, (a, b) in enumerate(zip(old.tasks, new.tasks))
         if not _same_task(a, b)
     )
-    edges = tuple(
-        j for j, (a, b) in enumerate(zip(old.edges, new.edges))
-        if not _same_edge(a, b)
-    )
-    return ChainDelta(tasks, edges)
+    edges, ecom_only = [], []
+    for j, (a, b) in enumerate(zip(old.edges, new.edges)):
+        if a is b:
+            continue
+        same_icom = _same_model(a.icom, b.icom)
+        if not (same_icom and _same_model(a.ecom, b.ecom)):
+            edges.append(j)
+            if same_icom:
+                ecom_only.append(j)
+    return ChainDelta(tasks, tuple(edges), tuple(ecom_only))
 
 
 def _scaled_unary(model, factor: float):

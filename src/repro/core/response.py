@@ -121,6 +121,18 @@ class ModuleChain:
             return self.cache.parts(self, i, max_procs)
         return _compute_parts(self, i, max_procs)
 
+    def throughput_bound(self, i: int, max_procs: int) -> np.ndarray:
+        """Upper bound on module ``i``'s throughput at each of its totals
+        ``0..max_procs``, over every allocation of its neighbours (0 where
+        the total is unusable).  Float rounding is monotone, so no
+        allocation beats the bound, bit for bit.  Memoised with the parts
+        when the chain carries a :class:`SegmentCache`."""
+        if self.cache is not None:
+            return self.cache.throughput_bound(self, i, max_procs)
+        return _throughput_bound(
+            self.response_parts(i, max_procs), i > 0, i < len(self) - 1
+        )
+
     def response_tensor(self, i: int, max_procs: int) -> np.ndarray:
         """Effective response of module ``i`` for every allocation triple.
 
@@ -136,11 +148,14 @@ class ModuleChain:
         return resp
 
 
-def _ecom_grid(ecom: BinaryCost, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
-    """Evaluate an external-communication model on the grid of effective
-    sizes, with index 0 (= "no neighbour"/infeasible) giving 0 on the
-    neighbour axis and +inf on the module's own axis handled by callers."""
-    P = len(s_a) - 1
+def _ecom_grid(
+    ecom: BinaryCost, a: ModuleInfo, b: ModuleInfo, P: int
+) -> np.ndarray:
+    """Evaluate an external-communication model from module ``a`` to module
+    ``b`` on the grid of their totals ``0..P``.  Index 0 (= "no neighbour")
+    gives 0 on either axis; a total either module cannot use gives +inf."""
+    _, s_a = effective_tables(P, a.p_min, a.replicable)
+    _, s_b = effective_tables(P, b.p_min, b.replicable)
     grid = np.zeros((P + 1, P + 1))
     ok_a = s_a > 0
     ok_b = s_b > 0
@@ -158,38 +173,79 @@ def _ecom_grid(ecom: BinaryCost, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray
     return grid
 
 
-def _compute_parts(
-    mchain: ModuleChain, i: int, P: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Build the separable response factors for module ``i`` (uncached)."""
-    info = mchain.infos[i]
+def _exec_table(
+    info: ModuleInfo, P: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(exec_part, denom, feasible)`` of one module over totals ``0..P``:
+    the execution time at each instance size (+inf where the total is
+    unusable), the replica count, and which totals it can use."""
     r_self, s_self = effective_tables(P, info.p_min, info.replicable)
-    sl = s_self.astype(float)
     feasible = r_self > 0
-
     exec_part = np.full(P + 1, np.inf)
-    exec_part[feasible] = info.exec_cost(sl[feasible])
+    exec_part[feasible] = info.exec_cost(s_self.astype(float)[feasible])
+    denom = np.where(feasible, r_self, 1).astype(float)
+    return exec_part, denom, feasible
 
+
+def _boundary(
+    mchain: ModuleChain, j: int, P: int, cache: "SegmentCache | None"
+) -> np.ndarray:
+    """The communication grid from module ``j`` to module ``j+1``: the grid
+    of the edge's unscaled model times its factor, which gives the bits of
+    evaluating the scaled model (one IEEE product per entry)."""
+    a, b = mchain.infos[j], mchain.infos[j + 1]
+    model, factor = mchain.ecoms[j].unscaled()
+    if cache is not None:
+        grid = cache.ecom_grid(a.stop, model, a, b, P)
+    else:
+        grid = _ecom_grid(model, a, b, P)
+    return grid if factor == 1.0 else factor * grid
+
+
+def _compute_parts(
+    mchain: ModuleChain, i: int, P: int, cache: "SegmentCache | None" = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Build the separable response factors for module ``i`` from its exec
+    table and its boundary grids, read through ``cache`` when given."""
+    info = mchain.infos[i]
+    if cache is not None:
+        exec_part, denom, feasible = cache.exec_table(info, P)
+    else:
+        exec_part, denom, feasible = _exec_table(info, P)
     # Incoming communication: grid over (q, pl).
     if i > 0:
-        prev = mchain.infos[i - 1]
-        _, s_prev = effective_tables(P, prev.p_min, prev.replicable)
-        com_in = _ecom_grid(mchain.ecoms[i - 1], s_prev, s_self)  # (q, pl)
+        com_in = _boundary(mchain, i - 1, P, cache)
     else:
         com_in = np.zeros((P + 1, P + 1))
         com_in[:, ~feasible] = np.inf
     # Outgoing communication: grid over (pl, pn).
     if i < len(mchain.infos) - 1:
-        nxt = mchain.infos[i + 1]
-        _, s_next = effective_tables(P, nxt.p_min, nxt.replicable)
-        com_out = _ecom_grid(mchain.ecoms[i], s_self, s_next)  # (pl, pn)
+        com_out = _boundary(mchain, i, P, cache)
     else:
         com_out = np.zeros((P + 1, P + 1))
         com_out[~feasible, :] = np.inf
-
     ce = com_in + exec_part[None, :]  # (q, pl)
-    denom = np.where(feasible, r_self, 1).astype(float)
     return ce, com_out, denom, feasible
+
+
+def _throughput_bound(parts: tuple, has_prev: bool, has_next: bool) -> np.ndarray:
+    """``1 / LB[pl]``, where ``LB[pl] = (min_q ce[q, pl] + min_pn
+    com_out[pl, pn]) / denom[pl]`` bounds the module's effective response
+    at total ``pl`` from below over every real neighbour total (``1..P``,
+    or the φ index 0 at an end of the chain); 0 where ``pl`` is unusable."""
+    ce, com_out, denom, feasible = parts
+    ce_min = ce[1:].min(axis=0) if has_prev else ce[0]
+    out_min = com_out[:, 1:].min(axis=1) if has_next else com_out[:, 0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        bound = 1.0 / ((ce_min + out_min) / denom)
+    bound[~feasible] = 0.0
+    return bound
+
+
+def _frozen(arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 class SegmentCache:
@@ -197,14 +253,31 @@ class SegmentCache:
 
     The exhaustive clustering solver enumerates ``2^(k-1)`` clusterings of a
     ``k``-task chain, but those clusterings share only ``k(k+1)/2`` distinct
-    segments.  This cache makes each segment's :class:`ModuleInfo` (with its
-    composed execution cost) and its response factors be computed once per
-    distinct context, not once per clustering.
+    segments.  This cache makes each segment's characteristics be computed
+    once per distinct context, not once per clustering.  It holds four
+    kinds of entry:
 
-    Response factors additionally depend on the *neighbouring* module only
-    through its ``(p_min, replicable)`` pair, so the cache keys on those
-    values rather than on neighbour spans — adjacent clusterings that differ
-    in far-away boundaries share everything.
+    * **infos** — each segment's :class:`ModuleInfo` (composed execution
+      cost, ``p_min``, replicability), keyed by span;
+    * **exec tables** — :func:`_exec_table` of a segment in its own
+      ``(p_min, replicable)`` context: execution time, replica count and
+      feasibility per total;
+    * **ecom grids** — the external communication of one boundary edge
+      over the totals of the modules on either side, keyed by the edge and
+      both modules' ``(p_min, replicable)`` contexts.  A grid is of the
+      edge's *unscaled* model (:meth:`BinaryCost.unscaled`) and records
+      that model: it is reused while the edge's model is the same object
+      and rebuilt otherwise, so it needs no eviction rule.  Module ``i``'s
+      outgoing and module ``i+1``'s incoming communication read one grid;
+    * **parts** — the response factors of :meth:`ModuleChain.response_parts`
+      composed from the three above (``factor * grid`` for a scaled edge),
+      keyed by span, own context and neighbour contexts, with the
+      throughput bound the incumbent-bounded search reads.
+
+    Response factors depend on the *neighbouring* modules only through
+    their ``(p_min, replicable)`` pairs, so the cache keys on those values
+    rather than on neighbour spans — adjacent clusterings that differ in
+    far-away boundaries share everything.
 
     One cache is bound to one ``(chain, mem_per_proc_mb)`` context; the
     chains it builds carry a reference back so the DP transparently hits it.
@@ -216,8 +289,13 @@ class SegmentCache:
         self.chain = chain
         self.mem_per_proc_mb = mem_per_proc_mb
         self._infos: dict[tuple[int, int], ModuleInfo] = {}
+        self._exec: dict[tuple, tuple] = {}
+        self._grids: dict[tuple, tuple[BinaryCost, np.ndarray]] = {}
         self._parts: dict[tuple, tuple] = {}
+        self._bounds: dict[tuple, np.ndarray] = {}
         self.info_misses = 0
+        self.exec_misses = 0
+        self.grid_misses = 0
         self.part_misses = 0
 
     def serves(self, chain: TaskChain, mem_per_proc_mb: float) -> bool:
@@ -241,43 +319,93 @@ class SegmentCache:
             self.chain, clustering, self.mem_per_proc_mb, cache=self
         )
 
-    def parts(self, mchain: ModuleChain, i: int, P: int) -> tuple:
-        """Memoised :func:`_compute_parts` for module ``i`` of ``mchain``."""
+    def exec_table(self, info: ModuleInfo, P: int) -> tuple:
+        """Memoised :func:`_exec_table` of the segment ``info``."""
+        key = (info.start, info.stop, info.p_min, info.replicable, P)
+        got = self._exec.get(key)
+        if got is None:
+            got = _frozen(_exec_table(info, P))
+            self._exec[key] = got
+            self.exec_misses += 1
+        return got
+
+    def ecom_grid(
+        self, edge: int, model: BinaryCost, a: ModuleInfo, b: ModuleInfo, P: int
+    ) -> np.ndarray:
+        """Memoised :func:`_ecom_grid` of ``model`` on ``edge``, from module
+        ``a`` to module ``b``; valid while the edge's model is ``model``."""
+        key = (edge, a.p_min, a.replicable, b.p_min, b.replicable, P)
+        got = self._grids.get(key)
+        if got is None or got[0] is not model:
+            grid = _ecom_grid(model, a, b, P)
+            grid.setflags(write=False)
+            got = self._grids[key] = (model, grid)
+            self.grid_misses += 1
+        return got[1]
+
+    @staticmethod
+    def _part_key(mchain: ModuleChain, i: int, P: int) -> tuple:
+        # The module's own identity plus the neighbour replication
+        # contexts; p_min/replicable are part of the key (not derived from
+        # the span) so replication-stripped chains cache separately.
         info = mchain.infos[i]
         prev = mchain.infos[i - 1] if i > 0 else None
         nxt = mchain.infos[i + 1] if i < len(mchain.infos) - 1 else None
-        # Keyed by the module's own identity plus the neighbour replication
-        # contexts; p_min/replicable are part of the key (not derived from
-        # the span) so replication-stripped chains cache separately.
-        key = (
+        return (
             info.start, info.stop, info.p_min, info.replicable,
             (prev.p_min, prev.replicable) if prev is not None else None,
             (nxt.p_min, nxt.replicable) if nxt is not None else None,
             P,
         )
+
+    def parts(self, mchain: ModuleChain, i: int, P: int) -> tuple:
+        """Memoised :func:`_compute_parts` for module ``i`` of ``mchain``."""
+        key = self._part_key(mchain, i, P)
         got = self._parts.get(key)
         if got is None:
-            got = _compute_parts(mchain, i, P)
-            for arr in got:
-                arr.setflags(write=False)
+            got = _frozen(_compute_parts(mchain, i, P, self))
             self._parts[key] = got
             self.part_misses += 1
         return got
 
-    def invalidate(self, tasks=(), edges=()) -> int:
+    def throughput_bound(self, mchain: ModuleChain, i: int, P: int) -> np.ndarray:
+        """Memoised :func:`_throughput_bound` of module ``i``'s parts."""
+        key = self._part_key(mchain, i, P)
+        got = self._bounds.get(key)
+        if got is None:
+            got = _throughput_bound(
+                self.parts(mchain, i, P), i > 0, i < len(mchain.infos) - 1
+            )
+            got.setflags(write=False)
+            self._bounds[key] = got
+        return got
+
+    def invalidate(self, tasks=(), edges=(), ecom_only=()) -> int:
         """Evict every entry whose value depends on a changed task or edge.
 
         ``tasks``/``edges`` are indices into the bound chain whose cost
-        models (or memory/replicability attributes) changed.  Evicted are:
+        models (or memory/replicability attributes) changed; ``ecom_only``
+        names the edges in ``edges`` whose internal communication did not
+        change (:attr:`repro.core.resolve.ChainDelta.ecom_only`).  Evicted
+        are:
 
-        * infos (and their parts) whose span *contains* a changed task, or
-          *straddles* a changed edge — the edge's internal-communication
-          cost is swallowed into the module execution cost;
-        * parts whose span is *adjacent* to a changed edge (``start ==
-          edge+1`` or ``stop == edge``) — the edge's external-communication
-          cost prices their boundary transfer.
+        * infos and exec tables whose span *contains* a changed task, or
+          *straddles* a changed edge not in ``ecom_only`` — the edge's
+          internal-communication cost is swallowed into the module
+          execution cost;
+        * parts of those spans, and parts whose span is *adjacent* to any
+          changed edge (``start == edge+1`` or ``stop == edge``) — the
+          edge's external-communication cost prices their boundary
+          transfer.  Their throughput bounds go with them.
 
-        Entries that survive are exactly those whose cost tensors are
+        Ecom grids are never evicted: a grid of a model the edge no longer
+        has is rebuilt on its next read.  A comm-only delta (every changed
+        edge in ``ecom_only``, as :func:`repro.core.resolve.scale_chain`
+        with ``comm_scale=`` produces) therefore keeps every info and exec
+        table and, for a rescaled edge, its grid: the re-solve only
+        recomposes the adjacent parts.
+
+        Entries that survive are exactly those whose values are
         unaffected, so an incremental re-solve over the updated chain is
         byte-identical to a cold full solve (``tests/core/test_resolve.py``
         checks this differentially).  Stale-by-key entries (e.g. a
@@ -293,14 +421,18 @@ class SegmentCache:
         eset = set(edges)
         if not tset and not eset:
             return 0
+        swallowed = eset - set(ecom_only)
 
         def touches(start: int, stop: int) -> bool:
             return (any(start <= i <= stop for i in tset)
-                    or any(start <= j < stop for j in eset))
+                    or any(start <= j < stop for j in swallowed))
 
-        dead_infos = [k for k in self._infos if touches(*k)]
-        for k in dead_infos:
-            del self._infos[k]
+        evicted = 0
+        for table in (self._infos, self._exec):
+            dead = [k for k in table if touches(k[0], k[1])]
+            for k in dead:
+                del table[k]
+            evicted += len(dead)
         dead_parts = [
             k for k in self._parts
             if touches(k[0], k[1])
@@ -308,7 +440,8 @@ class SegmentCache:
         ]
         for k in dead_parts:
             del self._parts[k]
-        return len(dead_infos) + len(dead_parts)
+            self._bounds.pop(k, None)
+        return evicted + len(dead_parts)
 
 
 def module_info(
@@ -423,10 +556,10 @@ def evaluate_module_chain(
                 f"module [{info.start}..{info.stop}] is not replicable"
             )
 
+    execs = [float(info.exec_cost(p)) for info, p in zip(mchain.infos, sizes)]
     comms = [float(mchain.ecoms[i](sizes[i], sizes[i + 1])) for i in range(l - 1)]
     responses = []
-    for i, info in enumerate(mchain.infos):
-        t = float(info.exec_cost(sizes[i]))
+    for i, t in enumerate(execs):
         if i > 0:
             t += comms[i - 1]
         if i < l - 1:
@@ -435,8 +568,7 @@ def evaluate_module_chain(
     effective = [t / r for t, r in zip(responses, reps)]
     bottleneck = int(np.argmax(effective))
     throughput = 1.0 / effective[bottleneck] if effective[bottleneck] > 0 else float("inf")
-    latency = sum(float(info.exec_cost(sizes[i])) for i, info in enumerate(mchain.infos))
-    latency += sum(comms)
+    latency = sum(execs) + sum(comms)
 
     modules = [
         ModuleSpec(info.start, info.stop, sizes[i], reps[i])

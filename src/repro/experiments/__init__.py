@@ -3,32 +3,7 @@ supporting studies (model accuracy, greedy-vs-DP agreement, scaling,
 ablations).  Each module exposes ``run()`` returning structured results and
 ``render(results)`` producing the paper-style text artifact."""
 
-from . import (
-    ablations,
-    common,
-    drift_study,
-    fig1,
-    fig2,
-    fig3,
-    fig4,
-    fault_study,
-    fig5,
-    fig6,
-    frontier,
-    greedy_vs_dp,
-    interference,
-    linearization,
-    machines_study,
-    memory_study,
-    model_accuracy,
-    placement,
-    scaling,
-    sizing_study,
-    table1,
-    table2,
-    theorems,
-    training_budget,
-)
+import importlib
 
 __all__ = [
     "common",
@@ -56,3 +31,12 @@ __all__ = [
     "linearization",
     "training_budget",
 ]
+
+
+def __getattr__(name: str):
+    """Import an experiment module on first access (PEP 562): a caller
+    that runs one study does not import all of them."""
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+

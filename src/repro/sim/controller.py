@@ -18,9 +18,11 @@ This module closes the loop:
   are fitted to the observed busy times by least squares, the believed
   chain is updated, and the DP re-solves **incrementally** — the optimum is
   invariant under global rescaling, so only the external-communication
-  tables (scaled by ``s_comm / s_exec``) change, and
-  :meth:`~repro.core.remap.RemapPlanner.update_chain` evicts exactly the
-  edge-adjacent segment-cache entries (see :mod:`repro.core.resolve`);
+  costs (scaled by ``s_comm / s_exec``) change, and
+  :meth:`~repro.core.remap.RemapPlanner.update_chain` evicts only the
+  response parts adjacent to an edge: segment infos, exec tables and the
+  unscaled communication grids survive, and the parts are recomposed
+  from them (see :mod:`repro.core.resolve`);
 * **hysteresis** decides whether the re-solved mapping is worth deploying:
   a remap costs ``remap_latency`` seconds of downtime (the stream drains,
   the new configuration loads), so it fires only when the modeled time
@@ -384,8 +386,8 @@ class AdaptiveController:
 
         The optimum is scale-invariant, so the DP solves the *normalised*
         chain — base execution costs, external communication scaled by
-        ``s_comm / s_exec`` — and only edge-adjacent cache entries are
-        recomputed.  Normalised throughputs divide by ``s_exec`` to return
+        ``s_comm / s_exec`` — and only the edge-adjacent response parts
+        are recomposed.  Normalised throughputs divide by ``s_exec`` to return
         to true seconds.  The current mapping, priced on the updated
         chain first, is the search's incumbent: clusterings that cannot
         beat it are skipped.  Returns ``(plan, t_new, t_current)``.

@@ -11,12 +11,14 @@ sequences.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (
     Edge,
+    LambdaBinary,
     LambdaUnary,
     RemapPlanner,
     ScaledBinary,
@@ -28,7 +30,9 @@ from repro.core import (
     optimal_mapping,
     scale_chain,
 )
+from repro.core.replication import effective_tables
 from repro.core.resolve import ChainDelta
+from repro.core.response import build_module_chain, evaluate_module_chain
 
 from ..conftest import make_random_chain, make_three_task_chain
 
@@ -136,6 +140,7 @@ class TestScaleChain:
         delta = diff_chains(chain, scaled)
         assert delta.tasks == ()
         assert delta.edges == (0, 1, 2)
+        assert delta.ecom_only == (0, 1, 2)   # icom kept: exec tables stay
         for old, new in zip(chain.tasks, scaled.tasks):
             assert old is new
         for e in scaled.edges:
@@ -148,6 +153,7 @@ class TestScaleChain:
         delta = diff_chains(chain, scaled)
         assert delta.tasks == (0, 1, 2)
         assert delta.edges == (0, 1)   # icom drifted with compute
+        assert delta.ecom_only == ()
         assert scaled.edges[0].ecom is chain.edges[0].ecom
 
     def test_scaled_costs_evaluate_scaled(self):
@@ -279,3 +285,142 @@ def test_differential_incremental_vs_cold(k, seed, data):
         for spec_w, spec_c in zip(warm.mapping, cold.mapping):
             assert spec_w == spec_c
         current = new
+
+
+class TestFactoredCache:
+    """Exec tables and unscaled ecom grids outlive comm-only updates."""
+
+    def test_scaled_edge_reads_its_base_model(self):
+        chain = make_random_chain(3, seed=6)
+        base = chain.edges[0].ecom
+        assert base.unscaled() == (base, 1.0)
+        assert ScaledBinary(base, 2.5).unscaled() == (base, 2.5)
+        for factor in (0.0, float("inf")):
+            scaled = ScaledBinary(base, factor)
+            assert scaled.unscaled() == (scaled, 1.0)
+
+    def test_rescaled_grid_gives_the_scaled_model_bits(self):
+        chain = make_random_chain(4, seed=2)
+        scaled = scale_chain(chain, comm_scale=0.37)
+        clustering = [(0, 1), (2, 2), (3, 3)]
+        cache = SegmentCache(chain)
+        for i in range(3):   # grids of the unscaled models
+            cache.module_chain(clustering).response_parts(i, PROCS)
+        cache.chain = scaled
+        cache.invalidate(edges=(0, 1, 2), ecom_only=(0, 1, 2))
+        grids = cache.grid_misses
+        warm = cache.module_chain(clustering)
+        for i in range(2):
+            a, b = warm.infos[i], warm.infos[i + 1]
+            _, s_a = effective_tables(PROCS, a.p_min, a.replicable)
+            _, s_b = effective_tables(PROCS, b.p_min, b.replicable)
+            ok_a, ok_b = np.flatnonzero(s_a), np.flatnonzero(s_b)
+            # The ScaledBinary itself, evaluated at the instance sizes.
+            direct = warm.ecoms[i](s_a[ok_a][:, None].astype(float),
+                                   s_b[ok_b][None, :].astype(float))
+            com_out = warm.response_parts(i, PROCS)[1]
+            assert com_out[np.ix_(ok_a, ok_b)].tobytes() == direct.tobytes()
+        plain = build_module_chain(scaled, clustering)
+        for i in range(3):
+            for x, y in zip(warm.response_parts(i, PROCS),
+                            plain.response_parts(i, PROCS)):
+                assert x.tobytes() == y.tobytes()
+        assert cache.grid_misses == grids
+
+    def test_comm_only_resolve_rebuilds_no_info_or_exec_table(self):
+        base = make_random_chain(5, seed=17)
+        planner = RemapPlanner(base)
+        planner.plan(PROCS)
+        cache = planner.cache
+        misses = (cache.info_misses, cache.exec_misses, cache.grid_misses)
+        for c in (1.5, 0.7, 2.0):
+            planner.update_chain(scale_chain(base, comm_scale=c))
+            warm = planner.plan(PROCS)
+            cold = optimal_mapping(planner.chain, PROCS)
+            assert warm.mapping == cold.mapping
+            assert warm.throughput == cold.throughput   # bit-equal
+        assert cache.part_misses > 0
+        assert (cache.info_misses, cache.exec_misses, cache.grid_misses) == misses
+
+    def test_cold_build_evaluates_each_grid_once(self):
+        chain = make_random_chain(5, seed=23, with_memory=True)
+        calls = {}
+
+        def counted(j, model):
+            def fn(ps, pr):
+                if np.ndim(ps) == 2:   # a grid, not a scalar price
+                    calls[j] = calls.get(j, 0) + 1
+                return model.evaluate(ps, pr)
+            return LambdaBinary(fn)
+
+        edges = [Edge(icom=e.icom, ecom=counted(j, e.ecom))
+                 for j, e in enumerate(chain.edges)]
+        counting = TaskChain(list(chain.tasks), edges, name=chain.name)
+        cache = SegmentCache(counting, 6.0)
+        for replication in (True, False):
+            optimal_mapping(counting, PROCS, 6.0, replication=replication,
+                            cache=cache)
+        per_edge = {}
+        for key in cache._grids:
+            per_edge[key[0]] = per_edge.get(key[0], 0) + 1
+        assert calls == per_edge
+        assert cache.grid_misses == len(cache._grids) == sum(calls.values())
+        assert len(cache._grids) < cache.part_misses   # in and out share
+
+
+def _solve(cache, chain, mem, replication, incumbent=None):
+    return optimal_mapping(chain, PROCS, mem, replication=replication,
+                           cache=cache, incumbent=incumbent)
+
+
+@given(
+    k=st.integers(min_value=3, max_value=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+    replication=st.booleans(),
+    with_memory=st.booleans(),
+    data=st.data(),
+)
+def test_comm_scale_sequence_incremental_vs_cold(
+    k, seed, replication, with_memory, data
+):
+    """3–6 comm-scale updates mixed with one exec-scale and one task
+    perturbation, each re-solved on one cache (the current mapping priced
+    on the new chain as incumbent), must equal a cold solve bit for bit."""
+    mem = 6.0 if with_memory else float("inf")
+    base = make_random_chain(k, seed=seed, with_memory=with_memory)
+    scale = st.floats(0.25, 4.0, allow_nan=False, allow_infinity=False)
+    steps = [("comm", data.draw(scale, label=f"comm{n}"))
+             for n in range(data.draw(st.integers(3, 6), label="comms"))]
+    steps.insert(data.draw(st.integers(0, len(steps)), label="at_exec"),
+                 ("exec", data.draw(scale, label="exec")))
+    steps.insert(data.draw(st.integers(0, len(steps)), label="at_task"),
+                 ("task", data.draw(st.integers(0, k - 1), label="task")))
+    cache = SegmentCache(base, mem)
+    plan = _solve(cache, base, mem, replication)
+    comm, chain = 1.0, base
+    for kind, value in steps:
+        if kind == "comm":
+            comm = value
+        elif kind == "exec":
+            base = scale_chain(base, exec_scale=value)
+        else:
+            base = perturb(base, tasks=(value,), factor=1.7)
+        new = scale_chain(base, comm_scale=comm)
+        delta = diff_chains(chain, new)
+        cache.invalidate(delta.tasks, delta.edges, delta.ecom_only)
+        cache.chain = chain = new
+        info_misses = cache.info_misses
+        current = evaluate_module_chain(
+            cache.module_chain(plan.clustering),
+            [(m.procs, m.replicas) for m in plan.mapping.modules],
+        )
+        plan = _solve(cache, new, mem, replication, current.throughput)
+        cold = _solve(None, new, mem, replication)
+        assert plan.mapping == cold.mapping
+        assert plan.throughput == cold.throughput   # bit-equal
+        assert plan.performance.responses == cold.performance.responses
+        assert plan.performance.latency == cold.performance.latency
+        if kind == "comm":
+            assert delta.tasks == () and delta.ecom_only == delta.edges
+            assert cache.info_misses == info_misses
+

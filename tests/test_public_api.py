@@ -2,6 +2,10 @@
 and the headline entry points must be importable from the package roots."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +57,26 @@ def test_experiment_modules_have_run_and_render():
         else:
             assert hasattr(mod, "run"), name
             assert hasattr(mod, "render"), name
+
+
+def test_experiments_load_on_first_access():
+    """Importing one study loads none of the others (PEP 562
+    ``__getattr__``); attribute access still reaches every module."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = (
+        "import sys; from repro.experiments import drift_study; "
+        "import repro.experiments as ex; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.experiments.'))); "
+        "print(ex.fig1.__name__)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, fig1 = proc.stdout.splitlines()
+    assert "'repro.experiments.drift_study'" in loaded
+    assert "fig1" not in loaded and "table1" not in loaded
+    assert fig1 == "repro.experiments.fig1"
