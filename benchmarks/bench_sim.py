@@ -3,11 +3,12 @@
 
 Times a healthy noise-free k=5 pipeline (with replicated modules, dyadic
 durations — the regime where cycle leaping is provably bit-exact) at
-n = 1e4 / 1e5 / 1e6 data sets on the event engine, the scalar fast path,
-and the leaping fast path.  **Asserts the fast path's completion and injection arrays are
-bit-identical to the event engine's** on every compared size, and that the
-n=1e6 speedup clears the 50x acceptance bar.  Results are written to
-``BENCH_sim.json`` at the repo root.
+n = 1e4 / 1e5 / 1e6 data sets on the event engine, the fast path without
+leaping (the bottleneck evaluator with its scalar fallback), and the
+leaping fast path.  **Asserts both fast runs' completion and injection
+arrays and busy fractions are bit-identical to the event engine's** on
+every compared size, and that the n=1e6 speedup clears the 50x acceptance
+bar.  Results are written to ``BENCH_sim.json`` at the repo root.
 
 Run standalone (not collected by pytest)::
 
@@ -74,7 +75,7 @@ def _timed(fn):
 
 
 def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
-    """One stream size: event engine (optional), scalar fast, leaping fast."""
+    """One stream size: event engine (optional), evaluator, leaping fast."""
     row: dict = {"n": n}
 
     stats: dict = {}
@@ -85,14 +86,18 @@ def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
     row["fast_s"] = t_fast
     row["fast_datasets_per_s"] = n / t_fast
     row["fast_leaped_datasets"] = stats["leaped"]
+    row["fast_verified_datasets"] = stats["verified"]
     row["fast_scalar_datasets"] = stats["scalar_datasets"]
 
+    noleap_stats: dict = {}
     t_scalar, scalar = _timed(
         lambda: simulate_fast(chain, mapping, n, noise=NoiseModel.silent(),
-                              leap=False)
+                              leap=False, stats=noleap_stats)
     )
     row["fast_noleap_s"] = t_scalar
     row["fast_noleap_datasets_per_s"] = n / t_scalar
+    row["fast_noleap_verified_datasets"] = noleap_stats["verified"]
+    row["fast_noleap_scalar_datasets"] = noleap_stats["scalar_datasets"]
     assert np.array_equal(fast.completions, scalar.completions), (
         f"n={n}: leaping changed the completion array"
     )
@@ -117,6 +122,15 @@ def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
             f"n={n}: fast busy fractions differ from the event engine"
         )
         assert event.events_processed == fast.events_processed
+        assert np.array_equal(event.completions, scalar.completions), (
+            f"n={n}: evaluator completions differ from the event engine"
+        )
+        assert np.array_equal(event.injections, scalar.injections), (
+            f"n={n}: evaluator injections differ from the event engine"
+        )
+        assert event.busy_fractions == scalar.busy_fractions, (
+            f"n={n}: evaluator busy fractions differ from the event engine"
+        )
     return row
 
 
@@ -149,9 +163,9 @@ def main(argv=None):
             f"n={n:>9,}  event {row['event_s']:8.2f} s "
             f"({row['event_events_per_s']:>10,.0f} ev/s)  "
             f"fast {row['fast_s']*1e3:8.2f} ms  "
-            f"scalar {row['fast_noleap_s']*1e3:8.2f} ms  "
+            f"no-leap {row['fast_noleap_s']*1e3:8.2f} ms  "
             f"speedup {row['speedup']:8.1f}x "
-            f"(scalar {row['speedup_noleap']:5.1f}x)"
+            f"(no-leap {row['speedup_noleap']:5.1f}x)"
         )
 
     final = report["grid"][-1]

@@ -4,9 +4,10 @@ The event engine (`engine.py` + `pipeline.py`) executes one Python callback
 per phase/transfer event — faithful, but capped at a few thousand data sets
 per second.  This module computes the *same* per-data-set injection and
 completion timestamps directly from the pipeline's timing recurrence,
-without ever materialising events, and leaps whole steady-state periods at
-a time once the schedule becomes periodic.  It is the enabling layer for
-million-data-set runs (workload drift, remap hysteresis — see ROADMAP).
+without ever materialising events: whole chunks of the steady state at once
+along the bottleneck, and whole periods at a time once a dyadic schedule
+becomes periodic.  It is the enabling layer for million-data-set runs
+(workload drift, remap hysteresis — see ROADMAP).
 
 Why a recurrence is exact
 -------------------------
@@ -24,13 +25,28 @@ data set ``d`` (served by instance ``d mod r_i`` of each module):
   releasing the sender and starting the receiver's execution;
 * the last module's execution end is the completion time.
 
-The fast path replays exactly this chain of ``max`` and ``+`` operations in
-the same association order the event engine uses, so noise-free results are
-**bit-identical** to the event engine, not merely close (the test suite
-compares the arrays with ``np.array_equal``).  With stationary jitter the
-same recurrence runs over batch-drawn noise factors; draws are consumed in
-data-set order instead of event order, so noisy runs are statistically —
-not bitwise — equivalent.
+:func:`_run_scalar` replays exactly this chain of ``max`` and ``+``
+operations in the same association order the event engine uses, so
+noise-free results are **bit-identical** to the event engine, not merely
+close (the test suite compares the arrays with ``np.array_equal``).  Every
+operation's duration comes from one matrix (:func:`_durations`, one row per
+data set); with stationary jitter its rows are priced from batch-drawn
+noise factors consumed in data-set order instead of event order, so noisy
+runs are statistically — not bitwise — equivalent to event runs.
+
+Bottleneck evaluation
+---------------------
+In steady state the bottleneck module ``b`` never idles: every rendezvous
+upstream of it waits for the receiver, every one downstream waits for the
+sender.  :func:`_speculate` guesses ``b`` and computes a whole chunk of
+data sets with numpy under that guess — ``b``'s instance timelines by one
+sequential ``np.add.accumulate`` each, the other modules by column-wise
+``+`` — performing the scalar loop's additions on the same operands in
+the same order.  It then checks every ``max`` the guess decided against
+the computed operands and commits the rows before the first decision that
+does not hold; :func:`_evaluate` recomputes from there on the scalar loop
+for a short, growing stretch and speculates again.  Committed rows are
+therefore the scalar recurrence's bits, whatever the guess.
 
 Cycle leaping
 -------------
@@ -41,17 +57,16 @@ path snapshots the ready-time vector at every block boundary and, once it
 observes the translation ``state[b] == state[b-m] + delta`` **bit-exactly**
 for two consecutive lags (and the per-data-set outputs translating the same
 way), extrapolates the remaining completions with one vectorised broadcast
-— millions of data sets in microseconds.  When timestamp arithmetic is
-exact (e.g. dyadic-rational durations, the benchmark's configuration), the
-translation is provably self-sustaining and the extrapolation stays
-bit-identical to the event engine; with general costs the detector simply
-never fires (double-rounding makes exact translation astronomically
-unlikely) and the run stays on the — still exact — scalar recurrence.
-Faulted runs never get here at all: ``simulate(engine="auto")`` routes
-them, like any run with random or contention-dependent noise, to the event
-engine.  The stream runner in :mod:`repro.sim.pipeline` calls
-:func:`run_segment` once per segment — once for a plain run, once per
-epoch for a controlled one.
+— millions of data sets in microseconds.  This is only sound when
+timestamp arithmetic is exact (dyadic-rational durations, the benchmark's
+configuration, see :meth:`_Pipeline._exact_unit`); then the translation is
+provably self-sustaining and the extrapolation stays bit-identical to the
+event engine.  Segments without that certificate, and noisy ones, run on
+the bottleneck evaluator instead.  Faulted runs never get here at all:
+``simulate(engine="auto")`` routes them, like any run with random or
+contention-dependent noise, to the event engine.  The stream runner in
+:mod:`repro.sim.pipeline` calls :func:`run_segment` once per segment — once
+for a plain run, once per epoch for a controlled one.
 """
 
 from __future__ import annotations
@@ -72,6 +87,16 @@ __all__ = ["run_segment"]
 _LAGS = (1, 2, 4, 8)
 #: Keep this many trailing block snapshots (enough for the largest lag).
 _KEEP = 2 * _LAGS[-1] + 1
+#: Data sets whose durations are materialised at once (bounds memory on
+#: million-data-set streams; the block split changes no value).
+_BLOCK = 1 << 15
+#: Data sets the bottleneck evaluator computes per speculation.
+_CHUNK = 2048
+#: The ``i``-th failed speculation of a segment is followed by
+#: ``_STRETCH * 2**i`` data sets on the scalar loop.
+_STRETCH = 8
+#: Failed speculations after which a segment finishes on the scalar loop.
+_MAX_MISSES = 6
 
 
 class _Pipeline:
@@ -82,19 +107,37 @@ class _Pipeline:
         self.replicas = graph.replicas
         self.phases = [tuple(p[2] for p in ph) for ph in graph.phases]
         self.edge_base = graph.edge_base
-        self.hop = graph.hop
+        #: Per-edge ``(sender instance, receiver instance)`` transfer
+        #: slowdown arrays, or ``None`` without a placement model.
+        self.hop = (None if graph.hop is None
+                    else [np.array(h, dtype=float) for h in graph.hop])
         #: Events the event engine would process per data set: one per
         #: execution phase plus one rendezvous completion per edge.
         self.events_per_dataset = sum(len(p) for p in self.phases) + (self.k - 1)
-        #: Which of a data set's operations (in the order _run_scalar prices
-        #: them) are external transfers — the per-draw ``comm`` context for
-        #: noise models that drift communication separately from compute.
-        mask = np.zeros(self.events_per_dataset, dtype=bool)
-        pos = len(self.phases[0])
-        for e in range(self.k - 1):
-            mask[pos] = True
-            pos += 1 + len(self.phases[e + 1])
-        self.comm_template = mask
+        # Columns of the duration matrix, in the order _run_scalar prices a
+        # data set's operations: module 0's phases, then per edge its
+        # transfer and the receiver's phases.
+        base, spans, edge_col = [], [], []
+        for m, ph in enumerate(self.phases):
+            if m:
+                edge_col.append(len(base))
+                base.append(self.edge_base[m - 1])
+            spans.append((len(base), len(base) + len(ph)))
+            base.extend(ph)
+        self.base = np.array(base, dtype=float)
+        #: ``(lo, hi)`` columns of module m's phases.
+        self.spans = spans
+        #: Column of edge e's transfer.
+        self.edge_col = edge_col
+        #: Columns an instance of module m is busy for, in order: its
+        #: in-edge transfer, its phases, its out-edge transfer.
+        self.windows = [(lo - (m > 0), hi + (m < self.k - 1))
+                        for m, (lo, hi) in enumerate(spans)]
+        #: Which columns are external transfers — the per-draw ``comm``
+        #: context for noise models that drift communication separately
+        #: from compute.
+        self.comm_template = np.zeros(len(base), dtype=bool)
+        self.comm_template[edge_col] = True
         #: Hyper-period: the instance round-robin (and the placement
         #: pattern, which is keyed by d mod replicas) repeats every L sets.
         self.L = lcm(*self.replicas)
@@ -117,9 +160,8 @@ class _Pipeline:
         else:
             # The recurrence adds the already-multiplied product, so the
             # product is what must sit on the unit grid.
-            for e, base in enumerate(self.edge_base):
-                for row in self.hop[e]:
-                    durs += [base * h for h in row]
+            for base, hop in zip(self.edge_base, self.hop):
+                durs += (base * hop).ravel().tolist()
         vals = []
         for d in durs:
             if not isfinite(d) or d < 0:
@@ -137,91 +179,216 @@ class _Pipeline:
         return Fraction(g, den)
 
 
-def _run_scalar(pipe: _Pipeline, ready, busy, completions, injections,
-                d0: int, d1: int, factors=None) -> None:
-    """Advance the timing recurrence over data sets ``[d0, d1)``.
+def _durations(pipe: _Pipeline, d0: int, d1: int, draws=None) -> np.ndarray:
+    """Operation durations of data sets ``[d0, d1)``, one row per data set.
 
-    ``factors`` (an iterator of jitter samples, one per operation in
-    data-set order) prices each phase/transfer; ``None`` means noise-free.
+    ``draws`` (one noise factor per operation, in data-set order) prices a
+    phase as ``p * f`` and a transfer as ``(ebase * f) * hop``; without it
+    the durations are ``p`` and ``ebase * hop`` — the products the event
+    engine forms, so every duration has its bits.
+    """
+    n = d1 - d0
+    if draws is None:
+        D = np.tile(pipe.base, (n, 1))
+    else:
+        D = draws.reshape(n, len(pipe.base)) * pipe.base
+    if pipe.hop is not None:
+        d = np.arange(d0, d1)
+        rs = pipe.replicas
+        for e, col in enumerate(pipe.edge_col):
+            D[:, col] *= pipe.hop[e][d % rs[e], d % rs[e + 1]]
+    return D
+
+
+def _run_scalar(pipe: _Pipeline, ready, D, completions, injections,
+                d0: int, d1: int, row0: int) -> None:
+    """Advance the timing recurrence over data sets ``[d0, d1)``, data set
+    ``d`` priced by row ``d - row0`` of the duration matrix ``D``.
+
     All additions replicate the event engine's association order so
-    noise-free timestamps and per-instance busy totals stay bit-identical.
+    noise-free timestamps stay bit-identical.
     """
     k = pipe.k
     rs = pipe.replicas
-    phases = pipe.phases
-    ebase = pipe.edge_base
-    hop = pipe.hop
+    spans = pipe.spans
+    ecol = pipe.edge_col
     ready0 = ready[0]
-    busy0 = busy[0]
-    ph0 = phases[0]
+    lo0, hi0 = spans[0]
     r0 = rs[0]
     last = k - 1
-    for d in range(d0, d1):
+    rows = D[d0 - row0:d1 - row0].tolist()
+    for d, row in zip(range(d0, d1), rows):
         i0 = d % r0
         t = ready0[i0]
         injections[d] = t
-        if factors is None:
-            for p in ph0:
-                busy0[i0] += p
-                t += p
-        else:
-            for p in ph0:
-                dur = p * next(factors)
-                busy0[i0] += dur
-                t += dur
+        for p in row[lo0:hi0]:
+            t += p
         for e in range(last):
             m = e + 1
             im = d % rs[m]
-            ie = d % rs[e]
             recv = ready[m][im]
             start = recv if recv > t else t
-            dur = ebase[e] if factors is None else ebase[e] * next(factors)
-            if hop is not None:
-                dur *= hop[e][ie][im]
-            busy[e][ie] += dur
-            busy[m][im] += dur
-            end = start + dur
-            ready[e][ie] = end
+            end = start + row[ecol[e]]
+            ready[e][d % rs[e]] = end
             t = end
-            if factors is None:
-                for p in phases[m]:
-                    busy[m][im] += p
-                    t += p
-            else:
-                for p in phases[m]:
-                    dur = p * next(factors)
-                    busy[m][im] += dur
-                    t += dur
+            lo, hi = spans[m]
+            for p in row[lo:hi]:
+                t += p
         completions[d] = t
         ready[last][d % rs[last]] = t
 
 
-def _block_busy(pipe: _Pipeline, count: int) -> dict[tuple[int, int], float]:
-    """Per-instance busy time of ``count`` noise-free data sets (0-aligned).
+def _speculate(pipe: _Pipeline, ready, D, completions, injections,
+               s: int) -> int:
+    """Compute data sets ``[s, s + len(D))`` along a guessed bottleneck
+    and commit the verified prefix; returns the data sets committed.
 
-    Pure durations — no recurrence needed: each data set contributes its
-    owner instances' phase and transfer durations regardless of when they
-    run.  Used to account the leaped region without walking it.
+    The guess ``b`` is the module with the largest per-instance load in the
+    first row.  Under it, every rendezvous on an edge ``e >= b`` starts
+    when the sender is ready and every one on an edge ``e < b`` when the
+    receiver is, so each timestamp is one addition away from a timestamp
+    already known:
+
+    * module ``b``: per instance, one sequential ``np.add.accumulate`` over
+      its release time and then, data set after data set, its in-edge,
+      phase and out-edge durations — the loop's additions in its order;
+    * modules after ``b``: column-wise ``+`` from the sender's transfer end;
+    * modules before ``b``: the transfer ends when the receiver's instance
+      is released from its previous data set, ``E_m(d) = E_{m+1}(d -
+      r_{m+1}) + e_m(d)``.
+
+    Each of those ``max`` decisions is then checked against the operands
+    the scalar loop would compare (a tie gives the same value either way);
+    rows before the first failing check hold exactly the loop's bits.
     """
-    acc: dict[tuple[int, int], float] = {}
+    n = len(D)
+    k = pipe.k
     rs = pipe.replicas
-    hop = pipe.hop
-    for d in range(count):
-        i0 = d % rs[0]
-        key = (0, i0)
-        for p in pipe.phases[0]:
-            acc[key] = acc.get(key, 0.0) + p
-        for e in range(pipe.k - 1):
-            m = e + 1
-            ie, im = d % rs[e], d % rs[m]
-            dur = pipe.edge_base[e]
-            if hop is not None:
-                dur *= hop[e][ie][im]
-            acc[(e, ie)] = acc.get((e, ie), 0.0) + dur
-            acc[(m, im)] = acc.get((m, im), 0.0) + dur
-            for p in pipe.phases[m]:
-                acc[(m, im)] = acc.get((m, im), 0.0) + p
-    return acc
+    spans = pipe.spans
+    ecol = pipe.edge_col
+    last = k - 1
+    row = D[0].tolist()
+    b = max(range(k),
+            key=lambda m: sum(row[slice(*pipe.windows[m])]) / rs[m])
+
+    def released(m, rel):
+        """Release time of data set d's instance of module m before d."""
+        r = rs[m]
+        h = min(r, n)
+        out = np.empty(n)
+        out[:h] = [ready[m][(s + j) % r] for j in range(h)]
+        out[h:] = rel[:n - h]
+        return out
+
+    def executed(start, m):
+        for c in range(*spans[m]):
+            start = start + D[:, c]
+        return start
+
+    # Module b: column 0 holds each data set's instance release time, the
+    # rest the running sums over its window.
+    lo, hi = pipe.windows[b]
+    w = hi - lo
+    rb = rs[b]
+    acc = _instance_sums(D[:, lo:hi], rb,
+                         [ready[b][(s + j) % rb] for j in range(rb)])
+    q = (acc.shape[1] - 1) // w
+    M = np.empty((q, rb, w + 1))
+    M[:, :, 0] = acc[:, :-1:w].T
+    M[:, :, 1:] = acc[:, 1:].reshape(rb, q, w).transpose(1, 0, 2)
+    M = M.reshape(q * rb, w + 1)[:n]
+    T = [None] * k      # execution end (ready to send / completion)
+    rel = [None] * k    # release: out-edge transfer end, or completion
+    T[b] = M[:, spans[b][1] - lo]
+    rel[b] = M[:, w]
+    if b:
+        rel[b - 1] = M[:, 1]
+    for m in range(b + 1, k):
+        T[m] = executed(rel[m - 1], m)
+        rel[m] = T[m] + D[:, ecol[m]] if m < last else T[m]
+    for m in range(b - 2, -1, -1):
+        rel[m] = released(m + 1, rel[m + 1]) + D[:, ecol[m]]
+    inj = released(0, rel[0])
+    for m in range(b):
+        T[m] = executed(inj if m == 0 else rel[m - 1], m)
+
+    bad = np.zeros(n, dtype=bool)
+    for e in range(last):
+        recv = released(e + 1, rel[e + 1])
+        ok = recv <= T[e] if e >= b else recv >= T[e]
+        bad |= ~ok
+    hits = np.flatnonzero(bad)
+    j = int(hits[0]) if hits.size else n
+    if j:
+        completions[s:s + j] = T[last][:j]
+        injections[s:s + j] = inj[:j]
+        for m in range(k):
+            r = rs[m]
+            first = max(0, j - r)  # each instance's last committed data set
+            for jj, t in zip(range(first, j), rel[m][first:j].tolist()):
+                ready[m][(s + jj) % r] = t
+    return j
+
+
+def _evaluate(pipe: _Pipeline, ready, D, completions, injections,
+              d0: int, tally: dict) -> None:
+    """Advance data sets ``[d0, d0 + len(D))`` by bottleneck speculation,
+    with scalar stretches where it fails.
+
+    ``tally`` carries the segment's ``verified`` and ``misses`` counts
+    across blocks; after ``_MAX_MISSES`` failed speculations the segment
+    finishes on the scalar loop.
+    """
+    d1 = d0 + len(D)
+    d = d0
+    while d < d1:
+        stop = d1
+        if tally["misses"] < _MAX_MISSES:
+            stop = min(d + _CHUNK, d1)
+            got = _speculate(pipe, ready, D[d - d0:stop - d0], completions,
+                             injections, d)
+            tally["verified"] += got
+            d += got
+            if d == stop:
+                continue
+            tally["misses"] += 1
+            stop = min(d + (_STRETCH << tally["misses"]), d1)
+        _run_scalar(pipe, ready, D, completions, injections, d, stop, d0)
+        d = stop
+
+
+def _instance_sums(W, r: int, start) -> np.ndarray:
+    """Running sums of each instance's rows of ``W``.
+
+    Lane ``j`` starts at ``start[j]`` and adds, in order, the entries of
+    rows ``j, j + r, ...`` of ``W`` read row by row: one sequential
+    ``np.add.accumulate`` per lane (``add.reduce`` sums pairwise and would
+    round differently from the running ``+`` it replaces).  Lanes short of
+    a full last row are padded with zeros, which leave a sum unchanged.
+    Returns shape ``(r, 1 + q * w)`` with ``q = ceil(len(W) / r)``.
+    """
+    n, w = W.shape
+    q = -(-n // r)
+    rows = np.zeros((q * r, w))
+    rows[:n] = W
+    lanes = np.empty((r, 1 + q * w))
+    lanes[:, 0] = start
+    lanes[:, 1:] = rows.reshape(q, r, w).transpose(1, 0, 2).reshape(r, q * w)
+    return np.add.accumulate(lanes, axis=1)
+
+
+def _add_busy(pipe: _Pipeline, busy, D, d0: int) -> None:
+    """Add the busy time of data sets ``[d0, d0 + len(D))`` into ``busy``.
+
+    Busy time is pure durations: each instance adds its window's columns
+    data set by data set, carried on from its running total.
+    """
+    for m, (lo, hi) in enumerate(pipe.windows):
+        r = pipe.replicas[m]
+        lane = [(d0 + j) % r for j in range(r)]
+        acc = _instance_sums(D[:, lo:hi], r, [busy[m][c] for c in lane])
+        for c, total in zip(lane, acc[:, -1].tolist()):
+            busy[m][c] = total
 
 
 def _translation(cur, prev):
@@ -305,8 +472,11 @@ def run_segment(pipe: _Pipeline, completions, injections, datasets: range,
 
     Busy seconds are added into ``busy`` for every instance that served a
     data set.  ``leap`` enables cycle leaping on noise-free segments that
-    start on a hyper-period boundary; ``stats`` (optional dict) receives
-    fast-path diagnostics (``leaped``, ``scalar_datasets``, ``period``).
+    start on a hyper-period boundary and carry an exactness certificate;
+    every other segment runs on the bottleneck evaluator.  ``stats``
+    (optional dict) receives fast-path diagnostics: ``leaped``,
+    ``verified`` (data sets the evaluator committed), ``scalar_datasets``,
+    ``period`` and ``hyperperiod``.
     """
     d0, d1 = datasets.start, datasets.stop
     ready = [[t0] * r for r in pipe.replicas]
@@ -314,32 +484,39 @@ def run_segment(pipe: _Pipeline, completions, injections, datasets: range,
 
     noisy = noise.active
     L = pipe.L
-    leap = leap and not noisy and d1 - d0 >= 3 * L and d0 % L == 0
+    leap = (leap and not noisy and pipe.exact_unit is not None
+            and d1 - d0 >= 3 * L and d0 % L == 0)
     done = d0
     leaped = 0
     period_used = None
+    tally = {"verified": 0, "misses": 0}
 
-    if noisy:
-        # Batched noise: draw one factor per operation in data-set order,
-        # block by block (bounded memory at n=1e6+), passing each draw's
-        # (data set, is-transfer) context for non-stationary models.
-        block = max(1, 65536 // max(pipe.events_per_dataset, 1)) * 256
+    if not leap:
         epd = pipe.events_per_dataset
         while done < d1:
-            stop = min(done + block, d1)
-            ds = np.repeat(np.arange(done, stop), epd)
-            cm = np.tile(pipe.comm_template, stop - done)
-            draws = noise.factors((stop - done) * epd, datasets=ds, comm=cm)
-            _run_scalar(pipe, ready, lbusy, completions, injections,
-                        done, stop, factors=iter(draws.tolist()))
+            stop = min(done + _BLOCK, d1)
+            draws = None
+            if noisy:
+                # Batched noise: one factor per operation in data-set
+                # order, with each draw's (data set, is-transfer) context
+                # for non-stationary models.
+                ds = np.repeat(np.arange(done, stop), epd)
+                cm = np.tile(pipe.comm_template, stop - done)
+                draws = noise.factors((stop - done) * epd, datasets=ds, comm=cm)
+            D = _durations(pipe, done, stop, draws)
+            _evaluate(pipe, ready, D, completions, injections, done, tally)
+            _add_busy(pipe, lbusy, D, done)
             done = stop
     else:
+        # d0 is a multiple of L, so one hyper-period of durations prices
+        # every block.
+        DL = _durations(pipe, 0, L)
         snapshots: list[tuple[float, ...]] = []
         while done < d1:
             stop = min(done + L, d1)
-            _run_scalar(pipe, ready, lbusy, completions, injections, done, stop)
+            _run_scalar(pipe, ready, DL, completions, injections, done, stop, done)
             done = stop
-            if not leap or done % L != 0:
+            if done % L != 0:
                 continue
             snapshots.append(tuple(x for module in ready for x in module))
             if len(snapshots) > _KEEP:
@@ -361,25 +538,30 @@ def run_segment(pipe: _Pipeline, completions, injections, datasets: range,
             base_i = injections[done - period:done]
             completions[done:d1] = (base_c[None, :] + shifts[:, None]).ravel()[:remaining]
             injections[done:d1] = (base_i[None, :] + shifts[:, None]).ravel()[:remaining]
-            # Busy time of the leaped region: periodic durations, so one
-            # period's per-instance totals scale by the whole periods and a
-            # short walk covers the ragged tail.
-            full, tail = divmod(remaining, period)
-            if full:
-                per_block = _block_busy(pipe, period)
-                for (i, c), v in per_block.items():
-                    lbusy[i][c] += v * full
-            if tail:
-                for (i, c), v in _block_busy(pipe, tail).items():
-                    lbusy[i][c] += v
             leaped = remaining
             period_used = period
-            done = d1
             break
+        # Busy time of the walked prefix, then of the leaped region:
+        # periodic durations, so one period's per-instance totals scale by
+        # the whole periods and a short walk covers the ragged tail.
+        for lo in range(d0, done, _BLOCK):
+            hi = min(lo + _BLOCK, done)
+            _add_busy(pipe, lbusy, _durations(pipe, lo, hi), lo)
+        if leaped:
+            full, tail = divmod(leaped, period_used)
+            for count, times in ((period_used, full), (tail, 1)):
+                if not count or not times:
+                    continue
+                part = [[0.0] * r for r in pipe.replicas]
+                _add_busy(pipe, part, _durations(pipe, 0, count), 0)
+                for total, row in zip(lbusy, part):
+                    for c, v in enumerate(row):
+                        total[c] += v * times
 
     if stats is not None:
         stats["leaped"] = leaped
-        stats["scalar_datasets"] = d1 - d0 - leaped
+        stats["verified"] = tally["verified"]
+        stats["scalar_datasets"] = d1 - d0 - leaped - tally["verified"]
         stats["period"] = period_used
         stats["hyperperiod"] = L
     for i, r in enumerate(pipe.replicas):

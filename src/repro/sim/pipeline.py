@@ -1056,7 +1056,8 @@ def simulate_fast(
     """Measure a healthy pipeline on the fast recurrence, ``simulate(...,
     engine="fast")`` with two extra knobs: ``leap=False`` disables cycle
     leaping, and ``stats`` (optional dict) receives fast-path diagnostics
-    (``leaped``, ``scalar_datasets``, ``period``, ``hyperperiod``)."""
+    (``leaped``; ``verified``, the data sets the bottleneck evaluator
+    committed; ``scalar_datasets``; ``period``; ``hyperperiod``)."""
     return _run_stream(chain, _Once(mapping, n_datasets), n_datasets, noise,
                        "fast", warmup_fraction, placements=placements,
                        hop_penalty=hop_penalty, leap=leap, stats=stats)

@@ -1,16 +1,27 @@
 """Fast-path engine: bit-exactness vs the event engine, cycle leaping,
 and the `simulate(engine=...)` dispatch contract."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import SimulationError
 from repro.core.cost import PolynomialEComm, PolynomialExec
 from repro.core.mapping import Mapping, ModuleSpec
 from repro.core.task import Edge, Task, TaskChain
 from repro.machine.topology import Rect
-from repro.sim import DriftNoiseModel, NoiseModel, simulate, simulate_fast
+from repro.sim import DriftNoiseModel, NoiseModel, fastpath, simulate, simulate_fast
+from repro.sim.fastpath import (
+    _add_busy,
+    _durations,
+    _evaluate,
+    _Pipeline,
+    _run_scalar,
+)
 from repro.sim.faults import FaultModel, ProcessorFailure
+from repro.sim.modulegraph import ModuleGraph
 
 from ..conftest import make_random_chain, make_three_task_chain
 
@@ -136,6 +147,171 @@ class TestCycleLeaping:
                            stats=stats)
         assert stats["leaped"] == 0
         ev = simulate(chain, mapping, n_datasets=2000, engine="event")
+        assert_identical(ev, fa)
+
+
+@st.composite
+def evaluator_cases(draw):
+    """A random module pipeline, noise model and segment for the
+    evaluator-vs-scalar differential test."""
+    k = draw(st.integers(1, 5))
+    reps = [draw(st.integers(1, 4)) for _ in range(k)]
+    dur = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    phases = [[("task", f"t{m}.{j}", draw(dur))
+               for j in range(draw(st.integers(1, 3)))] for m in range(k)]
+    edges = [(e, e + 1, draw(dur), f"e{e}") for e in range(k - 1)]
+    hop = None
+    if k > 1 and draw(st.booleans()):
+        hop = [[[draw(st.floats(1.0, 1.5)) for _ in range(reps[e + 1])]
+                for _ in range(reps[e])] for e in range(k - 1)]
+    graph = ModuleGraph(phases, reps, edges, hop)
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["silent", "drift", "jitter"]))
+    if kind == "silent":
+        noise = NoiseModel.silent()
+    elif kind == "drift":
+        noise = DriftNoiseModel(
+            seed=seed, jitter=0.0, comm_interference=0.0,
+            drift=draw(st.floats(1e-5, 1e-2)),
+            comm_drift=draw(st.sampled_from([None, 0.0])))
+    else:
+        noise = NoiseModel(seed=seed, jitter=draw(st.floats(1e-3, 0.1)),
+                           comm_interference=0.0)
+    t0 = draw(st.floats(1e-3, 1e3))
+    d0 = draw(st.integers(1, 60))
+    n = draw(st.one_of(st.sampled_from([0, 1]),
+                       st.integers(0, max(reps) - 1),
+                       st.integers(0, 5000)))
+    return graph, noise, t0, d0, n
+
+
+def _scalar_busy(graph, D, d0):
+    """Per-instance busy time by the running ``+=`` of the event engine:
+    per data set, module 0's phases, then per edge the transfer (sender,
+    then receiver) and the receiver's phases."""
+    reps = graph.replicas
+    busy = [[0.0] * r for r in reps]
+    for d, row in enumerate(D.tolist(), start=d0):
+        cols = iter(row)
+        for m in range(len(graph)):
+            c = d % reps[m]
+            if m:
+                x = next(cols)
+                busy[m - 1][d % reps[m - 1]] += x
+                busy[m][c] += x
+            for _ in graph.phases[m]:
+                busy[m][c] += next(cols)
+    return busy
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=evaluator_cases())
+def test_evaluator_matches_scalar_recurrence(case):
+    """The bottleneck evaluator (speculation, verification and scalar
+    fallback) reproduces ``_run_scalar`` bit for bit: completions,
+    injections, final ready state and per-instance busy time."""
+    graph, noise, t0, d0, n = case
+    pipe = _Pipeline(graph)
+    d1 = d0 + n
+    draws = None
+    if noise.active:
+        epd = pipe.events_per_dataset
+        draws = noise.factors(n * epd, datasets=np.repeat(np.arange(d0, d1), epd),
+                              comm=np.tile(pipe.comm_template, n))
+    D = _durations(pipe, d0, d1, draws)
+    runs = []
+    for evaluator in (False, True):
+        ready = [[t0] * r for r in graph.replicas]
+        completions, injections = np.full(d1, np.nan), np.full(d1, np.nan)
+        if evaluator:
+            tally = {"verified": 0, "misses": 0}
+            _evaluate(pipe, ready, D, completions, injections, d0, tally)
+            busy = [[0.0] * r for r in graph.replicas]
+            _add_busy(pipe, busy, D, d0)
+        else:
+            _run_scalar(pipe, ready, D, completions, injections, d0, d1, d0)
+            busy = _scalar_busy(graph, D, d0)
+        runs.append((completions.tobytes(), injections.tobytes(),
+                     [[x.hex() for x in m] for m in ready],
+                     [[x.hex() for x in m] for m in busy]))
+    scalar, evaluated = runs
+    assert evaluated[0] == scalar[0], "completions differ"
+    assert evaluated[1] == scalar[1], "injections differ"
+    assert evaluated[2] == scalar[2], "final ready state differs"
+    assert evaluated[3] == scalar[3], "busy time differs"
+
+
+class TestBottleneckEvaluator:
+    @staticmethod
+    def _overtaking_pipeline():
+        # Module 0 (one instance) is comm-heavy: a 0.1 s task plus a 1.0 s
+        # transfer, 1.1 s per data set.  Module 1 (two instances) runs a
+        # 1.0 s task, (1.0 + 1.0) / 2 s per data set.  Execution drift
+        # with comm_drift=0 grows both tasks by 1.001 per data set, so
+        # module 1 overtakes module 0 at data set ~223.
+        chain = TaskChain(
+            [Task("light", PolynomialExec(0.1, 0.0, 0.0)),
+             Task("heavy", PolynomialExec(1.0, 0.0, 0.0))],
+            [Edge(ecom=PolynomialEComm(1.0, 0.0, 0.0, 0.0, 0.0))],
+        )
+        return chain, Mapping([ModuleSpec(0, 0, 1, 1), ModuleSpec(1, 1, 1, 2)])
+
+    def test_bottleneck_moving_mid_segment_falls_back(self):
+        chain, mapping = self._overtaking_pipeline()
+
+        def drift():
+            return DriftNoiseModel(seed=0, jitter=0.0, comm_interference=0.0,
+                                   drift=1e-3, comm_drift=0.0)
+
+        stats = {}
+        fa = simulate_fast(chain, mapping, 1000, noise=drift(), stats=stats)
+        ev = simulate(chain, mapping, n_datasets=1000, engine="event",
+                      noise=drift())
+        assert np.array_equal(fa.completions, ev.completions)
+        assert np.array_equal(fa.injections, ev.injections)
+        assert fa.busy_fractions == ev.busy_fractions
+        # The scalar fallback covered the move, and speculation resumed
+        # on the new bottleneck for the rest of the segment.
+        assert stats["scalar_datasets"] > 0
+        assert stats["verified"] > 900
+        assert stats["verified"] + stats["scalar_datasets"] == 1000
+
+        steady = {}
+        simulate_fast(chain, mapping, 1000, noise=NoiseModel.silent(),
+                      leap=False, stats=steady)
+        assert steady["scalar_datasets"] == 0, (
+            "without drift module 0 stays the bottleneck: no fallback"
+        )
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.silent(),
+        NoiseModel(seed=4, jitter=0.05, comm_interference=0.0),
+        DriftNoiseModel(seed=4, jitter=0.0, comm_interference=0.0, drift=1e-4),
+    ], ids=["silent", "jitter", "drift"])
+    def test_block_and_chunk_splits_change_no_bit(self, noise, monkeypatch):
+        # Busy totals, ready state and the miss count carry across duration
+        # blocks and speculation chunks; shrinking both must not move a bit.
+        chain = make_random_chain(4, seed=9, replicable_prob=1.0)
+        mapping = Mapping([ModuleSpec(0, 1, 2, 3), ModuleSpec(2, 3, 1, 2)])
+
+        def run():
+            noise_copy = copy.deepcopy(noise)
+            return simulate_fast(chain, mapping, 4000, noise=noise_copy,
+                                 leap=False)
+
+        whole = run()
+        monkeypatch.setattr(fastpath, "_BLOCK", 700)
+        monkeypatch.setattr(fastpath, "_CHUNK", 90)
+        split = run()
+        assert_identical(whole, split)
+
+    def test_leap_false_runs_on_the_evaluator(self):
+        chain, mapping = dyadic_chain(), dyadic_mapping()
+        stats = {}
+        fa = simulate_fast(chain, mapping, 3000, noise=NoiseModel.silent(),
+                           leap=False, stats=stats)
+        assert stats["leaped"] == 0 and stats["verified"] > 2500
+        ev = simulate(chain, mapping, n_datasets=3000, engine="event")
         assert_identical(ev, fa)
 
 
