@@ -10,6 +10,11 @@ arrays and busy fractions are bit-identical to the event engine's** on
 every compared size, and that the n=1e6 speedup clears the 50x acceptance
 bar.  Results are written to ``BENCH_sim.json`` at the repo root.
 
+Each fast run is timed twice over: its first call (``*_cold_s``, which
+pays the first-call costs) and the best of :data:`REPEATS` calls after it
+(``fast_s``/``fast_noleap_s``).  The event engine runs once per size.
+The 50x bar reads the cold speedup, the stricter of the two.
+
 Run standalone (not collected by pytest)::
 
     python benchmarks/bench_sim.py            # full grid up to n=1e6
@@ -40,6 +45,8 @@ from repro.sim import NoiseModel, simulate, simulate_fast  # noqa: E402
 #: arithmetic is exact and cycle leaping is bit-identical by construction
 #: (docs/algorithms.md §11).
 UNIT = 2.0 ** -20
+#: Warm calls per fast run; the best of them is its warm time.
+REPEATS = 5
 
 
 def _dyadic(x: float) -> float:
@@ -74,15 +81,28 @@ def _timed(fn):
     return time.perf_counter() - t0, out
 
 
+def _cold_and_warm(fn):
+    """The first call's time, the best of ``REPEATS`` calls after it, and
+    the first call's output (every later call must repeat it)."""
+    cold, out = _timed(fn)
+    warm = float("inf")
+    for _ in range(REPEATS):
+        t, again = _timed(fn)
+        warm = min(warm, t)
+        assert np.array_equal(again.completions, out.completions)
+    return cold, warm, out
+
+
 def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
     """One stream size: event engine (optional), evaluator, leaping fast."""
     row: dict = {"n": n}
 
     stats: dict = {}
-    t_fast, fast = _timed(
+    t_cold, t_fast, fast = _cold_and_warm(
         lambda: simulate_fast(chain, mapping, n, noise=NoiseModel.silent(),
                               stats=stats)
     )
+    row["fast_cold_s"] = t_cold
     row["fast_s"] = t_fast
     row["fast_datasets_per_s"] = n / t_fast
     row["fast_leaped_datasets"] = stats["leaped"]
@@ -90,10 +110,11 @@ def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
     row["fast_scalar_datasets"] = stats["scalar_datasets"]
 
     noleap_stats: dict = {}
-    t_scalar, scalar = _timed(
+    t_scalar_cold, t_scalar, scalar = _cold_and_warm(
         lambda: simulate_fast(chain, mapping, n, noise=NoiseModel.silent(),
                               leap=False, stats=noleap_stats)
     )
+    row["fast_noleap_cold_s"] = t_scalar_cold
     row["fast_noleap_s"] = t_scalar
     row["fast_noleap_datasets_per_s"] = n / t_scalar
     row["fast_noleap_verified_datasets"] = noleap_stats["verified"]
@@ -111,6 +132,7 @@ def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
         row["event_events_per_s"] = event.events_processed / t_event
         row["events_processed"] = event.events_processed
         row["speedup"] = t_event / t_fast
+        row["speedup_cold"] = t_event / t_cold
         row["speedup_noleap"] = t_event / t_scalar
         assert np.array_equal(event.completions, fast.completions), (
             f"n={n}: fast completions differ from the event engine"
@@ -162,20 +184,23 @@ def main(argv=None):
         print(
             f"n={n:>9,}  event {row['event_s']:8.2f} s "
             f"({row['event_events_per_s']:>10,.0f} ev/s)  "
-            f"fast {row['fast_s']*1e3:8.2f} ms  "
+            f"fast {row['fast_s']*1e3:8.2f} ms (cold {row['fast_cold_s']*1e3:8.2f})  "
             f"no-leap {row['fast_noleap_s']*1e3:8.2f} ms  "
-            f"speedup {row['speedup']:8.1f}x "
-            f"(no-leap {row['speedup_noleap']:5.1f}x)"
+            f"speedup {row['speedup']:8.1f}x (cold {row['speedup_cold']:8.1f}x, "
+            f"no-leap {row['speedup_noleap']:5.1f}x)"
         )
 
     final = report["grid"][-1]
     report["speedup_at_largest_n"] = final["speedup"]
     if not args.quick:
         report["n1e6_speedup"] = final["speedup"]
-        report["n1e6_meets_50x_target"] = final["speedup"] >= 50.0
-        print(f"\nn=1e6 speedup: {final['speedup']:.1f}x (target >= 50x)")
-        assert final["speedup"] >= 50.0, (
-            f"speedup {final['speedup']:.1f}x below the 50x acceptance bar"
+        report["n1e6_speedup_cold"] = final["speedup_cold"]
+        report["n1e6_meets_50x_target"] = final["speedup_cold"] >= 50.0
+        print(f"\nn=1e6 cold speedup: {final['speedup_cold']:.1f}x "
+              f"(target >= 50x)")
+        assert final["speedup_cold"] >= 50.0, (
+            f"cold speedup {final['speedup_cold']:.1f}x below the 50x "
+            f"acceptance bar"
         )
 
     report["completions_bit_identical"] = True  # asserted per size above

@@ -2,24 +2,33 @@
 per-task execution, per-edge communication, and memory samples (§5).
 
 This plays the role of the Fx profiling infrastructure: each simulated run
-is "instrumented" (trace collection on), and the mean observed duration of
-every task slice / transfer becomes one sample at the partition sizes that
-run used.  Memory footprints are observed directly (they are deterministic
-in the model, as they are in a real compiler's accounting).
+is "instrumented", and the mean observed duration of every task slice /
+transfer becomes one sample at the partition sizes that run used.  The
+instrument is a trace recorder that keeps durations only, grouped by
+``(kind, label)`` as the event engine reports them; no trace is built.
+Memory footprints are observed directly (they are deterministic in the
+model, as they are in a real compiler's accounting).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.exceptions import SimulationError
 from ..core.mapping import Mapping
 from ..core.task import TaskChain
+from ..core.validate import ensure_valid_plan
 from ..sim.noise import NoiseModel
-from ..sim.pipeline import SimulationResult, simulate
+from ..sim.pipeline import _Once, _run_stream
 
 __all__ = ["ProfileData", "profile_chain"]
+
+#: The stream's warm-up share; the samples do not depend on it, but the
+#: run's summary (and its deadlock check) needs one.
+WARMUP_FRACTION = 0.2
 
 
 @dataclass
@@ -35,7 +44,6 @@ class ProfileData:
     icom_samples: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     ecom_samples: dict[int, list[tuple[int, int, float]]] = field(default_factory=dict)
     memory_samples: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
-    runs: list[SimulationResult] = field(default_factory=list)
 
     def merge(self, other: "ProfileData") -> None:
         for i, s in other.exec_samples.items():
@@ -46,22 +54,29 @@ class ProfileData:
             self.ecom_samples.setdefault(e, []).extend(s)
         for i, s in other.memory_samples.items():
             self.memory_samples.setdefault(i, []).extend(s)
-        self.runs.extend(other.runs)
+
+
+class _Durations(defaultdict):
+    """A trace recorder that keeps every observed duration, grouped by
+    ``(kind, label)``; each group keeps recording order.  ``end - start``
+    is :attr:`TraceEvent.duration <repro.sim.trace.TraceEvent.duration>`'s
+    expression, so the samples equal a recorded trace's bit for bit."""
+
+    def __init__(self):
+        super().__init__(list)
+
+    def add(self, module, instance, kind, label, dataset, start, end):
+        self[kind, label].append(end - start)
 
 
 def _profile_run(
     chain: TaskChain, mapping: Mapping, n_datasets: int, noise: NoiseModel
 ) -> ProfileData:
-    result = simulate(
-        chain, mapping, n_datasets=n_datasets, noise=noise, collect_trace=True
-    )
-    data = ProfileData(runs=[result])
-    # Every observed duration, grouped by (kind, label) in one pass over the
-    # trace; each group keeps trace order.
-    durations: dict[tuple[str, str], list[float]] = {}
-    for ev in result.trace.events:
-        durations.setdefault((ev.kind, ev.label), []).append(ev.duration)
-
+    ensure_valid_plan(chain, mapping)
+    durations = _Durations()
+    _run_stream(chain, _Once(mapping, n_datasets), n_datasets, noise, "event",
+                WARMUP_FRACTION, trace=durations)
+    data = ProfileData()
     for m in mapping.modules:
         # Execution samples: mean over observed slices of each task.
         for t_idx in range(m.start, m.stop + 1):
@@ -101,6 +116,8 @@ def profile_chain(
     noise: NoiseModel | None = None,
 ) -> ProfileData:
     """Profile ``chain`` under every training mapping and pool the samples."""
+    if n_datasets < 2:
+        raise SimulationError("need at least 2 data sets to measure throughput")
     noise = noise or NoiseModel.silent()
     pooled = ProfileData()
     for mapping in mappings:

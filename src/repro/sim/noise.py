@@ -69,20 +69,28 @@ class NoiseModel:
         lo, hi = 1.0 - 3 * self.jitter, 1.0 + 3 * self.jitter
         return np.maximum(0.05, np.clip(f, lo, hi))
 
+    def _refill(self) -> None:
+        self._buf.extend(self._draw(BLOCK)[::-1].tolist())
+
     def _jitter_factor(self) -> float:
         """The next truncated-normal multiplicative jitter sample."""
         buf = self._buf
         if not buf:
-            buf.extend(self._draw(BLOCK)[::-1].tolist())
+            self._refill()
         return buf.pop()
 
     def factor(self, dataset: int | None = None) -> float:
         """One multiplicative jitter sample for an execution-side operation.
 
         ``dataset`` is the global index of the data set being processed;
-        the stationary base model ignores it.
+        the stationary base model ignores it.  This is the event engine's
+        per-operation call, so it pops the buffer itself rather than going
+        through :meth:`_jitter_factor`.
         """
-        return self._jitter_factor()
+        buf = self._buf
+        if not buf:
+            self._refill()
+        return buf.pop()
 
     def factors(self, n: int, datasets=None, comm=None) -> np.ndarray:
         """``n`` jitter samples drawn in one batch.
@@ -107,7 +115,10 @@ class NoiseModel:
     def comm_factor(self, concurrent_transfers: int, dataset: int | None = None) -> float:
         """Jitter plus contention for a transfer starting while
         ``concurrent_transfers`` others are active."""
-        return self._jitter_factor() * (
+        buf = self._buf
+        if not buf:
+            self._refill()
+        return buf.pop() * (
             1.0 + self.comm_interference * max(0, concurrent_transfers)
         )
 
@@ -234,15 +245,20 @@ class DriftNoiseModel(NoiseModel):
         d = np.asarray(datasets, dtype=np.intp)
         if d.shape != (n,):
             raise ValueError(f"datasets must have shape ({n},), got {d.shape}")
-        base = super().factors(n)
+        # Jitter-free draws are all ones (and touch no RNG): the product
+        # with them is the scale itself, so it is skipped.
+        base = super().factors(n) if self.jitter != 0 else None
         top = int(d.max()) + 1 if n else 1
         scale = self._table(self.drift, top)[d]
         if comm is not None and self.comm_drift != self.drift:
             mask = np.asarray(comm, dtype=bool)
             if mask.shape != (n,):
                 raise ValueError(f"comm must have shape ({n},), got {mask.shape}")
-            scale = np.where(mask, self._table(self.comm_drift, top)[d], scale)
-        return base * scale
+            if self.comm_drift == 0.0:
+                np.putmask(scale, mask, 1.0)  # a zero rate's table is all ones
+            else:
+                scale = np.where(mask, self._table(self.comm_drift, top)[d], scale)
+        return scale if base is None else base * scale
 
     # -- classification ----------------------------------------------------
     @property

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from heapq import heappush
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .fastpath import _Pipeline, run_segment
 from .faults import EpochStats, FaultEvent, FaultModel, RemapRecord
 from .modulegraph import ModuleGraph, chain_graph
 from .noise import NoiseModel
-from .trace import TraceEvent, TraceLog
+from .trace import TraceLog
 
 __all__ = [
     "SimulationResult", "simulate", "simulate_fast", "simulate_fault_tolerant",
@@ -150,13 +151,18 @@ class _Worker:
     its stage, and ``state`` its fine-grained state (``None`` when idle):
     ``wait_recv``/``xfer_recv``/``exec``/``wait_send``/``xfer_send``.
     Every event it schedules is a bound method, never a closure.
+
+    ``busy`` accumulates the instance's busy seconds in a plain float,
+    starting from what earlier segments of the stream left in the busy
+    dict; :meth:`_Run.execute` writes it back once the run ends.
     """
 
     __slots__ = ("run", "module", "instance", "key", "ins", "outs", "phases",
-                 "queue", "alive", "state", "high", "_head", "_d",
-                 "_idx", "_peer", "_first")
+                 "queue", "alive", "state", "high", "busy", "ran", "_head",
+                 "_d", "_idx", "_peer", "_first", "_on_phase", "_on_transfer")
 
-    def __init__(self, run: "_Run", module: int, instance: int, datasets):
+    def __init__(self, run: "_Run", module: int, instance: int, datasets,
+                 busy: float):
         self.run = run
         self.module = module
         self.instance = instance
@@ -175,9 +181,14 @@ class _Worker:
         self.alive = True
         self.state: str | None = None
         self.high = -1                    # largest dataset ever started
+        self.busy = busy
+        self.ran = False                  # busy yet in this run?
         self._d, self._idx = -1, 0
         # The transfer being received: its sender, and who arrived first.
         self._peer, self._first = None, False
+        # The two event callbacks, bound once instead of once per event.
+        self._on_phase = self._phase
+        self._on_transfer = self._transfer_done
 
     # -- queue plumbing ---------------------------------------------------
     def take_all(self) -> list[tuple[int, str]]:
@@ -198,16 +209,18 @@ class _Worker:
     def _pump(self):
         if not self.alive:
             return
-        if self._head >= len(self.queue):
+        queue, head = self.queue, self._head
+        if head >= len(queue):
             self.queue = []
             self._head = 0
             self.state = None
             return
-        d, stage = self.queue[self._head]
-        self._head += 1
-        if self._head > 512 and self._head * 2 > len(self.queue):
-            del self.queue[: self._head]
-            self._head = 0
+        d, stage = queue[head]
+        head += 1
+        if head > 512 and head * 2 > len(queue):
+            del queue[:head]
+            head = 0
+        self._head = head
         if d > self.high:
             self.high = d
         self._d = d
@@ -229,9 +242,10 @@ class _Worker:
         self.state = "wait_recv"
         self.run.rendezvous_arrive(self.ins[k], self._d, self)
 
+    # Only ``_pump`` and ``_phase`` (an event callback, which may fire
+    # after the instance died) test ``alive``: every other step is reached
+    # from one of them, or from ``_transfer_done`` after its own test.
     def _begin_exec(self):
-        if not self.alive:
-            return
         run = self.run
         self.state = "exec"
         if not self.ins:
@@ -251,21 +265,24 @@ class _Worker:
         self._idx = idx + 1
         kind, label, base = self.phases[idx]
         run = self.run
-        d = self._d
-        dur = base * run.noise.factor(dataset=d)
-        busy = run.busy_time
-        busy[self.key] = busy.get(self.key, 0.0) + dur
+        dur = base * run.factor(self._d)
+        if not self.ran:
+            self.ran = True
+            run.busy_order.append(self)
+        self.busy += dur
+        sim = run.sim
+        now = sim.now
         if run.trace is not None:
-            t0 = run.sim.now
-            run.trace.record(
-                TraceEvent(self.module, self.instance, kind, label, d, t0, t0 + dur)
-            )
-        run.sim.schedule(dur, self._phase)
+            run.trace.add(self.module, self.instance, kind, label, self._d,
+                          now, now + dur)
+        # Simulator.schedule, inlined: this is the engine's hottest push.
+        if dur < 0:
+            raise SimulationError(f"cannot schedule {dur} seconds into the past")
+        heappush(run.heap, (now + dur, sim._seq, self._on_phase))
+        sim._seq += 1
 
     def _send(self):
         """Arrive on the next out-edge (also the last transfer's callback)."""
-        if not self.alive:
-            return
         k = self._idx
         if k == len(self.outs):
             if not self.outs:
@@ -279,24 +296,33 @@ class _Worker:
     def _transfer_done(self):
         """Completion event of the transfer this worker receives: resume
         both endpoints, first arrival first."""
-        self.run.active_transfers -= 1
-        pair = ((self, self._recv), (self._peer, self._peer._send))
-        for w, resume in (pair if self._first else pair[::-1]):
-            if w.alive:
-                resume()
-            elif w is self:
-                # The receiver died mid-transfer.  The data arrived but
-                # nobody owns it: hand the dataset to a surviving
-                # instance, or drop it for end-of-stream replay.  (A dead
-                # *sender* needs nothing — downstream has the data.)
-                self.run.reassign_or_drop(self.module, self._d, "exec")
+        run = self.run
+        run.active_transfers -= 1
+        peer, first = self._peer, self._first
+        if not first and peer.alive:
+            peer._send()
+        if self.alive:
+            self._recv()
+        else:
+            # The receiver died mid-transfer.  The data arrived but nobody
+            # owns it: hand the dataset to a surviving instance, or drop it
+            # for end-of-stream replay.  (A dead *sender* needs nothing —
+            # downstream has the data.)
+            run.reassign_or_drop(self.module, self._d, "exec")
+        if first and peer.alive:
+            peer._send()
 
 
 class _Run:
-    """All shared state of one simulation segment."""
+    """All shared state of one simulation segment.
+
+    ``trace`` is ``None`` or a recorder: any object with
+    :meth:`TraceLog.add <repro.sim.trace.TraceLog.add>`'s signature, told
+    every busy interval in event order.
+    """
 
     def __init__(self, graph: ModuleGraph, datasets,
-                 noise: NoiseModel, trace: TraceLog | None,
+                 noise: NoiseModel, trace,
                  completions: np.ndarray, injections: np.ndarray,
                  faults: FaultModel | None = None,
                  dead: set | None = None,
@@ -304,9 +330,13 @@ class _Run:
                  busy_time: dict | None = None):
         self.graph = graph
         self.noise = noise
+        # Per-operation draws, bound once per run.
+        self.factor = noise.factor
+        self.comm_factor = noise.comm_factor
         self.trace = trace
         self.sim = Simulator()
         self.sim.now = start_time
+        self.heap = self.sim._heap
         self.completions = completions
         self.injections = injections
         self.faults = faults
@@ -314,6 +344,7 @@ class _Run:
         self.busy_time: dict[tuple[int, int], float] = (
             busy_time if busy_time is not None else {}
         )
+        self.busy_order: list[_Worker] = []  # workers, as they first got busy
         # (edge, dataset) -> the worker waiting there for its partner.
         self._rendezvous: dict[tuple[int, int], _Worker] = {}
         self.left = len(datasets)          # completions outstanding
@@ -333,10 +364,14 @@ class _Run:
             if not live:
                 self.remap_needed = (start_time, i, -1)
                 live = list(range(replicas))  # moot: the run never starts
-            buckets: dict[int, list[int]] = {c: [] for c in range(replicas)}
-            for j, d in enumerate(datasets):
-                buckets[live[j % len(live)]].append(d)
-            group = [_Worker(self, i, c, buckets[c]) for c in range(replicas)]
+            # Round-robin over the live instances: live[j] takes every
+            # len(live)-th data set from position j.
+            buckets = {c: () for c in range(replicas)}
+            for j, c in enumerate(live):
+                buckets[c] = datasets[j::len(live)]
+            busy = self.busy_time
+            group = [_Worker(self, i, c, buckets[c], busy.get((i, c), 0.0))
+                     for c in range(replicas)]
             for w in group:
                 if (i, w.instance) in dead:
                     w.alive = False
@@ -349,10 +384,21 @@ class _Run:
         self.completions[d] = self.sim.now
         self.left -= 1
 
-    def start(self) -> None:
+    def execute(self) -> None:
+        """Run the segment until it drains or freezes, then write each
+        worker's busy seconds back to the busy dict.
+
+        The write-back goes in the order the workers first became busy,
+        which is the order the dict would have gained their keys had every
+        operation updated it, and adds no key for a worker that never ran.
+        """
         for w in self.workers:
             w._pump()
         self._schedule_faults()
+        self.sim.run()
+        busy = self.busy_time
+        for w in self.busy_order:
+            busy[w.key] = w.busy
 
     # -- rendezvous communication -----------------------------------------
     def rendezvous_arrive(self, edge: int, dataset: int, worker: _Worker) -> None:
@@ -363,9 +409,8 @@ class _Run:
             return
         graph = self.graph
         sender, receiver = (wa, worker) if wa.module == graph.edge_src[edge] else (worker, wa)
-        dur = graph.edge_base[edge] * self.noise.comm_factor(
-            self.active_transfers, dataset=dataset
-        )
+        dur = graph.edge_base[edge] * self.comm_factor(self.active_transfers,
+                                                       dataset)
         if graph.hop is not None:
             dur *= graph.hop[edge][sender.instance][receiver.instance]
         # Transient communication faults: each failed attempt burns a full
@@ -385,28 +430,35 @@ class _Run:
                 )
         total = wasted + dur
         self.active_transfers += 1
-        busy = self.busy_time
+        # Both endpoints are busy throughout; ``wa`` arrived first, so it
+        # is the first of the two to become busy.
         for w in (wa, worker):
-            busy[w.key] = busy.get(w.key, 0.0) + total
-            if w.state is not None and w._d == dataset:
-                w.state = "xfer_send" if w is sender else "xfer_recv"
-        t0 = self.sim.now
-        if self.trace is not None:
+            if not w.ran:
+                w.ran = True
+                self.busy_order.append(w)
+            w.busy += total
+        if sender.state is not None and sender._d == dataset:
+            sender.state = "xfer_send"
+        if receiver.state is not None and receiver._d == dataset:
+            receiver.state = "xfer_recv"
+        sim = self.sim
+        t0 = sim.now
+        trace = self.trace
+        if trace is not None:
             label = graph.edge_label[edge]
             if wasted > 0.0:
                 for w in (wa, worker):
-                    self.trace.record(
-                        TraceEvent(w.module, w.instance, "fault", label,
-                                   dataset, t0, t0 + wasted)
-                    )
+                    trace.add(w.module, w.instance, "fault", label, dataset,
+                              t0, t0 + wasted)
             for w in (wa, worker):
-                kind = "send" if w is sender else "recv"
-                self.trace.record(
-                    TraceEvent(w.module, w.instance, kind, label, dataset,
-                               t0 + wasted, t0 + total)
-                )
+                trace.add(w.module, w.instance,
+                          "send" if w is sender else "recv", label, dataset,
+                          t0 + wasted, t0 + total)
         receiver._peer, receiver._first = sender, receiver is wa
-        self.sim.schedule(total, receiver._transfer_done)
+        if total < 0:
+            raise SimulationError(f"cannot schedule {total} seconds into the past")
+        heappush(self.heap, (t0 + total, sim._seq, receiver._on_transfer))
+        sim._seq += 1
 
     def _withdraw(self, edges: list[int], dataset: int, worker: _Worker) -> None:
         """Remove a party from its not-yet-paired rendezvous on ``edges``."""
@@ -430,9 +482,7 @@ class _Run:
         w.alive = False
         self.faults_injected.append(FaultEvent("proc_fail", t, module, instance))
         if self.trace is not None:
-            self.trace.record(
-                TraceEvent(module, instance, "fail", "processor-failure", -1, t, t)
-            )
+            self.trace.add(module, instance, "fail", "processor-failure", -1, t, t)
         survivors = [x for x in self.module_workers[module] if x.alive]
         items = w.take_all()
         if w.state is not None:
@@ -650,7 +700,7 @@ class _Stream:
     """The shared state every segment of one stream writes into."""
 
     def __init__(self, chain: TaskChain | None, n: int, noise: NoiseModel,
-                 engine: str, trace: TraceLog | None,
+                 engine: str, trace,
                  faults: FaultModel | None, placements, hop_penalty: float,
                  leap: bool, stats: dict | None, graph: ModuleGraph | None):
         self.chain = chain
@@ -701,8 +751,7 @@ class _Stream:
                    injections=self.injections, faults=self.faults,
                    dead=seg.dead, start_time=seg.t0, busy_time=busy)
         if run.remap_needed is None:
-            run.start()
-            run.sim.run()
+            run.execute()
         self.events += run.sim.events_processed
         self.failures.extend(run.faults_injected)
         return run
@@ -812,10 +861,8 @@ class _FaultReplan(_Once):
             )
         )
         if stream.trace is not None:
-            stream.trace.record(
-                TraceEvent(-1, 0, "remap", f"remap@P={surviving}", -1,
-                           t_fail, resume)
-            )
+            stream.trace.add(-1, 0, "remap", f"remap@P={surviving}", -1,
+                             t_fail, resume)
         # The new mapping only uses surviving processors: nobody starts dead.
         return self._segment(plan.mapping, unfinished, resume)
 
@@ -880,7 +927,7 @@ class _Controlled(_Once):
 
 def _run_stream(chain: TaskChain | None, policy: _Once, n: int,
                 noise: NoiseModel, engine: str, warmup_fraction: float,
-                faults: FaultModel | None = None, collect_trace: bool = False,
+                faults: FaultModel | None = None, trace=None,
                 placements=None, hop_penalty: float = 0.0, leap: bool = True,
                 stats: dict | None = None,
                 graph: ModuleGraph | None = None) -> SimulationResult:
@@ -892,10 +939,11 @@ def _run_stream(chain: TaskChain | None, policy: _Once, n: int,
     data sets, release time) or ends the stream.  Segments run on the
     chain's description of their mapping, or on ``graph`` when given (a
     fork/join module graph: one ``_Once`` segment on the event engine).
+    ``trace`` is ``None`` or a recorder (see :class:`_Run`); a recorder
+    keeps the stream on the event engine.
     """
-    eng = _pick_engine(engine, noise, faults, collect_trace)
-    stream = _Stream(chain, n, noise, eng, TraceLog() if collect_trace else None,
-                     faults, placements, hop_penalty,
+    eng = _pick_engine(engine, noise, faults, trace is not None)
+    stream = _Stream(chain, n, noise, eng, trace, faults, placements, hop_penalty,
                      leap and not policy.drains, stats, graph)
     start = policy.mapping
     seg = policy.first()
@@ -1012,8 +1060,8 @@ def simulate(
         ensure_valid_plan(chain, mapping)
         return _run_stream(chain, _Once(mapping, n_datasets), n_datasets,
                            noise, engine, warmup_fraction, faults=faults,
-                           collect_trace=collect_trace, placements=placements,
-                           hop_penalty=hop_penalty)
+                           trace=TraceLog() if collect_trace else None,
+                           placements=placements, hop_penalty=hop_penalty)
     if faults is not None and faults.active:
         raise SimulationError(
             "the adaptive controller does not drive faulted runs; use "
@@ -1115,7 +1163,8 @@ def simulate_fault_tolerant(
                           remap_latency, mem_per_proc_mb, planner)
     return _run_stream(chain, policy, n_datasets,
                        noise or NoiseModel.silent(), "auto", warmup_fraction,
-                       faults=faults, collect_trace=collect_trace)
+                       faults=faults,
+                       trace=TraceLog() if collect_trace else None)
 
 
 def _epochs_from(completions: np.ndarray, failures: list, remaps: list,

@@ -38,15 +38,22 @@ class TraceEvent:
 
 
 class TraceLog:
-    """An append-only list of trace events with query helpers."""
+    """An append-only list of trace events with query helpers.
+
+    The event engine writes to any *recorder*: an object with this
+    class's :meth:`add` method.  ``TraceLog`` is the recorder that keeps
+    every interval as a :class:`TraceEvent`; the §5 profiler passes one
+    that keeps only durations (``repro.estimate.profiler``).
+    """
 
     def __init__(self):
         self.events: list[TraceEvent] = []
-        self.enabled = True
 
-    def record(self, event: TraceEvent) -> None:
-        if self.enabled:
-            self.events.append(event)
+    def add(self, module: int, instance: int, kind: str, label: str,
+            dataset: int, start: float, end: float) -> None:
+        """Record one busy interval."""
+        self.events.append(
+            TraceEvent(module, instance, kind, label, dataset, start, end))
 
     def __len__(self):
         return len(self.events)

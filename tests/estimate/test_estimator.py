@@ -1,5 +1,6 @@
 """Tests for end-to-end estimation: profile -> fit -> predict (§5, §6.3)."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -9,7 +10,7 @@ from repro.core import (
     optimal_mapping,
 )
 from repro.estimate import estimate_chain, profile_chain, training_mappings, validate_model
-from repro.sim import NoiseModel
+from repro.sim import NoiseModel, simulate
 from tests.conftest import make_random_chain
 
 
@@ -21,7 +22,54 @@ class TestProfiler:
         assert set(data.exec_samples) == {0, 1, 2}
         assert set(data.ecom_samples) == {0, 1}
         assert set(data.icom_samples) <= {0, 1}
-        assert len(data.runs) == len(mappings)
+        # Every training run contributed (one memory sample per run).
+        assert len(data.memory_samples[0]) == len(mappings)
+
+    def test_samples_equal_the_traced_path_bit_for_bit(self):
+        """The profiler records durations without building a trace; its
+        samples must equal grouping a recorded trace by (kind, label) and
+        taking ``np.mean`` of each group in trace order."""
+        chain = make_random_chain(4, seed=7, replicable_prob=1.0)
+        mappings = training_mappings(chain, 16) + [
+            # A replicated module with an internal redistribution.
+            Mapping([ModuleSpec(0, 1, 2, 2), ModuleSpec(2, 3, 3, 3)]),
+        ]
+
+        def noise():
+            return NoiseModel(seed=9, jitter=0.03, comm_interference=0.02)
+
+        data = profile_chain(chain, mappings, n_datasets=60, noise=noise())
+
+        traced_noise = noise()
+        want = {"exec": {}, "icom": {}, "ecom": {}}
+        for mapping in mappings:
+            trace = simulate(chain, mapping, n_datasets=60, noise=traced_noise,
+                             collect_trace=True).trace
+            groups = {}
+            for ev in trace:
+                groups.setdefault((ev.kind, ev.label), []).append(ev.duration)
+
+            def mean(kind, label):
+                return float(np.mean(groups[kind, label]))
+
+            for m in mapping.modules:
+                for t in range(m.start, m.stop + 1):
+                    want["exec"].setdefault(t, []).append(
+                        (m.procs, mean("task", chain.tasks[t].name)))
+                for e in range(m.start, m.stop):
+                    label = f"{chain.tasks[e].name}->{chain.tasks[e + 1].name}"
+                    if ("icom", label) in groups:
+                        want["icom"].setdefault(e, []).append(
+                            (m.procs, mean("icom", label)))
+            for a, b in zip(mapping.modules, mapping.modules[1:]):
+                label = f"{chain.tasks[a.stop].name}->{chain.tasks[b.start].name}"
+                want["ecom"].setdefault(a.stop, []).append(
+                    (a.procs, b.procs, mean("recv", label)))
+
+        assert want["icom"] and any(m.replicas > 1 for m in mappings[-1].modules)
+        assert data.exec_samples == want["exec"]
+        assert data.icom_samples == want["icom"]
+        assert data.ecom_samples == want["ecom"]
 
     def test_noiseless_samples_match_models(self):
         chain = make_random_chain(2, seed=6)

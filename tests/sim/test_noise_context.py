@@ -75,6 +75,39 @@ class TestDriftContext:
         assert second > first                  # counter advanced
         assert first == drift_noise(drift=1e-2).factor()
 
+    @pytest.mark.parametrize("jitter,drift,comm_drift", [
+        (0.0, 1e-3, 0.0),       # both shortcuts at once
+        (0.03, 1e-3, 0.0),      # zero comm rate under jitter
+        (0.0, 1e-3, 5e-4),      # jitter-free under a nonzero comm rate
+        (0.0, 0.0, 2e-3),       # zero execution rate, jitter-free
+    ])
+    def test_zero_rate_shortcuts_match_the_unskipped_formula(
+            self, jitter, drift, comm_drift):
+        """``factors`` skips the all-ones comm table and the all-ones
+        jitter base; both skips are exact, and the draws after them stay
+        in step with a model that took the long way."""
+
+        def model():
+            return DriftNoiseModel(seed=5, jitter=jitter, comm_interference=0.0,
+                                   drift=drift, comm_drift=comm_drift)
+
+        def unskipped(noise, d, comm):
+            base = NoiseModel.factors(noise, len(d))
+            top = int(d.max()) + 1
+            scale = noise._table(noise.drift, top)[d]
+            scale = np.where(comm, noise._table(noise.comm_drift, top)[d], scale)
+            return base * scale
+
+        rng = np.random.default_rng(0)
+        fast, slow = model(), model()
+        for n in (7, BLOCK + 3, 64):
+            d = rng.integers(0, 3000, size=n)
+            comm = rng.random(n) < 0.4
+            got = fast.factors(n, datasets=d, comm=comm)
+            want = unskipped(slow, d, comm)
+            assert got.tobytes() == want.tobytes()
+        assert fast.factor(dataset=11) == slow.factor(dataset=11)
+
     def test_drift_factors_require_datasets(self):
         with pytest.raises(ValueError, match="datasets"):
             drift_noise().factors(4)

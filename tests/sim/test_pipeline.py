@@ -130,3 +130,38 @@ class TestMeasurement:
         small = simulate(chain, mapping, n_datasets=10)
         big = simulate(chain, mapping, n_datasets=40)
         assert big.events_processed > small.events_processed
+
+
+class TestBusyAccounting:
+    def test_busy_dict_gains_keys_in_first_busy_order(self):
+        """Instances keep their busy seconds locally and write them back
+        after the run.  The busy dict must still gain its keys in the order
+        the instances first became busy (the order their first trace
+        records appear), after any key an earlier segment left: the
+        controller sums replica busy times in dict order.  A slow source
+        feeding a fast 3-replica module makes the sink busy before the
+        middle module's second replica, so first-busy order is not
+        instance order."""
+        from repro.sim.modulegraph import chain_graph
+        from repro.sim.pipeline import _Run
+        from repro.sim.trace import TraceLog
+
+        tasks = [Task("src", PolynomialExec(1.0, 0.0, 0.0)),
+                 Task("mid", PolynomialExec(0.1, 0.0, 0.0)),
+                 Task("snk", PolynomialExec(0.5, 0.0, 0.0))]
+        edges = [Edge(ecom=PolynomialEComm(0.01, 0.0, 0.0, 0.0, 0.0))
+                 for _ in range(2)]
+        mapping = Mapping([ModuleSpec(0, 0, 1, 1), ModuleSpec(1, 1, 1, 3),
+                           ModuleSpec(2, 2, 1, 1)])
+        graph = chain_graph(TaskChain(tasks, edges, name="fan"), mapping)
+        n, trace = 30, TraceLog()
+        busy = {(1, 2): 1.0}  # left by an earlier segment
+        run = _Run(graph, range(n), NoiseModel(seed=3, jitter=0.03,
+                                               comm_interference=0.02),
+                   trace, completions=np.full(n, np.nan),
+                   injections=np.full(n, np.nan), busy_time=busy)
+        run.execute()
+        first_busy = list(dict.fromkeys((e.module, e.instance) for e in trace))
+        assert first_busy != sorted(first_busy)
+        assert list(busy) == [(1, 2)] + [k for k in first_busy if k != (1, 2)]
+        assert busy[(1, 2)] > 1.0
