@@ -13,6 +13,10 @@ full grid also asserts that greedy, the paper's cheap alternative (§4),
 beats the assignment DP on every cell with ``P >= 32``.  Results are
 written to ``BENCH_solver.json`` at the repo root.
 
+A ``small_p`` table times one warm assignment DP per call at ``P = 12`` on
+1–4 modules, the size of the adaptive runtime's re-solves, beside the
+seed DP and the scalar pricing of its result.
+
 Run standalone (not collected by pytest)::
 
     python benchmarks/bench_solver_perf.py            # full grid + P=256
@@ -35,6 +39,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.core import (  # noqa: E402
     InfeasibleError,
+    SegmentCache,
     SolverWorkspace,
     build_module_chain,
     default_workspace,
@@ -236,6 +241,61 @@ def bench_cell(k, P, check_seed=True):
     return row
 
 
+#: Machine size of the adaptive runtime's re-solves (perfbench's
+#: adapt-drift runs on 12 processors): many small DPs, fixed cost first.
+SMALL_P = 12
+SMALL_P_CLUSTERINGS = (
+    ((0, 3),),
+    ((0, 1), (2, 3)),
+    ((0, 0), (1, 2), (3, 3)),
+    ((0, 0), (1, 1), (2, 2), (3, 3)),
+)
+
+
+def _per_call(fn, number, repeat=5):
+    """Best-of-``repeat`` seconds per call over ``number`` calls."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / number)
+    return best
+
+
+def bench_small_p():
+    """Per-call assignment DP at P = 12 on 1–4 modules, warm (one segment
+    cache and one workspace across calls, as in a controller's re-solves),
+    beside the seed DP and the scalar pricing of the result; the totals
+    and objective are asserted identical to the seed's."""
+    chain = random_chain(4, seed=412)
+    cache = SegmentCache(chain)
+    ws = SolverWorkspace()
+    rows = []
+    for clustering in SMALL_P_CLUSTERINGS:
+        mchain = cache.module_chain(clustering)
+        res = optimal_assignment(mchain, SMALL_P, workspace=ws)
+        seed_totals, seed_val = _seed_optimal_assignment(mchain, SMALL_P)
+        assert (res.totals, res.bottleneck_response) == (seed_totals, seed_val), (
+            f"small-P DP mismatch on {clustering}"
+        )
+        allocations = totals_to_allocations(mchain, res.totals)
+        rows.append({
+            "P": SMALL_P,
+            "modules": len(clustering),
+            "dp_us": 1e6 * _per_call(
+                lambda: optimal_assignment(mchain, SMALL_P, workspace=ws), 300
+            ),
+            "pricing_us": 1e6 * _per_call(
+                lambda: evaluate_module_chain(mchain, allocations), 300
+            ),
+            "seed_dp_us": 1e6 * _per_call(
+                lambda: _seed_optimal_assignment(mchain, SMALL_P), 30
+            ),
+        })
+    return rows
+
+
 def bench_p256(budget_mb=768.0):
     """Bounded-memory float32 assignment DP at P=256 (acceptance case)."""
     chain = random_chain(3, seed=256)
@@ -303,6 +363,14 @@ def main(argv=None):
                 f"greedy {row['greedy_s']:.4f} s not faster than the "
                 f"assignment DP {row['assign_dp_s']:.4f} s at k={k} P={P}"
             )
+
+    report["small_p"] = bench_small_p()
+    for row in report["small_p"]:
+        print(
+            f"P={row['P']} {row['modules']} modules  DP {row['dp_us']:7.1f} us "
+            f"(seed {row['seed_dp_us']:7.1f} us)  pricing "
+            f"{row['pricing_us']:6.1f} us"
+        )
 
     flagship = [r for r in report["grid"] if r["k"] == 5 and r["P"] == 64]
     if flagship:

@@ -31,11 +31,18 @@ Performance layer (bit-identical to the straightforward evaluation):
 * tensors are laid out with the reduction axis ``q`` last, so the
   ``max``/``argmin`` runs over contiguous memory;
 * the transition block skips ``pl > pt`` cells (provably +inf — a module
-  cannot exceed the budget of its prefix), halving the work;
+  cannot exceed the budget of its prefix), halving the work, and the
+  ``pn > P - pt`` states no later stage reads (the rest of the chain
+  would have no processors);
+* the stage shift ``W[pt, pl, q] = V[pt - pl, q, pl]`` is one strided copy
+  (see :class:`~repro.core.workspace.SolverWorkspace`'s arena);
 * the last stage materialises only the ``pt = P, pn = 0`` plane the
   reconstruction can ever read, turning one full ``O(P^4)`` stage per
-  solve into an ``O(P^2)`` one;
-* argmin tables use the smallest integer dtype that can index ``0..P``.
+  solve into an ``O(P^2)`` one, and the stage before it only the
+  ``pt = P - pn`` states that plane reads — ``O(P^3)``;
+* argmin tables use the smallest integer dtype that can index ``0..P``;
+* the result is priced by the scalar evaluator only when read, so a
+  caller ranking results by their DP value prices the ones it keeps.
 
 All of these preserve the exact float operations (and first-index argmin
 tie-breaking) of the seed implementation, so returned mappings are
@@ -47,7 +54,8 @@ re-scored analytically in ``float64`` so reported numbers stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,19 +68,32 @@ from .response import (
     strip_replication,
     totals_to_allocations,
 )
-from .workspace import SolverWorkspace, argmin_dtype, default_workspace
+from .workspace import SolverWorkspace, default_workspace
 
 __all__ = ["DPResult", "optimal_assignment"]
 
 @dataclass
 class DPResult:
-    """Outcome of the dynamic-programming assignment."""
+    """Outcome of the dynamic-programming assignment.
+
+    ``performance`` prices the allocation with the scalar evaluator
+    (:func:`~repro.core.response.evaluate_module_chain`) on first read, so
+    a caller that ranks many results by ``bottleneck_response`` prices only
+    the ones it keeps (:func:`~repro.core.dp_cluster.exhaustive_mapping`).
+    """
 
     totals: list[int]                 # total processors per module
-    performance: MappingPerformance   # evaluated optimal mapping
+    mchain: ModuleChain = field(repr=False)  # the chain ``totals`` allocate
     bottleneck_response: float        # the DP objective value
     stages: int                       # number of modules
     table_size: int                   # entries per DP table (diagnostics)
+
+    @cached_property
+    def performance(self) -> MappingPerformance:
+        """The evaluated optimal mapping."""
+        return evaluate_module_chain(
+            self.mchain, totals_to_allocations(self.mchain, self.totals)
+        )
 
     @property
     def mapping(self) -> Mapping:
@@ -113,30 +134,16 @@ def _assemble_final_plane(mchain, j, P, dtype, mask):
     return plane.astype(dtype, copy=False)
 
 
-def _first_stage(mchain, P, V, mask):
+def _first_stage(mchain, ar, V, mask):
     """V_0[pt, pl, pn] = resp_0(φ, pl, pn), +inf where pl exceeds pt."""
-    ce, com_out, denom, feasible = mchain.response_parts(0, P)
+    ce, com_out, denom, feasible = mchain.response_parts(0, ar.P)
     with np.errstate(invalid="ignore", divide="ignore"):
         base = (ce[0][:, None] + com_out) / denom[:, None]  # (pl, pn)
     base[~feasible] = np.inf
     if mask is not None:
         base[~mask] = np.inf
     np.copyto(V, base[None, :, :])
-    over_budget = np.arange(P + 1)[:, None] < np.arange(P + 1)[None, :]
-    V[over_budget] = np.inf
-
-
-def _shift_into(V_prev, W2, P):
-    """``W2[pt, pl, q] = V_prev[pt - pl, q, pl]`` (+inf when pt < pl).
-
-    Built as P+1 strided slice copies — no index tensors, no temporaries.
-    """
-    N = P + 1
-    for pl in range(N):
-        dst = W2[:, pl, :]
-        dst[pl:] = V_prev[: N - pl, :, pl]
-        if pl:
-            dst[:pl] = np.inf
+    V[ar.over_budget] = np.inf
 
 
 def optimal_assignment(
@@ -187,7 +194,7 @@ def optimal_assignment(
     ar = ws.arena(P)
     N = P + 1
     size = N ** 3
-    q_dtype = argmin_dtype(P)
+    q_dtype = ar.q_dtype
 
     def mask_for(j):
         if allowed_totals is None:
@@ -195,63 +202,64 @@ def optimal_assignment(
         return np.asarray(allowed_totals(j), dtype=bool)
 
     V_prev, V_next = ar.V0, ar.V1
-    _first_stage(mchain, P, V_prev, mask_for(0))
+    _first_stage(mchain, ar, V_prev, mask_for(0))
 
-    # None for stage 0; (P+1)^3 tables for middle stages; a 1-D plane row
-    # (indexed by pl at the fixed pt=P, pn=0 state) for the last stage.
+    # One argmin table per stage after the first: (P+1)^3 for a full
+    # stage, (pn, pl) for the anti-diagonal one, pl for the last plane.
     argmin_tables: list[np.ndarray | None] = [None]
-    final: np.ndarray | None = None
+    final = V_prev[P, :, 0]  # a single-module chain runs no transition
+    # D[pn, pl] = V_{l-2}[P - pn, pl, pn]: the only states the last stage
+    # reads (pn is its module's total, pl its predecessor's).
+    D = ar.diagonal(V_prev)
 
     for j in range(1, l):
         if j == l - 1:
             # Reconstruction only ever reads V_{l-1}[P, pl, 0], so the last
             # stage computes just that plane: O(P^2) instead of O(P^4).
             Rf = _assemble_final_plane(mchain, j, P, ar.R2.dtype, mask_for(j))
-            W2f = np.empty_like(Rf)  # (pl, q)
-            for pl in range(N):
-                W2f[pl] = V_prev[P - pl, :, pl]
-            T = np.maximum(W2f, Rf)
+            T = np.maximum(D, Rf)  # (pl, q)
             qbest = np.argmin(T, axis=-1)
-            final = np.take_along_axis(T, qbest[:, None], axis=-1)[:, 0]
+            final = np.take(T, qbest + ar.plane_offs[0])
             argmin_tables.append(qbest.astype(q_dtype))
             break
 
+        # W2[pt, pl, q] = V_prev[pt - pl, q, pl] in one copy (see _Arena);
+        # R2 is assembled after it, over the copy's spill.
+        np.copyto(ar.W2_skew, V_prev.transpose(0, 2, 1))
         _assemble_r2(mchain, j, P, ar.R2, mask_for(j))
-        _shift_into(V_prev, ar.W2, P)
+
+        if j == l - 2:
+            # The last stage reads this one only at pt = P - pn: one
+            # (pn, pl, q) block, O(P^3) instead of O(P^4), in V_next.
+            T = np.maximum(ar.W2[::-1], ar.R2.transpose(1, 0, 2), out=V_next)
+            Qd = np.argmin(T, axis=-1)  # (pn, pl)
+            D = np.take(T, Qd + ar.plane_offs)
+            argmin_tables.append(Qd.astype(q_dtype))
+            ws.track(argmin_tables[-1].nbytes)
+            continue
+
         V_next.fill(np.inf)
         Q = np.zeros((N, N, N), dtype=q_dtype)
         ws.track(Q.nbytes)
-
-        cells = ar.block_cells  # (pt, pl) cells per scratch block
-        tile = N * N            # one (pn, q) tile
-        lo = 0
-        while lo < N:
-            # Grow the pt-chunk while the (triangle-limited) block fits.
-            n = 1
-            while lo + n < N and (n + 1) * min(lo + n + 1, N) <= cells:
-                n += 1
-            hi = lo + n
-            m = min(hi, N)  # pl < hi can be feasible for pt < hi
-            b = max(1, cells // n)  # pl-block when one chunk row overflows
-            for bl in range(0, m, b):
-                bh = min(bl + b, m)
-                nb = bh - bl
-                T = ar.t_flat[: n * nb * tile].reshape(n, nb, N, N)
-                np.maximum(
-                    ar.W2[lo:hi, bl:bh, None, :], ar.R2[None, bl:bh], out=T
-                )
-                idx = ar.idx_flat[: n * nb * N].reshape(n, nb, N)
-                np.argmin(T, axis=-1, out=idx)
-                Q[lo:hi, bl:bh] = idx
-                V_next[lo:hi, bl:bh] = np.take_along_axis(
-                    T, idx[..., None], axis=-1
-                )[..., 0]
-            lo = hi
+        for lo, hi, bl, bh in ar.blocks:
+            # A prefix holding pt >= lo leaves the next module at most
+            # P - lo processors: no later stage reads a state with
+            # pt + pn > P, so the block stops at pn = P - lo.
+            shape = (hi - lo, bh - bl, N - lo)
+            rows = shape[0] * shape[1] * shape[2]
+            T = ar.t_flat[: rows * N]
+            np.maximum(
+                ar.W2[lo:hi, bl:bh, None, :], ar.R2[None, bl:bh, : N - lo],
+                out=T.reshape(*shape, N),
+            )
+            idx = ar.idx_flat[:rows].reshape(shape)
+            np.argmin(T.reshape(*shape, N), axis=-1, out=idx)
+            Q[lo:hi, bl:bh, : N - lo] = idx
+            # The minimum is the argmin's entry: T at row offset + argmin.
+            idx += ar.offs_flat[:rows].reshape(shape)
+            np.take(T, idx, out=V_next[lo:hi, bl:bh, : N - lo], mode="clip")
         argmin_tables.append(Q)
         V_prev, V_next = V_next, V_prev
-
-    if final is None:  # single-module chain: no transition ran
-        final = V_prev[P, :, 0]
 
     best_pl = int(np.argmin(final))
     best_val = float(final[best_pl])
@@ -269,21 +277,22 @@ def optimal_assignment(
         table = argmin_tables[j]
         if table.ndim == 1:  # last-stage plane: state is (P, pl, 0)
             q = int(table[pl])
+        elif table.ndim == 2:  # anti-diagonal: state is (P - pn, pl, pn)
+            q = int(table[pn, pl])
         else:
             q = int(table[pt, pl, pn])
         totals[j - 1] = q
         pt, pl, pn = pt - pl, q, pl
     ws.release()
-    allocations = totals_to_allocations(mchain, totals)
-    perf = evaluate_module_chain(mchain, allocations)
-    if ws.value_dtype != np.dtype(np.float64):
-        # Reduced-precision tables: re-score the reconstructed mapping
-        # analytically so the reported objective is exact.
-        best_val = float(max(perf.effective_responses))
-    return DPResult(
+    res = DPResult(
         totals=totals,
-        performance=perf,
+        mchain=mchain,
         bottleneck_response=best_val,
         stages=l,
         table_size=size,
     )
+    if ws.value_dtype != np.dtype(np.float64):
+        # Reduced-precision tables: re-score the reconstructed mapping
+        # analytically so the reported objective is exact.
+        res.bottleneck_response = float(max(res.performance.effective_responses))
+    return res

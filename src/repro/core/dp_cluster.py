@@ -39,6 +39,7 @@ and agree with the brute-force oracle in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +65,11 @@ __all__ = ["ClusteredResult", "bisect_mapping", "exhaustive_mapping",
 EXHAUSTIVE_MAX_TASKS = 12
 #: Relative tolerance to which :func:`bisect_mapping` certifies the optimum.
 BISECT_TOL = 1e-9
+#: Relative margin over the smallest DP value within which
+#: :func:`exhaustive_mapping` prices a clustering's result.  A DP value and
+#: the priced bottleneck response sum the same non-negative costs, so they
+#: differ by a few ulps; a result further out cannot price as high.
+PRICE_MARGIN = 1e-9
 
 
 @dataclass
@@ -178,13 +184,43 @@ def _may_reach(mchain, total_procs: int, incumbent: float) -> bool:
     P = total_procs
     floor = 0
     for j in range(len(mchain)):
-        admissible = np.flatnonzero(mchain.throughput_bound(j, P) >= incumbent)
-        if admissible.size == 0:
+        admissible = mchain.throughput_bound(j, P) >= incumbent
+        first = int(admissible.argmax())
+        if not admissible[first]:
             return False
-        floor += int(admissible[0])
+        floor += first
         if floor > P:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _clusterings(k: int) -> tuple:
+    """:func:`~repro.core.mapping.all_clusterings` of ``k`` tasks, kept."""
+    return tuple(all_clusterings(k))
+
+
+def _winner(results):
+    """The best ``(enumeration index, clustering, DPResult)``: the highest
+    priced throughput, then the first clustering in enumeration order.
+
+    Only results whose DP value lies within :data:`PRICE_MARGIN` of the
+    smallest are priced; any other prices strictly below the smallest's.
+    """
+    if not results:
+        return None
+    cut = min(res.bottleneck_response for _, _, res in results)
+    cut *= 1.0 + PRICE_MARGIN
+    best = None
+    for entry in results:
+        at, _, res = entry
+        if res.bottleneck_response > cut:
+            continue
+        if best is None or res.throughput > best[2].throughput or (
+            res.throughput == best[2].throughput and at < best[0]
+        ):
+            best = entry
+    return best
 
 
 def exhaustive_mapping(
@@ -212,11 +248,11 @@ def exhaustive_mapping(
     if not (incumbent is not None and incumbent > 0
             and ws.value_dtype == np.dtype(np.float64)):
         incumbent = None
-    best = None  # (enumeration index, clustering, DPResult)
+    results = []  # (enumeration index, clustering, DPResult)
     examined = 0
 
     def solve(at, clustering, mchain):
-        nonlocal best, examined
+        nonlocal examined
         examined += 1
         try:
             res = optimal_assignment(
@@ -230,14 +266,10 @@ def exhaustive_mapping(
             )
         except InfeasibleError:
             return
-        # The first clustering in enumeration order wins ties.
-        if best is None or res.throughput > best[2].throughput or (
-            res.throughput == best[2].throughput and at < best[0]
-        ):
-            best = (at, clustering, res)
+        results.append((at, clustering, res))
 
     skipped = []
-    for at, clustering in enumerate(all_clusterings(len(chain))):
+    for at, clustering in enumerate(_clusterings(len(chain))):
         mchain = cache.module_chain(clustering)
         if mchain.total_min_procs > total_procs:
             continue
@@ -248,10 +280,12 @@ def exhaustive_mapping(
             skipped.append((at, clustering, mchain))
             continue
         solve(at, clustering, mchain)
+    best = _winner(results)
     if best is None or (incumbent is not None and best[2].throughput < incumbent):
         # The incumbent was out of reach, so skipping proved nothing.
         for args in skipped:
             solve(*args)
+        best = _winner(results)
     if best is None:
         raise InfeasibleError(
             f"no clustering of {chain.name!r} fits on {total_procs} processors"

@@ -125,13 +125,12 @@ class ModuleChain:
         """Upper bound on module ``i``'s throughput at each of its totals
         ``0..max_procs``, over every allocation of its neighbours (0 where
         the total is unusable).  Float rounding is monotone, so no
-        allocation beats the bound, bit for bit.  Memoised with the parts
-        when the chain carries a :class:`SegmentCache`."""
+        allocation beats the bound, bit for bit.  Computed without the
+        response parts (:func:`_throughput_bound`) and memoised when the
+        chain carries a :class:`SegmentCache`."""
         if self.cache is not None:
             return self.cache.throughput_bound(self, i, max_procs)
-        return _throughput_bound(
-            self.response_parts(i, max_procs), i > 0, i < len(self) - 1
-        )
+        return _throughput_bound(self, i, max_procs)
 
     def response_tensor(self, i: int, max_procs: int) -> np.ndarray:
         """Effective response of module ``i`` for every allocation triple.
@@ -228,16 +227,53 @@ def _compute_parts(
     return ce, com_out, denom, feasible
 
 
-def _throughput_bound(parts: tuple, has_prev: bool, has_next: bool) -> np.ndarray:
+def _grid_minima(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(in_min, out_min)`` of an ecom grid from module ``a`` to module
+    ``b``: ``b``'s cheapest incoming transfer at each of its totals over
+    ``a``'s real totals ``1..P``, and ``a``'s cheapest outgoing transfer at
+    each of its totals over ``b``'s real totals ``1..P``."""
+    return grid[1:].min(axis=0), grid[:, 1:].min(axis=1)
+
+
+def _boundary_minimum(
+    mchain: ModuleChain, j: int, P: int, cache: "SegmentCache | None", side: int
+) -> np.ndarray:
+    """One of :func:`_grid_minima` (``side`` 0 or 1) of the boundary from
+    module ``j`` to module ``j+1``, scaled like :func:`_boundary`.  A
+    positive factor commutes with the minimum: ``min fl(f*g) = fl(f*min g)``
+    because rounding is monotone."""
+    a, b = mchain.infos[j], mchain.infos[j + 1]
+    model, factor = mchain.ecoms[j].unscaled()
+    if cache is not None:
+        minima = cache.ecom_minima(a.stop, model, a, b, P)
+    else:
+        minima = _grid_minima(_ecom_grid(model, a, b, P))
+    return minima[side] if factor == 1.0 else factor * minima[side]
+
+
+def _throughput_bound(
+    mchain: ModuleChain, i: int, P: int, cache: "SegmentCache | None" = None
+) -> np.ndarray:
     """``1 / LB[pl]``, where ``LB[pl] = (min_q ce[q, pl] + min_pn
-    com_out[pl, pn]) / denom[pl]`` bounds the module's effective response
+    com_out[pl, pn]) / denom[pl]`` bounds module ``i``'s effective response
     at total ``pl`` from below over every real neighbour total (``1..P``,
-    or the φ index 0 at an end of the chain); 0 where ``pl`` is unusable."""
-    ce, com_out, denom, feasible = parts
-    ce_min = ce[1:].min(axis=0) if has_prev else ce[0]
-    out_min = com_out[:, 1:].min(axis=1) if has_next else com_out[:, 0]
+    or the φ index 0 at an end of the chain); 0 where ``pl`` is unusable.
+
+    Read off the exec table and the boundary grids' minima, not the
+    response parts: ``min_q fl(com_in[q, pl] + exec[pl])`` is
+    ``fl(min_q com_in[q, pl] + exec[pl])`` since rounding is monotone, so
+    the bits are those of minimising the parts."""
+    info = mchain.infos[i]
+    if cache is not None:
+        exec_part, denom, feasible = cache.exec_table(info, P)
+    else:
+        exec_part, denom, feasible = _exec_table(info, P)
+    # The φ index of a chain end costs 0.0, as in _compute_parts.
+    in_min = _boundary_minimum(mchain, i - 1, P, cache, 0) if i > 0 else 0.0
+    out_min = (_boundary_minimum(mchain, i, P, cache, 1)
+               if i < len(mchain.infos) - 1 else 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        bound = 1.0 / ((ce_min + out_min) / denom)
+        bound = 1.0 / (((in_min + exec_part) + out_min) / denom)
     bound[~feasible] = 0.0
     return bound
 
@@ -268,11 +304,15 @@ class SegmentCache:
       edge's *unscaled* model (:meth:`BinaryCost.unscaled`) and records
       that model: it is reused while the edge's model is the same object
       and rebuilt otherwise, so it needs no eviction rule.  Module ``i``'s
-      outgoing and module ``i+1``'s incoming communication read one grid;
+      outgoing and module ``i+1``'s incoming communication read one grid,
+      stored with its :func:`_grid_minima`;
     * **parts** — the response factors of :meth:`ModuleChain.response_parts`
       composed from the three above (``factor * grid`` for a scaled edge),
-      keyed by span, own context and neighbour contexts, with the
-      throughput bound the incumbent-bounded search reads.
+      keyed by span, own context and neighbour contexts;
+    * **bounds** — the throughput bound the incumbent-bounded search reads
+      (:func:`_throughput_bound`), under the part's key but built from the
+      exec table and the grid minima, so a clustering the search skips
+      never builds its parts.
 
     Response factors depend on the *neighbouring* modules only through
     their ``(p_min, replicable)`` pairs, so the cache keys on those values
@@ -290,9 +330,10 @@ class SegmentCache:
         self.mem_per_proc_mb = mem_per_proc_mb
         self._infos: dict[tuple[int, int], ModuleInfo] = {}
         self._exec: dict[tuple, tuple] = {}
-        self._grids: dict[tuple, tuple[BinaryCost, np.ndarray]] = {}
+        self._grids: dict[tuple, tuple] = {}  # (model, grid, minima)
         self._parts: dict[tuple, tuple] = {}
         self._bounds: dict[tuple, np.ndarray] = {}
+        self._chains: dict[tuple, ModuleChain] = {}
         self.info_misses = 0
         self.exec_misses = 0
         self.grid_misses = 0
@@ -314,10 +355,17 @@ class SegmentCache:
         return got
 
     def module_chain(self, clustering: Sequence[tuple[int, int]]) -> ModuleChain:
-        """Like :func:`build_module_chain`, reusing memoised infos."""
-        return build_module_chain(
-            self.chain, clustering, self.mem_per_proc_mb, cache=self
-        )
+        """Like :func:`build_module_chain`, reusing memoised infos.  The
+        chain is memoised per clustering while :attr:`chain` stays the same
+        object and no :meth:`invalidate` intervenes."""
+        key = tuple(clustering)
+        got = self._chains.get(key)
+        if got is None or got.chain is not self.chain:
+            got = build_module_chain(
+                self.chain, key, self.mem_per_proc_mb, cache=self
+            )
+            self._chains[key] = got
+        return got
 
     def exec_table(self, info: ModuleInfo, P: int) -> tuple:
         """Memoised :func:`_exec_table` of the segment ``info``."""
@@ -329,19 +377,31 @@ class SegmentCache:
             self.exec_misses += 1
         return got
 
+    def _grid_entry(
+        self, edge: int, model: BinaryCost, a: ModuleInfo, b: ModuleInfo, P: int
+    ) -> tuple:
+        key = (edge, a.p_min, a.replicable, b.p_min, b.replicable, P)
+        got = self._grids.get(key)
+        if got is None or got[0] is not model:
+            grid = _ecom_grid(model, a, b, P)
+            got = self._grids[key] = (
+                model, *_frozen((grid, *_grid_minima(grid)))
+            )
+            self.grid_misses += 1
+        return got
+
     def ecom_grid(
         self, edge: int, model: BinaryCost, a: ModuleInfo, b: ModuleInfo, P: int
     ) -> np.ndarray:
         """Memoised :func:`_ecom_grid` of ``model`` on ``edge``, from module
         ``a`` to module ``b``; valid while the edge's model is ``model``."""
-        key = (edge, a.p_min, a.replicable, b.p_min, b.replicable, P)
-        got = self._grids.get(key)
-        if got is None or got[0] is not model:
-            grid = _ecom_grid(model, a, b, P)
-            grid.setflags(write=False)
-            got = self._grids[key] = (model, grid)
-            self.grid_misses += 1
-        return got[1]
+        return self._grid_entry(edge, model, a, b, P)[1]
+
+    def ecom_minima(
+        self, edge: int, model: BinaryCost, a: ModuleInfo, b: ModuleInfo, P: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_grid_minima` of :meth:`ecom_grid`, memoised with it."""
+        return self._grid_entry(edge, model, a, b, P)[2:]
 
     @staticmethod
     def _part_key(mchain: ModuleChain, i: int, P: int) -> tuple:
@@ -369,13 +429,12 @@ class SegmentCache:
         return got
 
     def throughput_bound(self, mchain: ModuleChain, i: int, P: int) -> np.ndarray:
-        """Memoised :func:`_throughput_bound` of module ``i``'s parts."""
+        """Memoised :func:`_throughput_bound` of module ``i``: it reads the
+        cached exec table and grid minima, never the parts."""
         key = self._part_key(mchain, i, P)
         got = self._bounds.get(key)
         if got is None:
-            got = _throughput_bound(
-                self.parts(mchain, i, P), i > 0, i < len(mchain.infos) - 1
-            )
+            got = _throughput_bound(mchain, i, P, self)
             got.setflags(write=False)
             self._bounds[key] = got
         return got
@@ -393,10 +452,12 @@ class SegmentCache:
           *straddles* a changed edge not in ``ecom_only`` — the edge's
           internal-communication cost is swallowed into the module
           execution cost;
-        * parts of those spans, and parts whose span is *adjacent* to any
-          changed edge (``start == edge+1`` or ``stop == edge``) — the
-          edge's external-communication cost prices their boundary
-          transfer.  Their throughput bounds go with them.
+        * parts and throughput bounds of those spans, and those whose span
+          is *adjacent* to any changed edge (``start == edge+1`` or
+          ``stop == edge``) — the edge's external-communication cost prices
+          their boundary transfer.  A bound is memoised without its part
+          when the search skipped the clustering, so both tables are
+          scanned.
 
         Ecom grids are never evicted: a grid of a model the edge no longer
         has is rebuilt on its next read.  A comm-only delta (every changed
@@ -421,27 +482,27 @@ class SegmentCache:
         eset = set(edges)
         if not tset and not eset:
             return 0
+        self._chains.clear()
         swallowed = eset - set(ecom_only)
+        starts = {j + 1 for j in eset}  # spans right of a changed edge
 
-        def touches(start: int, stop: int) -> bool:
-            return (any(start <= i <= stop for i in tset)
-                    or any(start <= j < stop for j in swallowed))
+        def touches(k: tuple) -> bool:
+            return (any(k[0] <= i <= k[1] for i in tset)
+                    or any(k[0] <= j < k[1] for j in swallowed))
+
+        def borders(k: tuple) -> bool:
+            return k[0] in starts or k[1] in eset or touches(k)
 
         evicted = 0
-        for table in (self._infos, self._exec):
-            dead = [k for k in table if touches(k[0], k[1])]
+        for table, stale in ((self._infos, touches), (self._exec, touches),
+                             (self._parts, borders), (self._bounds, borders)):
+            if stale is touches and not (tset or swallowed):
+                continue  # a comm-only delta changes no span's own costs
+            dead = [k for k in table if stale(k)]
             for k in dead:
                 del table[k]
             evicted += len(dead)
-        dead_parts = [
-            k for k in self._parts
-            if touches(k[0], k[1])
-            or any(k[0] == j + 1 or k[1] == j for j in eset)
-        ]
-        for k in dead_parts:
-            del self._parts[k]
-            self._bounds.pop(k, None)
-        return evicted + len(dead_parts)
+        return evicted
 
 
 def module_info(

@@ -65,19 +65,41 @@ def argmin_dtype(max_procs: int) -> np.dtype:
 
 
 class _Arena:
-    """The per-``P`` buffer set.  All shapes use ``N = P + 1``."""
+    """The per-``P`` buffer set.  All shapes use ``N = P + 1``.
+
+    Besides the buffers it holds what every solve at this ``P`` would
+    otherwise rebuild: the over-budget mask, the tiling of the transition
+    into scratch blocks, and the strided views the stage shift writes
+    through.
+    """
 
     def __init__(self, P: int, value_dtype: np.dtype, scratch_bytes: int):
         N = P + 1
         self.P = P
         self.value_dtype = value_dtype
+        self.q_dtype = argmin_dtype(P)
         itemsize = value_dtype.itemsize
         # Ping-pong value tables, shifted-view W (pt, pl, q), response R2
         # (pl, pn, q) — the q axis last so the reduction is contiguous.
         self.V0 = np.empty((N, N, N), dtype=value_dtype)
         self.V1 = np.empty((N, N, N), dtype=value_dtype)
-        self.W2 = np.empty((N, N, N), dtype=value_dtype)
-        self.R2 = np.empty((N, N, N), dtype=value_dtype)
+        # W2 and R2 share one buffer, W2 first.  The stage shift writes W2
+        # through ``W2_skew[d, pl, q] = W2[d + pl, pl, q]`` in one copy; rows
+        # past ``pt = P`` spill into R2, which each stage assembles after
+        # the shift.  W2's ``pt < pl`` cells are never written: +inf for good.
+        wr = np.empty(2 * N ** 3, dtype=value_dtype)
+        self.W2 = wr[: N ** 3].reshape(N, N, N)
+        self.R2 = wr[N ** 3:].reshape(N, N, N)
+        s0, s1, s2 = self.W2.strides
+        self.W2_skew = np.ndarray(
+            (N, N, N), dtype=value_dtype, buffer=wr, strides=(s0, s0 + s1, s2)
+        )
+        #: ``pt < pl``: a module cannot exceed the budget of its prefix.
+        self.over_budget = np.arange(N)[:, None] < np.arange(N)[None, :]
+        self.W2[self.over_budget] = np.inf
+        # Flat offset of each row of an (N, N, N) block; row 0 serves an
+        # (N, N) plane.
+        self.plane_offs = np.arange(N * N, dtype=np.intp).reshape(N, N) * N
         # Scratch for the max/argmin block, sized by the budget; at least
         # one (pl-row, pn, q) tile.
         tile = N * N
@@ -85,14 +107,47 @@ class _Arena:
         cells = min(cells, N * N)  # never more than the full table
         self.t_flat = np.empty(cells * tile, dtype=value_dtype)
         self.idx_flat = np.empty(cells * N, dtype=np.intp)
+        # Flat offset of each (pt, pl, pn) row of a block: row + argmin
+        # indexes the block's minimum without an index array per block.
+        self.offs_flat = np.arange(cells * N, dtype=np.intp) * N
         self.block_cells = cells  # (pt, pl) cells per scratch block
+        self.blocks = _tiling(N, cells)
+
+    def diagonal(self, V: np.ndarray) -> np.ndarray:
+        """``D[pl, q] = V[P - pl, q, pl]``: the states the last stage reads,
+        as a strided view of ``V`` (``V0`` or ``V1``)."""
+        s0, s1, s2 = V.strides
+        return np.ndarray(
+            (self.P + 1, self.P + 1), dtype=V.dtype, buffer=V,
+            offset=self.P * s0, strides=(s2 - s0, s1),
+        )
 
     @property
     def nbytes(self) -> int:
         return (
             self.V0.nbytes + self.V1.nbytes + self.W2.nbytes
             + self.R2.nbytes + self.t_flat.nbytes + self.idx_flat.nbytes
+            + self.offs_flat.nbytes + self.plane_offs.nbytes
         )
+
+
+def _tiling(N: int, cells: int) -> list[tuple[int, int, int, int]]:
+    """The transition's ``(lo, hi, bl, bh)`` blocks: ``pt`` chunks grown
+    while their triangle-limited ``pl`` range fits ``cells`` scratch cells,
+    split into ``pl`` blocks when one chunk row overflows."""
+    blocks = []
+    lo = 0
+    while lo < N:
+        n = 1
+        while lo + n < N and (n + 1) * min(lo + n + 1, N) <= cells:
+            n += 1
+        hi = lo + n
+        m = min(hi, N)  # pl < hi can be feasible for pt < hi
+        b = max(1, cells // n)
+        for bl in range(0, m, b):
+            blocks.append((lo, hi, bl, min(bl + b, m)))
+        lo = hi
+    return blocks
 
 
 class SolverWorkspace:

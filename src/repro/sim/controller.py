@@ -209,6 +209,7 @@ class AdaptiveController:
         self.records: list[ControllerRecord] = []
         self.audit: list[dict] = []
         self.remap_count = 0
+        self._busy = None  # (mapping, e_m, c_m) of _busy_model
 
     # -- introspection -----------------------------------------------------
     @property
@@ -329,32 +330,16 @@ class AdaptiveController:
         pays.  Collinear systems (exec ∝ comm across modules) degrade the
         same way.
         """
-        mapping = self.mapping
-        mchain = build_module_chain(
-            self.base_chain, mapping.clustering(), self.planner.mem_per_proc_mb
-        )
-        sizes = [m.procs for m in mapping.modules]
-        l = len(mchain)
-        comms = [
-            float(mchain.ecoms[i](sizes[i], sizes[i + 1])) for i in range(l - 1)
-        ]
+        es, cs = self._busy_model()
+        l = len(es)
         n = obs.stop - obs.start
         observed = [0.0] * l
         for (m, _), busy in obs.busy.items():
             observed[m] += busy
         a11 = a12 = a22 = b1 = b2 = 0.0
         exec_sum = comm_sum = obs_sum = 0.0
-        for i, info in enumerate(mchain.infos):
-            # Each data set runs on exactly one instance, so the *summed*
-            # busy time across a module's replicas is one execution plus
-            # both adjacent transfers per data set, replicated or not.
-            e = float(info.exec_cost(sizes[i]))
-            c = 0.0
-            if i > 0:
-                c += comms[i - 1]
-            if i < l - 1:
-                c += comms[i]
-            o = observed[i] / n
+        for e, c, busy in zip(es, cs, observed):
+            o = busy / n
             a11 += e * e
             a12 += e * c
             a22 += c * c
@@ -380,6 +365,39 @@ class AdaptiveController:
         total = exec_sum + comm_sum
         s = obs_sum / total if total > 0 else 1.0
         return max(s, 1e-12), max(s, 1e-12)
+
+    def _busy_model(self) -> tuple[list[float], list[float]]:
+        """Per-module ``(e_m, c_m)`` of the deployed mapping on the base
+        chain, for :meth:`_estimate_scales`.  They change only when the
+        mapping does (initial plan, adopt, remap), so they are memoised on
+        the mapping object."""
+        mapping = self.mapping
+        if self._busy is None or self._busy[0] is not mapping:
+            mchain = build_module_chain(
+                self.base_chain, mapping.clustering(),
+                self.planner.mem_per_proc_mb,
+            )
+            sizes = [m.procs for m in mapping.modules]
+            l = len(mchain)
+            comms = [
+                float(mchain.ecoms[i](sizes[i], sizes[i + 1]))
+                for i in range(l - 1)
+            ]
+            es, cs = [], []
+            for i, info in enumerate(mchain.infos):
+                # Each data set runs on exactly one instance, so the
+                # *summed* busy time across a module's replicas is one
+                # execution plus both adjacent transfers per data set,
+                # replicated or not.
+                c = 0.0
+                if i > 0:
+                    c += comms[i - 1]
+                if i < l - 1:
+                    c += comms[i]
+                es.append(float(info.exec_cost(sizes[i])))
+                cs.append(c)
+            self._busy = (mapping, es, cs)
+        return self._busy[1], self._busy[2]
 
     def _resolve(self, s_x: float, s_c: float, obs: EpochObservation):
         """Incrementally re-solve under the believed slowdowns.

@@ -270,6 +270,19 @@ def _speculate(pipe: _Pipeline, ready, D, completions, injections,
     row = D[0].tolist()
     b = max(range(k),
             key=lambda m: sum(row[slice(*pipe.windows[m])]) / rs[m])
+    # The guess's checks on the first data set, in scalar, before the chunk
+    # is computed: a chunk that fails there commits nothing.  A fresh
+    # segment's fill fails them for b > 0: every instance starts at t0, so
+    # each receiver is ready before its sender (a tie only where the
+    # durations before module b add nothing to t0).
+    t = ready[0][s % rs[0]]
+    for e in range(b):
+        for c in range(*spans[e]):
+            t += row[c]
+        recv = ready[e + 1][s % rs[e + 1]]
+        if recv < t:
+            return 0
+        t = recv + row[ecol[e]]
 
     def released(m, rel):
         """Release time of data set d's instance of module m before d."""

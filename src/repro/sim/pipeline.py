@@ -609,11 +609,18 @@ def _pooled_throughput(completions: np.ndarray, warmup: int) -> float:
     n = len(ordered)
     warmup = max(warmup, 1)
     if warmup >= n:
-        raise SimulationError("degenerate steady-state window")
+        raise SimulationError(
+            f"degenerate steady-state window: {n} completions, {warmup} of "
+            f"them warm-up; run more data sets"
+        )
     t0 = ordered[warmup - 1]
     t1 = ordered[-1]
     if t1 <= t0:
-        raise SimulationError("degenerate steady-state window")
+        raise SimulationError(
+            f"degenerate steady-state window: the last {n - warmup + 1} of "
+            f"{n} completions fall at one instant (t = {float(t1)!r}), so the "
+            f"run shows no steady state; run more data sets"
+        )
     return float((n - warmup) / (t1 - t0))
 
 

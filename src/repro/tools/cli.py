@@ -163,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_trace(args) -> int:
     from ..core.dp_cluster import optimal_mapping
+    from ..core.exceptions import SimulationError
     from ..sim.pipeline import simulate
     from ..sim.trace import render_gantt
     from ..sim.svg import write_trace_svg
@@ -172,10 +173,14 @@ def _cmd_trace(args) -> int:
     best = optimal_mapping(
         workload.chain, machine.total_procs, machine.mem_per_proc_mb
     )
-    result = simulate(
-        workload.chain, best.mapping, n_datasets=args.datasets,
-        collect_trace=True,
-    )
+    try:
+        result = simulate(
+            workload.chain, best.mapping, n_datasets=args.datasets,
+            collect_trace=True,
+        )
+    except SimulationError as exc:
+        print(f"error: {exc} (--datasets is {args.datasets})", file=sys.stderr)
+        return 1
     print(f"mapping: {format_mapping(best.mapping, workload.chain)}")
     print(render_gantt(result.trace, width=100))
     if args.svg:

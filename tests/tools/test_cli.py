@@ -189,6 +189,19 @@ class TestCommands:
         ]) == 1
         assert "plan rejected" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("machine", ["iwarp64-message", "iwarp64-systolic"])
+    def test_trace_without_steady_state_fails_cleanly(self, capsys, machine):
+        # stereo's optimum is one module of 16 replicas: 12 data sets run in
+        # one wave and every completion falls at one instant.
+        assert main(["trace", "-w", "stereo", "-m", machine]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: degenerate steady-state window")
+        assert "--datasets is 12" in captured.err
+        assert main(["trace", "-w", "stereo", "-m", machine,
+                     "--datasets", "40"]) == 0
+        assert "|" in capsys.readouterr().out
+
     def test_trace_renders_gantt_and_svg(self, capsys, tmp_path):
         svg_path = tmp_path / "t.svg"
         assert main([
