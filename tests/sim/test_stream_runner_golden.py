@@ -25,6 +25,7 @@ from repro.core import Mapping, ModuleSpec
 from repro.core.cost import PolynomialEComm, PolynomialExec
 from repro.core.task import Edge, Task, TaskChain
 from repro.experiments import drift_study
+from repro.fjgraph import FJGraph, ParallelSection, greedy_fj_mapping, simulate_fj
 from repro.machine.topology import Rect
 from repro.sim import (
     AdaptiveController,
@@ -76,6 +77,38 @@ def _plain_jittered_long():
     return simulate(chain, mapping, n_datasets=6_000,
                     noise=NoiseModel(seed=8, jitter=0.04,
                                      comm_interference=0.03))
+
+
+def _plain_replicated():
+    # One module, sixteen single-processor replicas on a jittered,
+    # interfering stream: every event is a phase or a data-set boundary.
+    chain = make_random_chain(4, seed=2, replicable_prob=1.0)
+    return simulate(chain, Mapping([ModuleSpec(0, 3, 1, 16)]),
+                    n_datasets=2_000,
+                    noise=NoiseModel(seed=6, jitter=0.02,
+                                     comm_interference=0.02))
+
+
+def _fj_jittered():
+    # Fork/join graph with replicated branches: fan-out and fan-in
+    # rendezvous under jitter and transfer interference.
+    def task(name, work):
+        return Task(name, PolynomialExec(0.005, work))
+
+    def ecom(c=0.02):
+        return Edge(ecom=PolynomialEComm(c, 0.5, 0.5, 0.002, 0.002))
+
+    section = ParallelSection(
+        branches=[[task(f"cam{i}", 2.0)] for i in range(3)],
+        fork_edges=[ecom() for _ in range(3)],
+        join_edges=[ecom() for _ in range(3)],
+    )
+    graph = FJGraph([task("capture", 1.0), section, task("diff", 12.0),
+                     ecom(0.05), task("output", 1.0)], name="fork-join")
+    mapping, _ = greedy_fj_mapping(graph, 20)
+    return simulate_fj(graph, mapping, n_datasets=400,
+                       noise=NoiseModel(seed=9, jitter=0.03,
+                                        comm_interference=0.05))
 
 
 def _plain_traced():
@@ -135,6 +168,8 @@ MATRIX = {
     "plain-leaped": _plain_leaped,
     "plain-traced": _plain_traced,
     "plain-placed": _plain_placed,
+    "plain-replicated": _plain_replicated,
+    "fj-jittered": _fj_jittered,
     "ft-degrade": _ft_degrade,
     "ft-remap": _ft_remap,
     "ft-comm": _ft_comm,
