@@ -8,10 +8,16 @@ leaping (the bottleneck evaluator with its scalar fallback), and the
 leaping fast path.  **Asserts both fast runs' completion and injection
 arrays and busy fractions are bit-identical to the event engine's** on
 every compared size, and that the n=1e6 speedup clears the 50x acceptance
-bar.  Results are written to ``BENCH_sim.json`` at the repo root.
+bar.  One more row (``noisy``) runs the same pipeline on the event engine
+with jitter and transfer interference, the regime the ``stream-event``
+benchmark workload measures; it records the completion array's sha256.
+Results are written to ``BENCH_sim.json`` at the repo root.
 
-Each fast run is timed twice over: its first call (``*_cold_s``, which
-pays the first-call costs) and the best of :data:`REPEATS` calls after it
+Every time is in reference-kernel seconds (``perfbench/refclock.py``):
+wall time rescaled by a fixed kernel timed around each run, so rates
+committed from different runs and hosts compare.  Each fast run is timed
+twice over: its first call (``*_cold_s``, which pays the first-call
+costs) and the best of :data:`REPEATS` calls after it
 (``fast_s``/``fast_noleap_s``).  The event engine runs once per size.
 The 50x bar reads the cold speedup, the stricter of the two.
 
@@ -24,16 +30,19 @@ Run standalone (not collected by pytest)::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "perfbench"))
+
+import refclock  # noqa: E402
 
 from repro.core.cost import PolynomialEComm, PolynomialExec  # noqa: E402
 from repro.core.mapping import Mapping, ModuleSpec  # noqa: E402
@@ -47,6 +56,8 @@ from repro.sim import NoiseModel, simulate, simulate_fast  # noqa: E402
 UNIT = 2.0 ** -20
 #: Warm calls per fast run; the best of them is its warm time.
 REPEATS = 5
+#: The noisy row's noise: stream-event's jitter and interference.
+NOISE = {"seed": 1, "jitter": 0.02, "comm_interference": 0.02}
 
 
 def _dyadic(x: float) -> float:
@@ -76,9 +87,9 @@ def bench_pipeline() -> tuple[TaskChain, Mapping]:
 
 
 def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
+    """``fn()``'s time in reference-kernel seconds, and its output."""
+    out, wall, scale = refclock.timed(fn)
+    return wall * scale, out
 
 
 def _cold_and_warm(fn):
@@ -156,10 +167,29 @@ def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
     return row
 
 
+def bench_noisy(chain, mapping, n: int) -> dict:
+    """The event engine under jitter and transfer interference."""
+    t_event, event = _timed(
+        lambda: simulate(chain, mapping, n_datasets=n,
+                         noise=NoiseModel(**NOISE))
+    )
+    assert event.engine == "event"
+    return {
+        "n": n,
+        "noise": NOISE,
+        "event_s": t_event,
+        "event_datasets_per_s": n / t_event,
+        "event_events_per_s": event.events_processed / t_event,
+        "events_processed": event.events_processed,
+        "completions_sha256": hashlib.sha256(
+            event.completions.tobytes()).hexdigest(),
+    }
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
-                    help="n=1e4 only, small event run (CI smoke)")
+                    help="n=1e4 only, noisy row included (CI smoke)")
     ap.add_argument("--out", default=str(REPO / "BENCH_sim.json"))
     args = ap.parse_args(argv)
 
@@ -171,12 +201,13 @@ def main(argv=None):
         "quick": args.quick,
         "pipeline": {"k": 5, "replicas": [2, 1, 3, 1, 2], "hyperperiod": 6,
                      "duration_unit": "2**-20"},
+        "clock": "reference-kernel seconds (perfbench/refclock.py)",
         "grid": [],
     }
 
-    # The event engine is O(n) Python callbacks: it runs at every size in
-    # the full benchmark (the 1e6 case is the slow acceptance measurement)
-    # but only at 1e4 in --quick.
+    # The event engine is O(n) Python work: it runs at every size in the
+    # full benchmark (the 1e6 case is the slow acceptance measurement) but
+    # only at 1e4 in --quick.
     sizes = [10_000] if args.quick else [10_000, 100_000, 1_000_000]
     for n in sizes:
         row = bench_size(chain, mapping, n, run_event=True)
@@ -189,6 +220,16 @@ def main(argv=None):
             f"speedup {row['speedup']:8.1f}x (cold {row['speedup_cold']:8.1f}x, "
             f"no-leap {row['speedup_noleap']:5.1f}x)"
         )
+
+    noisy = report["noisy"] = bench_noisy(
+        chain, mapping, 10_000 if args.quick else 100_000)
+    # Noise moves durations, never the events a data set takes.
+    same = next(r for r in report["grid"] if r["n"] == noisy["n"])
+    assert noisy["events_processed"] == same["events_processed"]
+    print(
+        f"noisy n={noisy['n']:>9,}  event {noisy['event_s']:8.2f} s "
+        f"({noisy['event_events_per_s']:>10,.0f} ev/s)"
+    )
 
     final = report["grid"][-1]
     report["speedup_at_largest_n"] = final["speedup"]

@@ -22,14 +22,9 @@ from ..core.mapping import Mapping
 from ..core.task import TaskChain
 from ..core.validate import ensure_valid_plan
 from ..sim.noise import NoiseModel
-from ..sim.pipeline import _Once, _run_stream
+from ..sim.pipeline import _Once, _run_segments
 
 __all__ = ["ProfileData", "profile_chain"]
-
-#: The stream's warm-up share; the samples do not depend on it, but the
-#: run's summary (and its deadlock check) needs one.
-WARMUP_FRACTION = 0.2
-
 
 @dataclass
 class ProfileData:
@@ -74,8 +69,10 @@ def _profile_run(
 ) -> ProfileData:
     ensure_valid_plan(chain, mapping)
     durations = _Durations()
-    _run_stream(chain, _Once(mapping, n_datasets), n_datasets, noise, "event",
-                WARMUP_FRACTION, trace=durations)
+    # The samples are all a profiling run yields: it runs the stream's
+    # segments (which raise on a deadlock) and builds no result summary.
+    _run_segments(chain, _Once(mapping, n_datasets), n_datasets, noise,
+                  "event", trace=durations)
     data = ProfileData()
     for m in mapping.modules:
         # Execution samples: mean over observed slices of each task.
