@@ -18,6 +18,18 @@ All models are vectorised: they accept scalars or numpy arrays and evaluate
 elementwise, which the dynamic-programming mapper relies on for speed.
 Processor counts below 1 evaluate to ``+inf`` so invalid table slots never
 win a minimisation.
+
+A plain number (an ``int`` or ``float``, ``bool`` and ``np.float64``
+included) is evaluated in float arithmetic: the model's own ``evaluate``
+runs on a Python float, with no 0-d array around it.  This is what the
+mapper does when it prices one candidate mapping, and it gives the array
+path's bits: ``+ - * /`` on Python floats and on float64 arrays are the
+same correctly rounded IEEE operations, and a numpy ufunc runs the same
+loop on a float as on a 0-d array.  Where plain-float arithmetic raises
+instead (``1.0 / 0.0``, an overflowing ``**``), turns complex (a negative
+base to a fractional power), or the model reads array attributes a float
+lacks (``p.shape``), the call falls back to the array path, so every
+input gives the array path's result.
 """
 
 from __future__ import annotations
@@ -47,6 +59,13 @@ __all__ = [
 ]
 
 
+_PLAIN = (int, float)
+#: What evaluating a model on Python floats raises where numpy would not:
+#: a zero division or overflow, ``float()`` of a complex power, or a
+#: model that reads an array attribute.  The array path gives the answer.
+_FLOAT_ERRORS = (ArithmeticError, TypeError, AttributeError)
+
+
 def _as_float_array(p):
     """Return ``p`` as a float ndarray (copying scalars into 0-d arrays)."""
     return np.asarray(p, dtype=np.float64)
@@ -60,14 +79,23 @@ def _guard(p, values):
 class UnaryCost:
     """A cost that depends on one processor count: ``t = f(p)``.
 
-    Subclasses implement :meth:`evaluate` on float ndarrays; ``__call__``
-    accepts scalars or arrays and returns the matching shape.
+    Subclasses implement :meth:`evaluate` on float ndarrays and on Python
+    floats; ``__call__`` accepts scalars or arrays and returns the matching
+    shape.
     """
 
     def evaluate(self, p: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
     def __call__(self, p):
+        if isinstance(p, _PLAIN):
+            if not p >= 1.0:
+                return np.inf
+            try:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return float(self.evaluate(float(p)))
+            except _FLOAT_ERRORS:
+                pass
         arr = _as_float_array(p)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = _guard(arr, self.evaluate(arr))
@@ -87,6 +115,14 @@ class BinaryCost:
         raise NotImplementedError
 
     def __call__(self, ps, pr):
+        if isinstance(ps, _PLAIN) and isinstance(pr, _PLAIN):
+            if not (ps >= 1.0 and pr >= 1.0):
+                return np.inf
+            try:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return float(self.evaluate(float(ps), float(pr)))
+            except _FLOAT_ERRORS:
+                pass
         a = _as_float_array(ps)
         b = _as_float_array(pr)
         a, b = np.broadcast_arrays(a, b)
@@ -334,7 +370,7 @@ class ScatteredBinary(BinaryCost):
         return self._z[np.argmin(d2, axis=1)]
 
     def evaluate(self, ps, pr):
-        q = np.column_stack([1.0 / ps.ravel(), 1.0 / pr.ravel()])
+        q = np.column_stack([1.0 / np.ravel(ps), 1.0 / np.ravel(pr)])
         if self._linear is not None:
             vals = self._linear(q)
             mask = np.isnan(vals)
@@ -342,7 +378,7 @@ class ScatteredBinary(BinaryCost):
                 vals[mask] = self._nearest(q[mask])
         else:
             vals = self._nearest(q)
-        return vals.reshape(ps.shape)
+        return vals.reshape(np.shape(ps))
 
     def to_dict(self) -> dict:
         return {
@@ -380,7 +416,7 @@ class SumUnary(UnaryCost):
         self.parts = list(parts)
 
     def evaluate(self, p):
-        total = np.zeros_like(p)
+        total = 0.0
         for part in self.parts:
             total = total + part.evaluate(p)
         return total

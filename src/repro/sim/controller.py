@@ -112,11 +112,13 @@ class ControllerConfig:
             raise ValueError("epoch_datasets must be >= 2")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.dead_band < 0 or self.remap_latency < 0 or self.payback < 0:
+        # Written as ``not x >= 0`` so that NaN, which would silently turn
+        # the controller into a monitor, is rejected too.
+        if not (self.dead_band >= 0 and self.remap_latency >= 0 and self.payback >= 0):
             raise ValueError("dead_band, remap_latency, payback must be >= 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.min_gain < 0:
+        if not self.min_gain >= 0:
             raise ValueError("min_gain must be >= 0")
 
 

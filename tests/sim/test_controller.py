@@ -196,6 +196,12 @@ class TestContracts:
             {"dead_band": -0.1},
             {"remap_latency": -1.0},
             {"min_gain": -0.5},
+            # A NaN threshold never compares true: the controller would
+            # never breach or never remap, silently becoming a monitor.
+            {"dead_band": float("nan")},
+            {"remap_latency": float("nan")},
+            {"payback": float("nan")},
+            {"min_gain": float("nan")},
         ],
     )
     def test_config_validation(self, kw):
