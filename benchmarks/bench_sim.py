@@ -2,24 +2,24 @@
 """Simulation engine harness: fast path vs event engine.
 
 Times a healthy noise-free k=5 pipeline (with replicated modules, dyadic
-durations — the regime where cycle leaping is provably bit-exact) at
-n = 1e4 / 1e5 / 1e6 data sets on the event engine, the fast path without
-leaping (the bottleneck evaluator with its scalar fallback), and the
-leaping fast path.  **Asserts both fast runs' completion and injection
-arrays and busy fractions are bit-identical to the event engine's** on
-every compared size, and that the n=1e6 speedup clears the 50x acceptance
-bar.  One more row (``noisy``) runs the same pipeline on the event engine
-with jitter and transfer interference, the regime the ``stream-event``
-benchmark workload measures; it records the completion array's sha256.
+durations, so the schedule settles into an exactly periodic steady state)
+at n = 1e4 / 1e5 / 1e6 data sets on the event engine and on the fast path
+(the bottleneck evaluator with its scalar fallback).  **Asserts the fast
+run's completion and injection arrays and busy fractions are
+bit-identical to the event engine's** on every size, and that the n=1e6
+speedup clears the 50x acceptance bar.  One more row (``noisy``) runs the
+same pipeline on the event engine with jitter and transfer interference,
+the regime the ``stream-event`` benchmark workload measures; it records
+the completion array's sha256.
 Results are written to ``BENCH_sim.json`` at the repo root.
 
 Every time is in reference-kernel seconds (``perfbench/refclock.py``):
 wall time rescaled by a fixed kernel timed around each run, so rates
-committed from different runs and hosts compare.  Each fast run is timed
-twice over: its first call (``*_cold_s``, which pays the first-call
-costs) and the best of :data:`REPEATS` calls after it
-(``fast_s``/``fast_noleap_s``).  The event engine runs once per size.
-The 50x bar reads the cold speedup, the stricter of the two.
+committed from different runs and hosts compare.  The fast run is timed
+twice over: its first call (``fast_cold_s``, which pays the first-call
+costs) and the best of :data:`REPEATS` calls after it (``fast_s``).  The
+event engine runs once per size.  The 50x bar reads the cold speedup,
+the stricter of the two.
 
 Run standalone (not collected by pytest)::
 
@@ -51,8 +51,7 @@ from repro.core.validate import ensure_valid_plan  # noqa: E402
 from repro.sim import NoiseModel, simulate, simulate_fast  # noqa: E402
 
 #: Dyadic duration grid: every cost is a multiple of 2**-20, so timestamp
-#: arithmetic is exact and cycle leaping is bit-identical by construction
-#: (docs/algorithms.md §11).
+#: arithmetic is exact.
 UNIT = 2.0 ** -20
 #: Warm calls per fast run; the best of them is its warm time.
 REPEATS = 5
@@ -65,7 +64,7 @@ def _dyadic(x: float) -> float:
 
 
 def bench_pipeline() -> tuple[TaskChain, Mapping]:
-    """Healthy k=5 pipeline with replicated modules (hyper-period 6)."""
+    """Healthy k=5 pipeline with replicated modules."""
     tasks = [
         Task(f"t{i}", PolynomialExec(_dyadic(0.23 + 0.31 * i), 0.0, 0.0))
         for i in range(5)
@@ -105,7 +104,7 @@ def _cold_and_warm(fn):
 
 
 def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
-    """One stream size: event engine (optional), evaluator, leaping fast."""
+    """One stream size: the fast path, and the event engine (optional)."""
     row: dict = {"n": n}
 
     stats: dict = {}
@@ -116,23 +115,8 @@ def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
     row["fast_cold_s"] = t_cold
     row["fast_s"] = t_fast
     row["fast_datasets_per_s"] = n / t_fast
-    row["fast_leaped_datasets"] = stats["leaped"]
     row["fast_verified_datasets"] = stats["verified"]
     row["fast_scalar_datasets"] = stats["scalar_datasets"]
-
-    noleap_stats: dict = {}
-    t_scalar_cold, t_scalar, scalar = _cold_and_warm(
-        lambda: simulate_fast(chain, mapping, n, noise=NoiseModel.silent(),
-                              leap=False, stats=noleap_stats)
-    )
-    row["fast_noleap_cold_s"] = t_scalar_cold
-    row["fast_noleap_s"] = t_scalar
-    row["fast_noleap_datasets_per_s"] = n / t_scalar
-    row["fast_noleap_verified_datasets"] = noleap_stats["verified"]
-    row["fast_noleap_scalar_datasets"] = noleap_stats["scalar_datasets"]
-    assert np.array_equal(fast.completions, scalar.completions), (
-        f"n={n}: leaping changed the completion array"
-    )
 
     if run_event:
         t_event, event = _timed(
@@ -144,7 +128,6 @@ def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
         row["events_processed"] = event.events_processed
         row["speedup"] = t_event / t_fast
         row["speedup_cold"] = t_event / t_cold
-        row["speedup_noleap"] = t_event / t_scalar
         assert np.array_equal(event.completions, fast.completions), (
             f"n={n}: fast completions differ from the event engine"
         )
@@ -155,15 +138,6 @@ def bench_size(chain, mapping, n: int, run_event: bool) -> dict:
             f"n={n}: fast busy fractions differ from the event engine"
         )
         assert event.events_processed == fast.events_processed
-        assert np.array_equal(event.completions, scalar.completions), (
-            f"n={n}: evaluator completions differ from the event engine"
-        )
-        assert np.array_equal(event.injections, scalar.injections), (
-            f"n={n}: evaluator injections differ from the event engine"
-        )
-        assert event.busy_fractions == scalar.busy_fractions, (
-            f"n={n}: evaluator busy fractions differ from the event engine"
-        )
     return row
 
 
@@ -199,7 +173,7 @@ def main(argv=None):
         "numpy": np.__version__,
         "machine": platform.machine(),
         "quick": args.quick,
-        "pipeline": {"k": 5, "replicas": [2, 1, 3, 1, 2], "hyperperiod": 6,
+        "pipeline": {"k": 5, "replicas": [2, 1, 3, 1, 2],
                      "duration_unit": "2**-20"},
         "clock": "reference-kernel seconds (perfbench/refclock.py)",
         "grid": [],
@@ -216,9 +190,7 @@ def main(argv=None):
             f"n={n:>9,}  event {row['event_s']:8.2f} s "
             f"({row['event_events_per_s']:>10,.0f} ev/s)  "
             f"fast {row['fast_s']*1e3:8.2f} ms (cold {row['fast_cold_s']*1e3:8.2f})  "
-            f"no-leap {row['fast_noleap_s']*1e3:8.2f} ms  "
-            f"speedup {row['speedup']:8.1f}x (cold {row['speedup_cold']:8.1f}x, "
-            f"no-leap {row['speedup_noleap']:5.1f}x)"
+            f"speedup {row['speedup']:8.1f}x (cold {row['speedup_cold']:8.1f}x)"
         )
 
     noisy = report["noisy"] = bench_noisy(

@@ -5,8 +5,7 @@ per phase/transfer event — faithful, but capped at a few thousand data sets
 per second.  This module computes the *same* per-data-set injection and
 completion timestamps directly from the pipeline's timing recurrence,
 without ever materialising events: whole chunks of the steady state at once
-along the bottleneck, and whole periods at a time once a dyadic schedule
-becomes periodic.  It is the enabling layer for million-data-set runs
+along the bottleneck.  It is the enabling layer for million-data-set runs
 (workload drift, remap hysteresis — see ROADMAP).
 
 Why a recurrence is exact
@@ -48,31 +47,14 @@ does not hold; :func:`_evaluate` recomputes from there on the scalar loop
 for a short, growing stretch and speculates again.  Committed rows are
 therefore the scalar recurrence's bits, whatever the guess.
 
-Cycle leaping
--------------
-A healthy noise-free pipeline reaches a periodic steady state: after the
-fill transient, the whole schedule repeats every hyper-period of
-``L = lcm(replicas)`` data sets, shifted by a constant ``delta``.  The fast
-path snapshots the ready-time vector at every block boundary and, once it
-observes the translation ``state[b] == state[b-m] + delta`` **bit-exactly**
-for two consecutive lags (and the per-data-set outputs translating the same
-way), extrapolates the remaining completions with one vectorised broadcast
-— millions of data sets in microseconds.  This is only sound when
-timestamp arithmetic is exact (dyadic-rational durations, the benchmark's
-configuration, see :meth:`_Pipeline._exact_unit`); then the translation is
-provably self-sustaining and the extrapolation stays bit-identical to the
-event engine.  Segments without that certificate, and noisy ones, run on
-the bottleneck evaluator instead.  Faulted runs never get here at all:
-``simulate(engine="auto")`` routes them, like any run with random or
-contention-dependent noise, to the event engine.  The stream runner in
-:mod:`repro.sim.pipeline` calls :func:`run_segment` once per segment — once
-for a plain run, once per epoch for a controlled one.
+Faulted runs never get here at all: ``simulate(engine="auto")`` routes
+them, like any run with random or contention-dependent noise, to the
+event engine.  The stream runner in :mod:`repro.sim.pipeline` calls
+:func:`run_segment` once per segment — once for a plain run, once per
+epoch for a controlled one.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import gcd, isfinite, lcm
 
 import numpy as np
 
@@ -81,12 +63,6 @@ from .noise import NoiseModel
 
 __all__ = ["run_segment"]
 
-#: Snapshot lags (in hyper-period blocks) tried by the periodicity detector.
-#: Steady states with max-plus cyclicity > 1 repeat at a multiple of the
-#: hyper-period; powers of two cover those cheaply.
-_LAGS = (1, 2, 4, 8)
-#: Keep this many trailing block snapshots (enough for the largest lag).
-_KEEP = 2 * _LAGS[-1] + 1
 #: Data sets whose durations are materialised at once (bounds memory on
 #: million-data-set streams; the block split changes no value).
 _BLOCK = 1 << 15
@@ -138,45 +114,6 @@ class _Pipeline:
         #: from compute.
         self.comm_template = np.zeros(len(base), dtype=bool)
         self.comm_template[edge_col] = True
-        #: Hyper-period: the instance round-robin (and the placement
-        #: pattern, which is keyed by d mod replicas) repeats every L sets.
-        self.L = lcm(*self.replicas)
-        self.exact_unit = self._exact_unit()
-
-    def _exact_unit(self) -> Fraction | None:
-        """Greatest dyadic unit dividing every operation duration.
-
-        When every duration is an integer multiple of one unit ``u`` and
-        all timestamps stay below ``2**53 * u``, every ``+`` and ``max`` in
-        the recurrence is exact integer arithmetic scaled by ``u`` — float
-        addition then *is* translation-invariant, which is what makes cycle
-        leaping provably bit-identical to the event engine.  Returns
-        ``None`` when no usable unit exists (e.g. durations with full
-        53-bit mantissas, where the unit would be uselessly small).
-        """
-        durs = [p for ph in self.phases for p in ph]
-        if self.hop is None:
-            durs += self.edge_base
-        else:
-            # The recurrence adds the already-multiplied product, so the
-            # product is what must sit on the unit grid.
-            for base, hop in zip(self.edge_base, self.hop):
-                durs += (base * hop).ravel().tolist()
-        vals = []
-        for d in durs:
-            if not isfinite(d) or d < 0:
-                return None
-            if d:
-                vals.append(Fraction(d))
-        if not vals:
-            return Fraction(0)  # all-zero durations: trivially exact
-        den = max(v.denominator for v in vals)  # powers of two
-        if den > 1 << 40:
-            return None
-        g = 0
-        for v in vals:
-            g = gcd(g, int(v * den))
-        return Fraction(g, den)
 
 
 def _durations(pipe: _Pipeline, d0: int, d1: int, draws=None) -> np.ndarray:
@@ -378,16 +315,20 @@ def _instance_sums(W, r: int, start) -> np.ndarray:
     ``np.add.accumulate`` per lane (``add.reduce`` sums pairwise and would
     round differently from the running ``+`` it replaces).  Lanes short of
     a full last row are padded with zeros, which leave a sum unchanged.
-    Returns shape ``(r, 1 + q * w)`` with ``q = ceil(len(W) / r)``.
+    Returns shape ``(r, 1 + q * w)`` with ``q = ceil(len(W) / r)``.  The
+    rows are copied into the lanes once and summed in place: on a long
+    stream this runs over every busy window, and copies dominate it.
     """
     n, w = W.shape
-    q = -(-n // r)
-    rows = np.zeros((q * r, w))
-    rows[:n] = W
-    lanes = np.empty((r, 1 + q * w))
+    full, tail = divmod(n, r)
+    lanes = np.empty((r, 1 + -(-n // r) * w))
     lanes[:, 0] = start
-    lanes[:, 1:] = rows.reshape(q, r, w).transpose(1, 0, 2).reshape(r, q * w)
-    return np.add.accumulate(lanes, axis=1)
+    body = lanes[:, 1:].reshape(r, -1, w)
+    body[:, :full] = W[:full * r].reshape(full, r, w).transpose(1, 0, 2)
+    if tail:
+        body[:tail, full] = W[full * r:]
+        body[tail:, full] = 0.0
+    return np.add.accumulate(lanes, axis=1, out=lanes)
 
 
 def _add_busy(pipe: _Pipeline, busy, D, d0: int) -> None:
@@ -404,181 +345,44 @@ def _add_busy(pipe: _Pipeline, busy, D, d0: int) -> None:
             busy[m][c] = total
 
 
-def _translation(cur, prev):
-    """The bit-exact translation ``delta`` with ``cur == prev + delta``
-    elementwise, or ``None`` when the states are not exact translates."""
-    delta = cur[0] - prev[0]
-    for a, b in zip(cur, prev):
-        if a != b + delta:
-            return None
-    return delta
-
-
-def _detect_period(pipe: _Pipeline, snapshots, completions, injections,
-                   done: int):
-    """Try to certify a periodic steady state at the current boundary.
-
-    Requires, for some lag of ``m`` blocks: the last three states spaced
-    ``m`` apart are exact translates by one common ``delta``, and every
-    output in the last ``m`` blocks translates from the block ``m`` earlier
-    by the same ``delta``.  Two consecutive exact transitions certify that
-    the computation commutes with the ``+delta`` shift at this state;
-    under exact arithmetic the shift is then self-sustaining.
-    Returns ``(period_datasets, delta)`` or ``None``.
-    """
-    L = pipe.L
-    b = len(snapshots) - 1  # index of the newest snapshot
-    for m in _LAGS:
-        if b < 2 * m:
-            continue
-        delta = _translation(snapshots[b], snapshots[b - m])
-        if delta is None:
-            continue
-        if _translation(snapshots[b - m], snapshots[b - 2 * m]) != delta:
-            continue
-        period = m * L
-        lo = done - period
-        ok = True
-        for d in range(lo, done):
-            if (completions[d] != completions[d - period] + delta
-                    or injections[d] != injections[d - period] + delta):
-                ok = False
-                break
-        if ok:
-            return period, delta
-    return None
-
-
-def _certified(pipe: _Pipeline, state, delta: float, reps: int) -> bool:
-    """Is leaping ``reps`` periods forward *provably* bit-exact?
-
-    Observing two exact-translation transitions (see :func:`_detect_period`)
-    is necessary but not sufficient with general doubles: float addition is
-    only translation-invariant under exact arithmetic, and rounding can
-    start to differ once the growing timestamps cross a binade boundary.
-    This certificate makes the leap rigorous: with every duration on one
-    dyadic unit grid (``exact_unit``) and the whole extrapolated horizon
-    below ``2**53`` units, every operation — the scalar prefix, the event
-    engine's own arithmetic, and the broadcast extrapolation — is exact
-    integer arithmetic, so all associations agree bit for bit.  A ``delta``
-    of zero needs no certificate: the state repeats verbatim, so the future
-    is literally a copy of the observed period.
-    """
-    if delta == 0:
-        return True
-    unit = pipe.exact_unit
-    if not unit:
-        return False
-    d = Fraction(delta)
-    if d % unit != 0:
-        return False
-    horizon = Fraction(max(state)) + d * (reps + 1)
-    return horizon / unit < (1 << 53)
-
-
 def run_segment(pipe: _Pipeline, completions, injections, datasets: range,
-                t0: float, noise: NoiseModel, busy: dict, leap: bool = False,
+                t0: float, noise: NoiseModel, busy: dict,
                 stats: dict | None = None) -> int:
     """Advance the recurrence over the contiguous ``datasets``, every
-    instance released at ``t0``; returns the events the event engine would
-    have processed.
+    instance released at ``t0``, on the bottleneck evaluator; returns the
+    events the event engine would have processed.
 
     Busy seconds are added into ``busy`` for every instance that served a
-    data set.  ``leap`` enables cycle leaping on noise-free segments that
-    start on a hyper-period boundary and carry an exactness certificate;
-    every other segment runs on the bottleneck evaluator.  ``stats``
-    (optional dict) receives fast-path diagnostics: ``leaped``,
-    ``verified`` (data sets the evaluator committed), ``scalar_datasets``,
-    ``period`` and ``hyperperiod``.
+    data set.  ``stats`` (optional dict) receives fast-path diagnostics:
+    ``verified`` (data sets the evaluator committed) and
+    ``scalar_datasets`` (data sets the scalar loop computed).
     """
     d0, d1 = datasets.start, datasets.stop
     ready = [[t0] * r for r in pipe.replicas]
     lbusy = [[0.0] * r for r in pipe.replicas]
-
-    noisy = noise.active
-    L = pipe.L
-    leap = (leap and not noisy and pipe.exact_unit is not None
-            and d1 - d0 >= 3 * L and d0 % L == 0)
-    done = d0
-    leaped = 0
-    period_used = None
     tally = {"verified": 0, "misses": 0}
-
-    if not leap:
-        epd = pipe.events_per_dataset
-        while done < d1:
-            stop = min(done + _BLOCK, d1)
-            draws = None
-            if noisy:
-                # Batched noise: one factor per operation in data-set
-                # order, with each draw's (data set, is-transfer) context
-                # for non-stationary models.
-                ds = np.repeat(np.arange(done, stop), epd)
-                cm = np.tile(pipe.comm_template, stop - done)
-                draws = noise.factors((stop - done) * epd, datasets=ds, comm=cm)
-            D = _durations(pipe, done, stop, draws)
-            _evaluate(pipe, ready, D, completions, injections, done, tally)
-            _add_busy(pipe, lbusy, D, done)
-            done = stop
-    else:
-        # d0 is a multiple of L, so one hyper-period of durations prices
-        # every block.
-        DL = _durations(pipe, 0, L)
-        snapshots: list[tuple[float, ...]] = []
-        while done < d1:
-            stop = min(done + L, d1)
-            _run_scalar(pipe, ready, DL, completions, injections, done, stop, done)
-            done = stop
-            if done % L != 0:
-                continue
-            snapshots.append(tuple(x for module in ready for x in module))
-            if len(snapshots) > _KEEP:
-                del snapshots[0]
-            hit = _detect_period(pipe, snapshots, completions, injections, done)
-            if hit is None:
-                continue
-            period, delta = hit
-            remaining = d1 - done
-            if remaining <= 0:
-                break
-            reps = -(-remaining // period)
-            if not _certified(pipe, snapshots[-1], delta, reps):
-                continue
-            # Extrapolate: block q of the remaining stream is the last
-            # certified period shifted by q * delta.
-            shifts = np.arange(1, reps + 1) * delta
-            base_c = completions[done - period:done]
-            base_i = injections[done - period:done]
-            completions[done:d1] = (base_c[None, :] + shifts[:, None]).ravel()[:remaining]
-            injections[done:d1] = (base_i[None, :] + shifts[:, None]).ravel()[:remaining]
-            leaped = remaining
-            period_used = period
-            break
-        # Busy time of the walked prefix, then of the leaped region:
-        # periodic durations, so one period's per-instance totals scale by
-        # the whole periods and a short walk covers the ragged tail.
-        for lo in range(d0, done, _BLOCK):
-            hi = min(lo + _BLOCK, done)
-            _add_busy(pipe, lbusy, _durations(pipe, lo, hi), lo)
-        if leaped:
-            full, tail = divmod(leaped, period_used)
-            for count, times in ((period_used, full), (tail, 1)):
-                if not count or not times:
-                    continue
-                part = [[0.0] * r for r in pipe.replicas]
-                _add_busy(pipe, part, _durations(pipe, 0, count), 0)
-                for total, row in zip(lbusy, part):
-                    for c, v in enumerate(row):
-                        total[c] += v * times
+    epd = pipe.events_per_dataset
+    done = d0
+    while done < d1:
+        stop = min(done + _BLOCK, d1)
+        draws = None
+        if noise.active:
+            # Batched noise: one factor per operation in data-set order,
+            # with each draw's (data set, is-transfer) context for
+            # non-stationary models.
+            ds = np.repeat(np.arange(done, stop), epd)
+            cm = np.tile(pipe.comm_template, stop - done)
+            draws = noise.factors((stop - done) * epd, datasets=ds, comm=cm)
+        D = _durations(pipe, done, stop, draws)
+        _evaluate(pipe, ready, D, completions, injections, done, tally)
+        _add_busy(pipe, lbusy, D, done)
+        done = stop
 
     if stats is not None:
-        stats["leaped"] = leaped
         stats["verified"] = tally["verified"]
-        stats["scalar_datasets"] = d1 - d0 - leaped - tally["verified"]
-        stats["period"] = period_used
-        stats["hyperperiod"] = L
+        stats["scalar_datasets"] = d1 - d0 - tally["verified"]
     for i, r in enumerate(pipe.replicas):
         # Instances that never saw a data set get no busy entry.
         for c in sorted({d % r for d in range(d0, min(d1, d0 + r))}):
             busy[(i, c)] = busy.get((i, c), 0.0) + lbusy[i][c]
-    return (d1 - d0) * pipe.events_per_dataset
+    return (d1 - d0) * epd

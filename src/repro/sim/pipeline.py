@@ -471,7 +471,7 @@ class _Stream:
     def __init__(self, chain: TaskChain | None, n: int, noise: NoiseModel,
                  engine: str, trace,
                  faults: FaultModel | None, placements, hop_penalty: float,
-                 leap: bool, stats: dict | None, graph: ModuleGraph | None):
+                 stats: dict | None, graph: ModuleGraph | None):
         self.chain = chain
         self.graph = graph
         self.noise = noise
@@ -480,7 +480,6 @@ class _Stream:
         self.faults = faults if faults is not None and faults.active else None
         self.placements = placements
         self.hop_penalty = hop_penalty
-        self.leap = leap
         self.stats = stats
         self.completions = np.full(n, np.nan)
         self.injections = np.full(n, np.nan)
@@ -513,7 +512,7 @@ class _Stream:
                     self.describe(seg.mapping))
             self.events += run_segment(
                 pipe, self.completions, self.injections, seg.datasets,
-                seg.t0, self.noise, busy, leap=self.leap, stats=self.stats)
+                seg.t0, self.noise, busy, stats=self.stats)
             return None
         run = _Run(self.describe(seg.mapping), seg.datasets, self.noise,
                    self.trace, completions=self.completions,
@@ -697,7 +696,7 @@ class _Controlled(_Once):
 def _run_segments(chain: TaskChain | None, policy: _Once, n: int,
                   noise: NoiseModel, engine: str,
                   faults: FaultModel | None = None, trace=None,
-                  placements=None, hop_penalty: float = 0.0, leap: bool = True,
+                  placements=None, hop_penalty: float = 0.0,
                   stats: dict | None = None,
                   graph: ModuleGraph | None = None) -> _Stream:
     """Run a stream segment by segment under ``policy``; return its state.
@@ -714,7 +713,7 @@ def _run_segments(chain: TaskChain | None, policy: _Once, n: int,
     """
     eng = _pick_engine(engine, noise, faults, trace is not None)
     stream = _Stream(chain, n, noise, eng, trace, faults, placements, hop_penalty,
-                     leap and not policy.drains, stats, graph)
+                     stats, graph)
     seg = policy.first()
     while seg is not None:
         seg = policy.next(stream, seg, stream.run(seg))
@@ -726,14 +725,14 @@ def _run_segments(chain: TaskChain | None, policy: _Once, n: int,
 def _run_stream(chain: TaskChain | None, policy: _Once, n: int,
                 noise: NoiseModel, engine: str, warmup_fraction: float,
                 faults: FaultModel | None = None, trace=None,
-                placements=None, hop_penalty: float = 0.0, leap: bool = True,
+                placements=None, hop_penalty: float = 0.0,
                 stats: dict | None = None,
                 graph: ModuleGraph | None = None) -> SimulationResult:
     """Run a stream under ``policy`` (see :func:`_run_segments`) and
     summarise it."""
     start = policy.mapping
     stream = _run_segments(chain, policy, n, noise, engine, faults, trace,
-                           placements, hop_penalty, leap, stats, graph)
+                           placements, hop_penalty, stats, graph)
     return _finish(stream, policy, n, start, warmup_fraction)
 
 
@@ -809,9 +808,10 @@ def simulate(
     when it is bit-identical to the event engine (no faults, no trace, and
     silent or deterministic drift noise) and the event engine otherwise.
 
-    ``placements`` (per-module lists of instance :class:`Rect` objects, as
-    produced by the feasibility checker) together with ``hop_penalty``
-    enables the processor-location effect: each transfer is slowed by
+    ``placements`` (per-module lists of instance :class:`Rect` objects, one
+    per replica, as produced by the feasibility checker; other counts
+    raise :class:`SimulationError`) together with ``hop_penalty`` enables
+    the processor-location effect: each transfer is slowed by
     ``1 + hop_penalty * manhattan_hops`` between the instance rectangles.
     The paper found locations to be second order (§2.1); the
     ``bench_placement`` experiment quantifies that with this knob.
@@ -827,24 +827,58 @@ def simulate(
     epochs, the controller watches observed rates against its DP
     prediction, and sustained drift triggers incremental re-solves and
     (when the payback clears the remap latency) live remaps.  ``mapping``
-    may then be ``None`` to start from the controller's own DP solution;
-    faults and traces are not supported on controlled runs.
+    may then be ``None`` to start from the controller's own DP solution.
+    Faults, traces and ``placements``/``hop_penalty`` are not supported on
+    controlled runs (placements describe one mapping; a controller
+    remaps) and raise :class:`SimulationError`.
     """
+    return _simulate(chain, mapping, n_datasets, noise, collect_trace,
+                     warmup_fraction, placements, hop_penalty, faults, engine,
+                     controller)
+
+
+def simulate_fast(
+    chain: TaskChain,
+    mapping: Mapping,
+    n_datasets: int,
+    noise: NoiseModel,
+    warmup_fraction: float = 0.2,
+    placements=None,
+    hop_penalty: float = 0.0,
+    stats: dict | None = None,
+) -> SimulationResult:
+    """``simulate(..., engine="fast")`` — same checks, same result — that
+    also fills ``stats`` (optional dict) with fast-path diagnostics:
+    ``verified``, the data sets the bottleneck evaluator committed, and
+    ``scalar_datasets``, the data sets its scalar fallback computed."""
+    return _simulate(chain, mapping, n_datasets, noise, False, warmup_fraction,
+                     placements, hop_penalty, None, "fast", None, stats)
+
+
+def _simulate(chain, mapping, n_datasets, noise, collect_trace,
+              warmup_fraction, placements, hop_penalty, faults, engine,
+              controller, stats=None) -> SimulationResult:
+    """:func:`simulate`, with the fast path's ``stats`` sink."""
     if n_datasets < 2:
         raise SimulationError("need at least 2 data sets to measure throughput")
     noise = noise or NoiseModel.silent()
     if controller is None:
         if mapping is None:
             raise SimulationError("mapping may only be omitted on controlled runs")
-        if placements is not None and len(placements) != len(mapping):
-            raise SimulationError("placements must cover every module")
+        if placements is not None and (
+            [len(p) for p in placements] != [m.replicas for m in mapping.modules]
+        ):
+            raise SimulationError(
+                "placements must give every module one rectangle per replica"
+            )
         # Static pre-flight: a bad plan raises a structured PlanError (all
         # violations at once) here, never a mid-simulation deadlock/assert.
         ensure_valid_plan(chain, mapping)
         return _run_stream(chain, _Once(mapping, n_datasets), n_datasets,
                            noise, engine, warmup_fraction, faults=faults,
                            trace=TraceLog() if collect_trace else None,
-                           placements=placements, hop_penalty=hop_penalty)
+                           placements=placements, hop_penalty=hop_penalty,
+                           stats=stats)
     if faults is not None and faults.active:
         raise SimulationError(
             "the adaptive controller does not drive faulted runs; use "
@@ -854,6 +888,11 @@ def simulate(
         raise SimulationError(
             "controlled runs do not record traces; use engine='event' "
             "without a controller"
+        )
+    if placements is not None or hop_penalty:
+        raise SimulationError(
+            "controlled runs take no placements or hop_penalty: placements "
+            "describe one mapping, and the controller may remap"
         )
     if controller.records:
         raise SimulationError(
@@ -871,27 +910,6 @@ def simulate(
         controller.adopt(start)
     return _run_stream(chain, _Controlled(start, n_datasets, controller),
                        n_datasets, noise, engine, warmup_fraction)
-
-
-def simulate_fast(
-    chain: TaskChain,
-    mapping: Mapping,
-    n_datasets: int,
-    noise: NoiseModel,
-    warmup_fraction: float = 0.2,
-    placements=None,
-    hop_penalty: float = 0.0,
-    leap: bool = True,
-    stats: dict | None = None,
-) -> SimulationResult:
-    """Measure a healthy pipeline on the fast recurrence, ``simulate(...,
-    engine="fast")`` with two extra knobs: ``leap=False`` disables cycle
-    leaping, and ``stats`` (optional dict) receives fast-path diagnostics
-    (``leaped``; ``verified``, the data sets the bottleneck evaluator
-    committed; ``scalar_datasets``; ``period``; ``hyperperiod``)."""
-    return _run_stream(chain, _Once(mapping, n_datasets), n_datasets, noise,
-                       "fast", warmup_fraction, placements=placements,
-                       hop_penalty=hop_penalty, leap=leap, stats=stats)
 
 
 def simulate_fault_tolerant(

@@ -125,7 +125,9 @@ def measure(
     under the online adaptive runtime instead: the stream executes in
     epochs and the controller may remap mid-stream when the observed rate
     drifts off its prediction.  Faults and the controller are mutually
-    exclusive (:func:`repro.sim.simulate` raises ``SimulationError``).
+    exclusive, and :func:`repro.sim.simulate` refuses traces and placements
+    on controlled runs too (placements describe one mapping; the
+    controller remaps); each raises ``SimulationError``.
     """
     if controller is None and faults is not None and faults.active:
         machine = workload.machine

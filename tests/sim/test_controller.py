@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import Mapping, ModuleSpec, PlanError, SimulationError
 from repro.experiments import drift_study
+from repro.machine import Rect
 from repro.sim import (
     AdaptiveController,
     ControllerConfig,
@@ -24,6 +25,8 @@ from repro.sim import (
     ProcessorFailure,
     simulate,
 )
+
+from ..conftest import make_three_task_chain
 
 #: Quick configuration: 10x drift over a 10x shorter stream keeps both
 #: clustering transitions of the full study inside the run.
@@ -170,6 +173,19 @@ class TestContracts:
         ctrl = AdaptiveController(chain, PROCS)
         with pytest.raises(SimulationError, match="trace"):
             simulate(chain, None, 1_000, collect_trace=True, controller=ctrl)
+
+    def test_controller_excludes_placements(self):
+        # Placements describe one mapping's instances and a controller
+        # remaps, so a controlled run must refuse them rather than run
+        # without the hop slowdown they ask for.
+        chain = make_three_task_chain()
+        mapping = Mapping([ModuleSpec(0, 1, 2, 2), ModuleSpec(2, 2, 2, 1)])
+        placements = [[Rect(0, 0, 1, 2), Rect(7, 0, 1, 2)], [Rect(0, 6, 1, 2)]]
+        for kw in ({"placements": placements, "hop_penalty": 5.0},
+                   {"placements": placements}, {"hop_penalty": 5.0}):
+            ctrl = AdaptiveController(chain, 6)
+            with pytest.raises(SimulationError, match="placements"):
+                simulate(chain, mapping, 400, controller=ctrl, **kw)
 
     def test_starting_mapping_must_fit_the_controller_budget(self):
         # A 36-processor mapping on a 12-processor controller is caught by

@@ -51,7 +51,8 @@ def _plain_healthy():
 
 
 def _plain_leaped():
-    # Durations on a dyadic grid: the fast path certifies and leaps cycles.
+    # Durations on a dyadic grid: an exactly periodic steady state, the
+    # long-stream regime benchmarks/bench_sim.py times.
     unit = 2.0 ** -20
     tasks = [Task(f"t{i}", PolynomialExec(round((0.23 + 0.31 * i) / unit) * unit,
                                           0.0, 0.0)) for i in range(3)]

@@ -72,6 +72,20 @@ class TestPlacementEffects:
             simulate(chain, mapping, 10,
                      placements=[[Rect(0, 0, 1, 2)]], hop_penalty=0.05)
 
+    @pytest.mark.parametrize("engine", ["fast", "event"])
+    def test_placements_must_match_replica_counts(self, engine):
+        # One rectangle per instance: with fewer the hop matrix would
+        # index past a module's list, and extras would go unused.
+        chain, _ = self._setup()
+        mapping = Mapping([ModuleSpec(0, 0, 2, 2), ModuleSpec(1, 1, 2, 1)])
+        short = [[Rect(0, 0, 1, 2)], [Rect(0, 2, 1, 2)]]
+        extra = [[Rect(0, 0, 1, 2), Rect(1, 0, 1, 2)],
+                 [Rect(0, 2, 1, 2), Rect(3, 3, 1, 2)]]
+        for placements in (short, extra):
+            with pytest.raises(SimulationError, match="per replica"):
+                simulate(chain, mapping, 50, placements=placements,
+                         hop_penalty=0.5, engine=engine)
+
     def test_experiment_shape(self):
         """The §2.1 claim: location effects stay second order."""
         from repro.experiments import placement
