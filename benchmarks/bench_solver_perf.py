@@ -8,7 +8,9 @@ mappings** to a verbatim copy of the seed solver embedded below, and
 asserts bisect reaches the exhaustive optimum within its tolerance.  Each
 cell also times exhaustive search bounded by the greedy heuristic's
 throughput, asserts it returns the unbounded plan byte for byte, and
-records how many clusterings it kept.  The
+records how many clusterings it kept.  The heuristic itself is asserted
+bit-identical to the unpruned clustering hill-climb embedded below, and
+each cell records how many clusterings it scored with a greedy run.  The
 full grid also asserts that greedy, the paper's cheap alternative (§4),
 beats the assignment DP on every cell with ``P >= 32``.  Results are
 written to ``BENCH_solver.json`` at the repo root.
@@ -37,6 +39,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+import repro.core.cluster_greedy as cluster_greedy  # noqa: E402
 from repro.core import (  # noqa: E402
     InfeasibleError,
     SegmentCache,
@@ -47,6 +50,7 @@ from repro.core import (  # noqa: E402
     heuristic_mapping,
     optimal_assignment,
 )
+from repro.core.cluster_greedy import MAX_CLUSTERING_ROUNDS  # noqa: E402
 from repro.core.dp_cluster import (  # noqa: E402
     BISECT_TOL,
     bisect_mapping,
@@ -152,9 +156,78 @@ def _seed_exhaustive(chain, total_procs, mem_per_proc_mb=float("inf")):
     return best
 
 
+def _seed_neighbours(clustering):
+    spans = list(clustering)
+    for i in range(len(spans) - 1):  # merges
+        yield tuple(spans[:i] + [(spans[i][0], spans[i + 1][1])] + spans[i + 2:])
+    for i, (a, b) in enumerate(spans):  # splits
+        for cut in range(a, b):
+            yield tuple(spans[:i] + [(a, cut), (cut + 1, b)] + spans[i + 1:])
+
+
+def _seed_heuristic(chain, total_procs):
+    """The unpruned §4.2 clustering hill-climb: every neighbour scored by a
+    full greedy assignment, the final clustering solved again with the
+    Theorem-2 post-pass.  Returns ``(clustering, totals, repr(mapping),
+    throughput, clusterings_examined, rounds)``."""
+    P = total_procs
+
+    def solve(clustering, backtracking=False):
+        mchain = build_module_chain(chain, clustering)
+        if mchain.total_min_procs > P:
+            return None
+        try:
+            return greedy_assignment(mchain, P, backtracking=backtracking)
+        except InfeasibleError:
+            return None
+
+    def score(clustering):
+        res = solve(clustering)
+        return float("-inf") if res is None else res.throughput
+
+    current = singleton_clustering(len(chain))
+    best, examined = score(current), 1
+    if best == float("-inf"):
+        current = ((0, len(chain) - 1),)
+        best, examined = score(current), 2
+    rounds = 0
+    for _ in range(MAX_CLUSTERING_ROUNDS):
+        rounds += 1
+        best_nb, best_nb_score = None, best
+        for nb in _seed_neighbours(current):
+            examined += 1
+            s = score(nb)
+            if s > best_nb_score * (1 + 1e-12):
+                best_nb, best_nb_score = nb, s
+        if best_nb is None:
+            break
+        current, best = best_nb, best_nb_score
+    final = solve(current, backtracking=True)
+    return (current, final.totals, repr(final.mapping), final.throughput,
+            examined, rounds)
+
+
 # --------------------------------------------------------------------------
 # Harness
 # --------------------------------------------------------------------------
+
+
+def _heuristic_scored(chain, P):
+    """How many clusterings ``heuristic_mapping`` scores with a greedy run
+    (the rest its DP bound or its memo skips)."""
+    real = cluster_greedy.greedy_loop
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    cluster_greedy.greedy_loop = counted
+    try:
+        heuristic_mapping(chain, P)
+    finally:
+        cluster_greedy.greedy_loop = real
+    return len(runs)
 
 
 #: Smallest machine on which the full grid requires greedy to beat the DP.
@@ -194,11 +267,9 @@ def bench_cell(k, P, check_seed=True):
         )
 
     # Exhaustive clustered DP (the tentpole speedup target).
-    ws2 = SolverWorkspace()
     row["exhaustive_s"], opt = _timed(
         lambda: exhaustive_mapping(chain, P)
     )
-    del ws2
     if check_seed:
         t_seed, seed_best = _timed(lambda: _seed_exhaustive(chain, P))
         row["exhaustive_seed_s"] = t_seed
@@ -238,6 +309,16 @@ def bench_cell(k, P, check_seed=True):
     )
     row["greedy_s"], _ = _timed(lambda: greedy_assignment(mchain, P))
     row["throughput"] = opt.throughput
+
+    # Untimed: the heuristic against the unpruned climb, after every timing.
+    row["heuristic_scored"] = _heuristic_scored(chain, P)
+    seed_heur = _seed_heuristic(chain, P)
+    assert (heur.clustering, heur.totals, repr(heur.mapping),
+            float.hex(heur.throughput), heur.clusterings_examined,
+            heur.rounds) == (*seed_heur[:3], float.hex(seed_heur[3]),
+                             *seed_heur[4:]), (
+        f"heuristic differs from the unpruned climb k={k} P={P}"
+    )
     return row
 
 
@@ -355,7 +436,9 @@ def main(argv=None):
             f"bounded {row['bounded_s']*1e3:7.2f} ms "
             f"({row['clusterings_kept']}/{row['clusterings_solved']} kept)  "
             f"bisect {row['bisect_s']*1e3:7.2f} ms  "
-            f"greedy {row['greedy_s']*1e3:6.2f} ms"
+            f"greedy {row['greedy_s']*1e3:6.2f} ms  "
+            f"heuristic {row['heuristic_s']*1e3:6.2f} ms "
+            f"({row['heuristic_scored']} scored)"
         )
         default_workspace().drop()  # free between P sizes
         if not args.quick and P >= GREEDY_GATE_P:

@@ -81,6 +81,19 @@ def greedy_assignment(
     # Probes read the DP's response factors.
     price = ResponseReader(mchain, P)
     totals, trajectory = greedy_loop(price, P, slowest_only)
+    return finish_greedy(mchain, price, P, totals, trajectory, backtracking)
+
+
+def finish_greedy(
+    mchain: ModuleChain,
+    price: ResponseReader,
+    P: int,
+    totals: list[int],
+    trajectory: list[float],
+    backtracking: bool = False,
+) -> GreedyResult:
+    """The rest of :func:`greedy_assignment` after :func:`greedy_loop`: the
+    optional Theorem-2 post-pass, then the scalar pricing of the totals."""
     moves = 0
     if backtracking:
         totals, _, moves = local_search(price, totals, P, trajectory[-1])

@@ -592,6 +592,18 @@ class MappingPerformance:
         )
 
 
+def _first_max(values: Sequence[float]) -> int:
+    """``np.argmax`` of a list of floats in plain Python: the first maximum,
+    or the first NaN if there is one."""
+    best = 0
+    for i, v in enumerate(values):
+        if v != v:
+            return i
+        if v > values[best]:
+            best = i
+    return best
+
+
 def evaluate_module_chain(
     mchain: ModuleChain, allocations: Sequence[tuple[int, int]]
 ) -> MappingPerformance:
@@ -627,7 +639,7 @@ def evaluate_module_chain(
             t += comms[i]
         responses.append(t)
     effective = [t / r for t, r in zip(responses, reps)]
-    bottleneck = int(np.argmax(effective))
+    bottleneck = _first_max(effective)
     throughput = 1.0 / effective[bottleneck] if effective[bottleneck] > 0 else float("inf")
     latency = sum(execs) + sum(comms)
 

@@ -14,13 +14,6 @@ from typing import Sequence
 __all__ = ["xy_plot", "bar_chart"]
 
 
-def _ticks(lo: float, hi: float, n: int, log: bool) -> list[float]:
-    if log:
-        llo, lhi = math.log10(lo), math.log10(hi)
-        return [10 ** (llo + i * (lhi - llo) / (n - 1)) for i in range(n)]
-    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-
-
 def xy_plot(
     series: dict[str, Sequence[tuple[float, float]]],
     width: int = 64,

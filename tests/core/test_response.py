@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import (
     Edge,
     InfeasibleError,
     InvalidMappingError,
+    LambdaUnary,
     Mapping,
     ModuleSpec,
     PolynomialEComm,
@@ -113,6 +115,46 @@ class TestResponses:
         mchain = build_module_chain(three_chain, singleton_clustering(3))
         with pytest.raises(InvalidMappingError):
             evaluate_module_chain(mchain, [(1, 1)])
+
+
+def _flat_chain(execs):
+    """Free communication, and task ``i`` costs ``execs[i]`` at any size."""
+    tasks = [
+        Task(f"t{i}", LambdaUnary(lambda p, c=c: 0.0 * p + c))
+        for i, c in enumerate(execs)
+    ]
+    return TaskChain(tasks)
+
+
+class TestBottleneckIndex:
+    """The bottleneck follows ``np.argmax``'s rules: the first maximum
+    wins a tie, and the first NaN wins if there is one."""
+
+    @pytest.mark.parametrize("execs, expect", [
+        ([2.0, 5.0, 5.0], 1),
+        ([5.0, 5.0, 5.0], 0),
+        ([0.0, 0.0], 0),
+        ([1.0, math.inf, 3.0, math.inf], 1),
+        ([1.0, math.nan, 3.0, math.nan], 1),
+        ([math.inf, 2.0, math.nan], 2),
+        ([math.nan, math.inf], 0),
+        ([3.0], 0),
+    ])
+    def test_matches_argmax(self, execs, expect):
+        mchain = build_module_chain(
+            _flat_chain(execs), singleton_clustering(len(execs))
+        )
+        perf = evaluate_module_chain(mchain, [(1, 1)] * len(execs))
+        assert perf.bottleneck == expect
+        assert perf.bottleneck == int(np.argmax(perf.effective_responses))
+
+    def test_inf_response_has_zero_throughput(self):
+        mchain = build_module_chain(
+            _flat_chain([1.0, math.inf]), singleton_clustering(2)
+        )
+        perf = evaluate_module_chain(mchain, [(1, 1), (1, 1)])
+        assert perf.bottleneck == 1
+        assert perf.throughput == 0.0
 
 
 class TestEvaluateMapping:

@@ -29,11 +29,13 @@ from repro.core.remap import RemapPlanner
 from repro.core.resolve import scale_chain
 from repro.experiments import fault_study
 from repro.sim import (
+    EpochStats,
     FaultModel,
     ProcessorFailure,
     simulate,
     simulate_fault_tolerant,
 )
+from repro.sim.pipeline import _epochs_from
 
 from ..conftest import make_three_task_chain
 
@@ -289,3 +291,54 @@ def test_module_chain_fixture_assumptions():
     assert chain.tasks[0].replicable and chain.tasks[1].replicable
     assert not chain.tasks[2].replicable
     ensure_valid_plan(chain, MAPPING, MACHINE)
+
+
+def _sorted_epochs(completions, marks, makespan):
+    """Window counts by binary search over the sorted finite completions,
+    each window ``(a, b]``: the reference for every mark set."""
+    bounds = [0.0] + [t for t, _ in marks] + [makespan]
+    labels = ["healthy"] + [lab for _, lab in marks]
+    done = np.sort(completions[np.isfinite(completions)])
+    out = []
+    for a, b, label in zip(bounds, bounds[1:], labels):
+        if b <= a:
+            continue
+        n = int(np.searchsorted(done, b, side="right")
+                - np.searchsorted(done, a, side="right"))
+        out.append(EpochStats(a, b, n, n / (b - a), label))
+    return out
+
+
+class TestEpochAccounting:
+    """Windows are counted without sorting the stream; every window must
+    read as the sorted binary search reads it."""
+
+    @pytest.mark.parametrize("completions, makespan", [
+        (np.zeros(50), 0.0),                           # a zero-cost chain
+        (np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.5]), 2.5),
+        (np.array([-0.0, 0.0, 4.0]), 4.0),
+        (np.array([0.0, 1.0, np.inf, 3.0, np.nan]), 3.0),
+        (np.array([0.0, 1.0, 2.0, np.inf]), np.inf),   # a lost data set
+    ])
+    def test_single_window_matches_sorted(self, completions, makespan):
+        assert _epochs_from(completions, [], [], makespan) == _sorted_epochs(
+            completions, [], makespan
+        )
+
+    def test_faulted_run(self, three_chain):
+        faults = FaultModel(
+            seed=12, failures=[ProcessorFailure(40.0, module=1, instance=0)]
+        )
+        res = ft(three_chain, MAPPING, n_datasets=120, faults=faults,
+                 remap_latency=1.0)
+        marks = sorted(
+            [(f.time, "degraded") for f in res.failures
+             if f.kind == "proc_fail"]
+            + [(r.resume_time, "remapped") for r in res.remaps]
+        )
+        assert marks and len(res.epochs) > 1
+        assert res.epochs == _sorted_epochs(res.completions, marks,
+                                            res.makespan)
+        assert _epochs_from(res.completions, [], [], res.makespan) == (
+            _sorted_epochs(res.completions, [], res.makespan)
+        )
