@@ -47,9 +47,7 @@ Performance layer (bit-identical to the straightforward evaluation):
 All of these preserve the exact float operations (and first-index argmin
 tie-breaking) of the seed implementation, so returned mappings are
 byte-identical; the benchmark harness asserts this against an embedded
-copy of the seed solver.  An opt-in ``float32`` workspace trades that
-bit-equality for half the memory traffic, with the reconstructed mapping
-re-scored analytically in ``float64`` so reported numbers stay exact.
+copy of the seed solver.
 """
 
 from __future__ import annotations
@@ -85,8 +83,6 @@ class DPResult:
     totals: list[int]                 # total processors per module
     mchain: ModuleChain = field(repr=False)  # the chain ``totals`` allocate
     bottleneck_response: float        # the DP objective value
-    stages: int                       # number of modules
-    table_size: int                   # entries per DP table (diagnostics)
 
     @cached_property
     def performance(self) -> MappingPerformance:
@@ -111,10 +107,6 @@ def _assemble_r2(mchain, j, P, out, mask):
     formula, evaluated directly into the reusable workspace buffer.
     """
     ce, com_out, denom, feasible = mchain.response_parts(j, P)
-    if out.dtype != ce.dtype:
-        ce = ce.astype(out.dtype)
-        com_out = com_out.astype(out.dtype)
-        denom = denom.astype(out.dtype)
     with np.errstate(invalid="ignore", divide="ignore"):
         np.add(ce.T[:, None, :], com_out[:, :, None], out=out)
         np.divide(out, denom[:, None, None], out=out)
@@ -123,7 +115,7 @@ def _assemble_r2(mchain, j, P, out, mask):
         out[~mask] = np.inf
 
 
-def _assemble_final_plane(mchain, j, P, dtype, mask):
+def _assemble_final_plane(mchain, j, P, mask):
     """``R[q, pl, 0]`` as a ``(pl, q)`` plane — all the last stage needs."""
     ce, com_out, denom, feasible = mchain.response_parts(j, P)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -131,7 +123,7 @@ def _assemble_final_plane(mchain, j, P, dtype, mask):
     plane[~feasible] = np.inf
     if mask is not None:
         plane[~mask] = np.inf
-    return plane.astype(dtype, copy=False)
+    return plane
 
 
 def _first_stage(mchain, ar, V, mask):
@@ -172,8 +164,8 @@ def optimal_assignment(
         restrict instance sizes to rectangular subarrays (§6.1 machine
         constraints).
     workspace:
-        A :class:`SolverWorkspace` providing the reusable tensor arena and
-        the dtype/memory policy; defaults to the process-wide one.
+        The :class:`SolverWorkspace` whose reusable tensor arena the
+        solve runs in; defaults to the process-wide one.
 
     Returns a :class:`DPResult`; raises :class:`InfeasibleError` when the
     per-module minimums cannot be met.
@@ -190,10 +182,8 @@ def optimal_assignment(
             f"machine has {P}"
         )
 
-    ws = workspace if workspace is not None else default_workspace()
-    ar = ws.arena(P)
+    ar = (workspace or default_workspace()).arena(P)
     N = P + 1
-    size = N ** 3
     q_dtype = ar.q_dtype
 
     def mask_for(j):
@@ -216,7 +206,7 @@ def optimal_assignment(
         if j == l - 1:
             # Reconstruction only ever reads V_{l-1}[P, pl, 0], so the last
             # stage computes just that plane: O(P^2) instead of O(P^4).
-            Rf = _assemble_final_plane(mchain, j, P, ar.R2.dtype, mask_for(j))
+            Rf = _assemble_final_plane(mchain, j, P, mask_for(j))
             T = np.maximum(D, Rf)  # (pl, q)
             qbest = np.argmin(T, axis=-1)
             final = np.take(T, qbest + ar.plane_offs[0])
@@ -235,12 +225,10 @@ def optimal_assignment(
             Qd = np.argmin(T, axis=-1)  # (pn, pl)
             D = np.take(T, Qd + ar.plane_offs)
             argmin_tables.append(Qd.astype(q_dtype))
-            ws.track(argmin_tables[-1].nbytes)
             continue
 
         V_next.fill(np.inf)
         Q = np.zeros((N, N, N), dtype=q_dtype)
-        ws.track(Q.nbytes)
         for lo, hi, bl, bh in ar.blocks:
             # A prefix holding pt >= lo leaves the next module at most
             # P - lo processors: no later stage reads a state with
@@ -264,7 +252,6 @@ def optimal_assignment(
     best_pl = int(np.argmin(final))
     best_val = float(final[best_pl])
     if not np.isfinite(best_val):
-        ws.release()
         raise InfeasibleError(
             f"no feasible assignment of {P} processors to {l} modules"
         )
@@ -283,16 +270,4 @@ def optimal_assignment(
             q = int(table[pt, pl, pn])
         totals[j - 1] = q
         pt, pl, pn = pt - pl, q, pl
-    ws.release()
-    res = DPResult(
-        totals=totals,
-        mchain=mchain,
-        bottleneck_response=best_val,
-        stages=l,
-        table_size=size,
-    )
-    if ws.value_dtype != np.dtype(np.float64):
-        # Reduced-precision tables: re-score the reconstructed mapping
-        # analytically so the reported objective is exact.
-        res.bottleneck_response = float(max(res.performance.effective_responses))
-    return res
+    return DPResult(totals=totals, mchain=mchain, bottleneck_response=best_val)

@@ -56,7 +56,6 @@ from .response import (
     totals_to_allocations,
 )
 from .task import TaskChain
-from .workspace import default_workspace
 
 __all__ = ["ClusteredResult", "bisect_mapping", "exhaustive_mapping",
            "optimal_mapping"]
@@ -98,7 +97,6 @@ def optimal_mapping(
     replication: bool = True,
     instance_size_ok=None,
     cache: SegmentCache | None = None,
-    workspace=None,
     incumbent: float | None = None,
 ) -> ClusteredResult:
     """Find the throughput-optimal mapping of ``chain`` onto ``total_procs``.
@@ -111,10 +109,9 @@ def optimal_mapping(
     ``f(size: int) -> bool``.
 
     ``cache`` (a :class:`SegmentCache` bound to the same chain and memory
-    limit) and ``workspace`` (a :class:`~repro.core.workspace.SolverWorkspace`)
-    let a caller that solves repeatedly — notably the fault-tolerance
-    :class:`~repro.core.remap.RemapPlanner` re-solving on ever-smaller
-    machines — share segment tensors and DP arenas across solves.  A
+    limit) lets a caller that solves repeatedly — notably the
+    fault-tolerance :class:`~repro.core.remap.RemapPlanner` re-solving on
+    ever-smaller machines — share segment tensors across solves.  A
     mismatched cache is ignored.
 
     ``incumbent`` is a throughput some mapping of ``chain`` already reaches
@@ -123,13 +120,12 @@ def optimal_mapping(
     clusterings that might reach it; ``clusterings_examined`` counts the
     DPs that ran.  The returned mapping is the same, bit for bit, for any
     incumbent: if none of the surviving clusterings reaches it, the skipped
-    ones are solved too.  Bisection ignores ``workspace`` and
-    ``incumbent``.
+    ones are solved too.  Bisection ignores ``incumbent``.
     """
     args = (chain, total_procs, mem_per_proc_mb, replication,
             instance_size_ok, cache)
     if len(chain) <= EXHAUSTIVE_MAX_TASKS:
-        return exhaustive_mapping(*args, workspace, incumbent)
+        return exhaustive_mapping(*args, incumbent)
     return bisect_mapping(*args)
 
 
@@ -230,13 +226,12 @@ def exhaustive_mapping(
     replication: bool = True,
     instance_size_ok=None,
     cache: SegmentCache | None = None,
-    workspace=None,
     incumbent: float | None = None,
 ) -> ClusteredResult:
     """The optimum over every clustering, one assignment DP each.
 
-    Arguments as for :func:`optimal_mapping`.  A non-positive incumbent and
-    a reduced-precision workspace ignore ``incumbent``.
+    Arguments as for :func:`optimal_mapping`; a non-positive ``incumbent``
+    is ignored.
     """
     # One segment cache shared by every clustering, so each distinct
     # (span, neighbour-context) builds its tensors exactly once.  A
@@ -244,9 +239,7 @@ def exhaustive_mapping(
     if cache is None or not cache.serves(chain, mem_per_proc_mb):
         cache = SegmentCache(chain, mem_per_proc_mb)
     ok_size = _size_mask(total_procs, instance_size_ok)
-    ws = workspace if workspace is not None else default_workspace()
-    if not (incumbent is not None and incumbent > 0
-            and ws.value_dtype == np.dtype(np.float64)):
+    if incumbent is not None and not incumbent > 0:
         incumbent = None
     results = []  # (enumeration index, clustering, DPResult)
     examined = 0
@@ -262,7 +255,6 @@ def exhaustive_mapping(
                 allowed_totals=_totals_filter(
                     mchain, total_procs, replication, ok_size
                 ),
-                workspace=ws,
             )
         except InfeasibleError:
             return

@@ -12,9 +12,10 @@ assignment solver for exactly that loop:
 * plans are memoised per surviving processor count — repeated failures
   that land on the same survivor count (or an idempotent retry) cost a
   dictionary lookup;
-* every re-solve runs in the process-wide
-  :class:`~repro.core.workspace.SolverWorkspace`, so repeated remaps do
-  not re-allocate the DP tensors.
+* every re-solve runs its assignment DPs in the process-wide
+  :class:`~repro.core.workspace.SolverWorkspace`, whose arena is sized for
+  one machine size: a shrink re-allocates the DP tensors once, and every
+  clustering of that re-solve reuses them.
 
 Each re-solve is :func:`~repro.core.dp_cluster.optimal_mapping` with
 replication, so the chain's length picks the algorithm.

@@ -113,7 +113,7 @@ class ModuleChain:
         with infeasible ``pl`` forced to +inf, where ``ce`` is the incoming
         communication plus execution and ``denom`` the replica count.
         Returning the 2-D factors lets the DP assemble ``R`` directly into a
-        reusable buffer (any memory layout, any dtype) and lets the segment
+        reusable buffer (any memory layout) and lets the segment
         cache share them across clusterings.  Arrays are cached when the
         chain carries a :class:`SegmentCache` — treat them as read-only.
         """

@@ -6,24 +6,10 @@ and the ``max``/``argmin`` scratch block.  The seed solver re-allocated all
 of them for every stage of every clustering, which dominated both solve
 time (allocation + page faults) and peak memory at large ``P``.
 
-:class:`SolverWorkspace` preallocates one arena per machine size ``P`` and
-reuses it across stages, clusterings, and solves.  It also centralises the
-two memory/precision knobs of the solver stack:
-
-``value_dtype``
-    ``float64`` (default) keeps the DP bit-identical to the analytic
-    response model.  ``float32`` halves the tables and the memory traffic
-    of the transition; the reconstructed mapping is then re-scored in
-    ``float64`` by the solver, so the *reported* throughput stays exact
-    (the mapping itself may differ from the ``float64`` optimum only when
-    two mappings are closer than ``float32`` resolution).
-
-``memory_budget_mb``
-    Caps the bytes the workspace may hold.  The transition scratch block is
-    shrunk (down to a single ``(P+1)^2`` tile) to fit; the budget must at
-    least cover the four resident ``(P+1)^3`` value tensors, otherwise
-    :class:`~repro.core.exceptions.InfeasibleError` is raised up front
-    rather than thrashing.
+:class:`SolverWorkspace` preallocates one ``float64`` arena per machine
+size ``P`` and reuses it across stages, clusterings, and solves.  The
+transition scratch block holds :data:`PREFERRED_PLANES` pt-planes, capped
+at :data:`DEFAULT_SCRATCH_MB`.
 
 Argmin tables are stored in the smallest integer dtype that can index
 ``0..P`` (``uint8`` up to ``P = 255``), a 4x saving over the seed's
@@ -37,8 +23,6 @@ caller does not pass one explicitly.
 from __future__ import annotations
 
 import numpy as np
-
-from .exceptions import InfeasibleError
 
 __all__ = [
     "SolverWorkspace",
@@ -73,26 +57,24 @@ class _Arena:
     through.
     """
 
-    def __init__(self, P: int, value_dtype: np.dtype, scratch_bytes: int):
+    def __init__(self, P: int):
         N = P + 1
         self.P = P
-        self.value_dtype = value_dtype
         self.q_dtype = argmin_dtype(P)
-        itemsize = value_dtype.itemsize
         # Ping-pong value tables, shifted-view W (pt, pl, q), response R2
         # (pl, pn, q) — the q axis last so the reduction is contiguous.
-        self.V0 = np.empty((N, N, N), dtype=value_dtype)
-        self.V1 = np.empty((N, N, N), dtype=value_dtype)
+        self.V0 = np.empty((N, N, N))
+        self.V1 = np.empty((N, N, N))
         # W2 and R2 share one buffer, W2 first.  The stage shift writes W2
         # through ``W2_skew[d, pl, q] = W2[d + pl, pl, q]`` in one copy; rows
         # past ``pt = P`` spill into R2, which each stage assembles after
         # the shift.  W2's ``pt < pl`` cells are never written: +inf for good.
-        wr = np.empty(2 * N ** 3, dtype=value_dtype)
+        wr = np.empty(2 * N ** 3)
         self.W2 = wr[: N ** 3].reshape(N, N, N)
         self.R2 = wr[N ** 3:].reshape(N, N, N)
         s0, s1, s2 = self.W2.strides
         self.W2_skew = np.ndarray(
-            (N, N, N), dtype=value_dtype, buffer=wr, strides=(s0, s0 + s1, s2)
+            (N, N, N), dtype=wr.dtype, buffer=wr, strides=(s0, s0 + s1, s2)
         )
         #: ``pt < pl``: a module cannot exceed the budget of its prefix.
         self.over_budget = np.arange(N)[:, None] < np.arange(N)[None, :]
@@ -100,17 +82,18 @@ class _Arena:
         # Flat offset of each row of an (N, N, N) block; row 0 serves an
         # (N, N) plane.
         self.plane_offs = np.arange(N * N, dtype=np.intp).reshape(N, N) * N
-        # Scratch for the max/argmin block, sized by the budget; at least
-        # one (pl-row, pn, q) tile.
+        # Scratch for the max/argmin block: PREFERRED_PLANES pt-planes
+        # within DEFAULT_SCRATCH_MB, at least one (pl-row, pn, q) tile.
         tile = N * N
-        cells = max(1, scratch_bytes // (tile * itemsize))
+        scratch_bytes = min(PREFERRED_PLANES * N * tile * wr.itemsize,
+                            int(DEFAULT_SCRATCH_MB * 2**20))
+        cells = max(1, scratch_bytes // (tile * wr.itemsize))
         cells = min(cells, N * N)  # never more than the full table
-        self.t_flat = np.empty(cells * tile, dtype=value_dtype)
+        self.t_flat = np.empty(cells * tile)
         self.idx_flat = np.empty(cells * N, dtype=np.intp)
         # Flat offset of each (pt, pl, pn) row of a block: row + argmin
         # indexes the block's minimum without an index array per block.
         self.offs_flat = np.arange(cells * N, dtype=np.intp) * N
-        self.block_cells = cells  # (pt, pl) cells per scratch block
         self.blocks = _tiling(N, cells)
 
     def diagonal(self, V: np.ndarray) -> np.ndarray:
@@ -120,14 +103,6 @@ class _Arena:
         return np.ndarray(
             (self.P + 1, self.P + 1), dtype=V.dtype, buffer=V,
             offset=self.P * s0, strides=(s2 - s0, s1),
-        )
-
-    @property
-    def nbytes(self) -> int:
-        return (
-            self.V0.nbytes + self.V1.nbytes + self.W2.nbytes
-            + self.R2.nbytes + self.t_flat.nbytes + self.idx_flat.nbytes
-            + self.offs_flat.nbytes + self.plane_offs.nbytes
         )
 
 
@@ -151,76 +126,22 @@ def _tiling(N: int, cells: int) -> list[tuple[int, int, int, int]]:
 
 
 class SolverWorkspace:
-    """Reusable tensor arena + dtype/memory policy for the assignment DP."""
+    """Reusable ``float64`` tensor arena for the assignment DP."""
 
-    def __init__(
-        self,
-        value_dtype=np.float64,
-        memory_budget_mb: float | None = None,
-    ):
-        self.value_dtype = np.dtype(value_dtype)
-        if self.value_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"unsupported value dtype {value_dtype!r}")
-        self.memory_budget_mb = memory_budget_mb
+    def __init__(self):
         self._arena: _Arena | None = None
-        self._extra_bytes = 0  # solver-owned tables (argmin) currently live
-        self.peak_table_bytes = 0
 
-    # -- memory policy ----------------------------------------------------
-    def _scratch_bytes(self, P: int) -> int:
-        N = P + 1
-        itemsize = self.value_dtype.itemsize
-        preferred = PREFERRED_PLANES * N * N * N * itemsize
-        cap = int(DEFAULT_SCRATCH_MB * 2**20)
-        if self.memory_budget_mb is None:
-            return min(preferred, cap)
-        budget = int(self.memory_budget_mb * 2**20)
-        resident = 4 * N * N * N * itemsize  # V0, V1, W2, R2
-        min_scratch = N * N * itemsize + N * np.dtype(np.intp).itemsize
-        if budget < resident + min_scratch:
-            need_mb = (resident + min_scratch) / 2**20
-            raise InfeasibleError(
-                f"memory budget {self.memory_budget_mb:.0f} MB cannot hold the "
-                f"DP tables at P={P}; need at least {need_mb:.0f} MB"
-            )
-        return min(preferred, budget - resident)
-
-    # -- arena management -------------------------------------------------
     def arena(self, P: int) -> _Arena:
         """The buffer set for machine size ``P`` (grown/reused as needed)."""
         ar = self._arena
-        if ar is None or ar.P != P or ar.value_dtype != self.value_dtype:
+        if ar is None or ar.P != P:
             self._arena = None  # release before allocating the replacement
-            ar = _Arena(P, self.value_dtype, self._scratch_bytes(P))
-            self._arena = ar
-            self._note()
+            ar = self._arena = _Arena(P)
         return ar
-
-    # -- accounting -------------------------------------------------------
-    def _note(self) -> None:
-        live = (self._arena.nbytes if self._arena else 0) + self._extra_bytes
-        if live > self.peak_table_bytes:
-            self.peak_table_bytes = live
-
-    def track(self, nbytes: int) -> None:
-        """Record solver-owned table bytes (argmin tables) as live."""
-        self._extra_bytes += nbytes
-        self._note()
-
-    def release(self) -> None:
-        """Mark solver-owned tables as freed (end of one solve)."""
-        self._extra_bytes = 0
-
-    def reset_peak(self) -> None:
-        self._extra_bytes = 0
-        self.peak_table_bytes = (
-            self._arena.nbytes if self._arena is not None else 0
-        )
 
     def drop(self) -> None:
         """Free the arena entirely (e.g. between sweeps at different P)."""
         self._arena = None
-        self._extra_bytes = 0
 
 
 _DEFAULT: SolverWorkspace | None = None

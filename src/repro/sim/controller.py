@@ -257,31 +257,20 @@ class AdaptiveController:
         action = "ok"
         do_remap = False
 
-        if cfg.adapt and cfg.oracle:
-            s_x, s_c = self._estimate_scales(obs)
-            plan, t_new, t_cur = self._resolve(s_x, s_c, obs)
-            if obs.remaining > 0 and plan.mapping != self.mapping and t_new > t_cur:
-                do_remap = True
-                self.mapping = plan.mapping
-                self.predicted_rate = t_new
-                action = "remap"
-            else:
-                self.predicted_rate = t_cur
-                action = "anchor"
-            self._breach = 0
-            self.ewma = None
-        elif cfg.adapt:
+        if cfg.adapt:
             if abs(self.ewma - 1.0) > cfg.dead_band:
                 self._breach += 1
             else:
                 self._breach = 0
-            if self._breach >= cfg.patience:
+            # The oracle re-solves every epoch and deploys any gain.
+            if cfg.oracle or self._breach >= cfg.patience:
                 s_x, s_c = self._estimate_scales(obs)
                 plan, t_new, t_cur = self._resolve(s_x, s_c, obs)
                 if (
                     obs.remaining > 0
                     and plan.mapping != self.mapping
-                    and self._payback_ok(t_cur, t_new, obs.remaining)
+                    and (t_new > t_cur if cfg.oracle
+                         else self._payback_ok(t_cur, t_new, obs.remaining))
                 ):
                     do_remap = True
                     self.mapping = plan.mapping
@@ -446,7 +435,8 @@ class AdaptiveController:
         """Cold-re-solve every incrementally solved chain; verify identity.
 
         For each audit entry the believed chain is solved from scratch
-        (fresh cache, fresh workspace) and the mapping and throughput must
+        (fresh segment cache; the shared DP arena carries no state between
+        solves) and the mapping and throughput must
         match the incremental plan **exactly** — same clustering, same
         allocation, bit-identical floats.  Returns the number of solves
         audited; raises ``AssertionError`` on any divergence.

@@ -40,7 +40,7 @@ and transient communication faults (see ``docs/fault_tolerance.md``):
   the engine freezes and :func:`simulate_fault_tolerant` re-runs the DP
   solver on the surviving processors (via
   :class:`~repro.core.remap.RemapPlanner`, reusing the solver's segment
-  cache and workspace), charges a configurable remap latency to the
+  cache across re-solves), charges a configurable remap latency to the
   stream, and replays the unfinished data sets under the new mapping.
 """
 

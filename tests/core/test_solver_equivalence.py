@@ -36,6 +36,7 @@ from repro.core.dp_cluster import (
     bisect_mapping,
     exhaustive_mapping,
 )
+from repro.core import workspace
 from repro.core.response import UNFIT
 from repro.fjgraph import FJGraph, build_modules, greedy_fj_mapping
 from repro.core.mapping import all_clusterings, singleton_clustering
@@ -90,52 +91,42 @@ class TestConfigurationInvariance:
         assert again.clustering == ref.clustering
         assert again.totals == ref.totals
         assert again.throughput == ref.throughput
-
-    @pytest.mark.parametrize("budget_mb", [None, 24.0])
-    def test_memory_budget_changes_blocking_not_results(self, budget_mb):
-        chain, P, mem = random_chain(4, seed=3), 24, float("inf")
-        ref = self._solve(chain, P, mem)
-        ws = SolverWorkspace(memory_budget_mb=budget_mb)
-        mchain = build_module_chain(chain, ref.clustering, mem)
-        res = optimal_assignment(mchain, P, workspace=ws)
-        assert res.totals == ref.totals
-        assert res.bottleneck_response == pytest.approx(
-            1.0 / ref.throughput, rel=RTOL
-        )
-        if budget_mb is not None:
-            assert ws.peak_table_bytes <= budget_mb * 2**20
-
-    def test_tiny_budget_raises_upfront(self):
-        ws = SolverWorkspace(memory_budget_mb=0.05)
-        mchain = build_module_chain(
-            random_chain(3, seed=0), singleton_clustering(3)
-        )
-        with pytest.raises(InfeasibleError):
-            optimal_assignment(mchain, 24, workspace=ws)
+        # One workspace across machine sizes: each change of P rebuilds the
+        # arena, and every solve matches a fresh workspace bit for bit.
+        ws = SolverWorkspace()
+        for Q in (P, P // 2, P):
+            for mchain in _module_chains(chain, mem):
+                assert _dp_bits(mchain, Q, ws) == _dp_bits(
+                    mchain, Q, SolverWorkspace()
+                ), (Q, mchain.clustering())
 
     @pytest.mark.parametrize("case", range(len(chains_matrix())))
-    def test_float32_path_matches_oracle(self, case):
+    def test_split_scratch_blocks_change_nothing(self, case, monkeypatch):
+        """Scratch smaller than one pt-plane splits the transition's chunks
+        into ``pl`` blocks; the DP must not notice."""
         chain, P, mem = chains_matrix()[case]
-        oracle = brute_force_mapping(chain, P, mem)
-        ws = SolverWorkspace(value_dtype=np.float32)
-        best = None
-        for clustering in all_clusterings(len(chain)):
-            mchain = build_module_chain(chain, clustering, mem)
-            if mchain.total_min_procs > P:
-                continue
-            try:
-                res = optimal_assignment(mchain, P, workspace=ws)
-            except InfeasibleError:
-                continue
-            if best is None or res.throughput > best.throughput:
-                best = res
-        # float32 tables may round DP values, but the reconstructed mapping
-        # is re-scored analytically, so the reported throughput is exact and
-        # must sit within float32 resolution of the true optimum.
-        assert best.throughput == pytest.approx(oracle.throughput, rel=1e-5)
-        assert best.bottleneck_response == pytest.approx(
-            1.0 / best.throughput, rel=RTOL
-        )
+        mchains = _module_chains(chain, mem)
+        ref = [_dp_bits(m, P, SolverWorkspace()) for m in mchains]
+        half_plane_mb = 0.5 * (P + 1) ** 3 * 8 / 2**20
+        monkeypatch.setattr(workspace, "DEFAULT_SCRATCH_MB", half_plane_mb)
+        ws = SolverWorkspace()
+        assert any(bl > 0 for _, _, bl, _ in ws.arena(P).blocks)
+        assert [_dp_bits(m, P, ws) for m in mchains] == ref
+
+
+def _module_chains(chain, mem):
+    """The module chain of every clustering of ``chain``."""
+    return [build_module_chain(chain, c, mem)
+            for c in all_clusterings(len(chain))]
+
+
+def _dp_bits(mchain, P, ws):
+    """The assignment DP's totals and objective bits, or ``None``."""
+    try:
+        res = optimal_assignment(mchain, P, workspace=ws)
+    except InfeasibleError:
+        return None
+    return res.totals, float.hex(res.bottleneck_response)
 
 
 class TestSegmentCache:
@@ -364,12 +355,7 @@ class TestIncumbentBound:
         # Every clustering reaches inf, so none is skipped or solved twice.
         assert got.clusterings_examined == ref.clusterings_examined
 
-    def test_float32_workspace_and_bisect_ignore_it(self):
-        ws = SolverWorkspace(value_dtype=np.float32)
-        ref = optimal_mapping(self.CHAIN, self.P, workspace=ws)
-        got = optimal_mapping(self.CHAIN, self.P, workspace=ws,
-                              incumbent=ref.throughput)
-        assert got.clusterings_examined == ref.clusterings_examined
+    def test_bisect_ignores_it(self):
         # Past 12 tasks the dispatch runs bisection, which has no bound.
         long = random_chain(13, seed=23)
         bis = bisect_mapping(long, 4)
