@@ -9,37 +9,28 @@ before anything executes.
 
 Two halves:
 
-* :mod:`repro.analysis.engine` — an AST lint engine with repo-specific
+* :mod:`repro.analysis.engine` — an AST lint engine with four
   determinism rules (unseeded RNG, wall-clock reads in hot paths,
-  order-sensitive accumulation over sets, mutable default arguments,
-  protocol-contract drift).  ``repro-map lint --self`` runs it over the
-  installed tree and must pass clean in CI.
+  order-sensitive accumulation over sets, mutable default arguments).
+  ``repro-map lint --self`` runs it over the installed tree and must find
+  nothing in CI.
 * :mod:`repro.analysis.plan` — a static mapping-plan verifier that checks
-  processor budgets, contiguity, replica feasibility, machine geometry,
-  and deadlock-freedom of the ascending-queue redistribution without
-  running the simulator.
+  processor budgets, contiguity, replica feasibility and machine
+  geometry without running the simulator.
 
-Both halves share one vocabulary with the runtime pre-flight:
-:class:`~repro.core.exceptions.Severity`, and (for plans)
+Plans share one vocabulary with the runtime pre-flight:
+:class:`~repro.core.exceptions.Severity`,
 :class:`~repro.core.exceptions.Violation` and the one report type,
 :class:`~repro.core.validate.PlanReport`, re-exported here.
 """
 
 from ..core.validate import PlanReport
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic
 from .engine import LintEngine, LintReport, lint_paths, lint_source, self_check
-from .plan import (
-    StaticPlan,
-    QueueState,
-    Reassignment,
-    load_plan,
-    verify_plan,
-    verify_redistribution,
-)
+from .plan import StaticPlan, load_plan, verify_plan
 
 __all__ = [
     "Diagnostic",
-    "Severity",
     "LintEngine",
     "LintReport",
     "lint_paths",
@@ -47,9 +38,6 @@ __all__ = [
     "self_check",
     "StaticPlan",
     "PlanReport",
-    "QueueState",
-    "Reassignment",
     "load_plan",
     "verify_plan",
-    "verify_redistribution",
 ]

@@ -1,9 +1,7 @@
-"""The lint engine: file walking, rule dispatch, pragmas, reporting.
+"""The lint engine: file walking, rule dispatch, reporting.
 
-Per-file rules run on each file's AST; the cross-module
-protocol-contract pass runs once over a class index built from every
-file.  Findings covered by a same-line ``# repro: allow[rule]`` pragma
-are reported as suppressed and do not gate.
+Each file is parsed once and every rule whose scope covers it runs on
+its AST.  Every finding is an error.
 """
 
 from __future__ import annotations
@@ -13,9 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .contracts import CONTRACT_RULE, DEFAULT_CONTRACTS, ClassIndex, check_contracts
-from .diagnostics import Diagnostic, Severity, report_to_dict
-from .pragmas import apply_pragmas, collect_pragmas
+from .diagnostics import Diagnostic, report_to_dict
 from .rules import PER_FILE_RULES, RuleContext
 
 __all__ = ["LintEngine", "LintReport", "lint_paths", "lint_source", "self_check"]
@@ -31,46 +27,28 @@ class LintReport:
     files_scanned: int = 0
 
     @property
-    def active(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if not d.suppressed]
-
-    @property
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.active if d.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.active if d.severity is Severity.WARNING]
-
-    @property
-    def suppressed(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.suppressed]
-
-    @property
     def ok(self) -> bool:
-        return not self.errors
+        return not self.diagnostics
 
     def to_dict(self) -> dict:
         return report_to_dict(self.diagnostics, self.files_scanned)
 
-    def render(self, show_suppressed: bool = False) -> str:
+    def render(self) -> str:
         lines = [
             d.format()
             for d in sorted(
                 self.diagnostics, key=lambda d: (d.path, d.line, d.col, d.rule)
             )
-            if show_suppressed or not d.suppressed
         ]
         lines.append(
             f"{self.files_scanned} file(s) scanned: "
-            f"{len(self.errors)} error(s), {len(self.warnings)} warning(s), "
-            f"{len(self.suppressed)} suppressed"
+            f"{len(self.diagnostics)} error(s)"
         )
         return "\n".join(lines)
 
 
 class LintEngine:
-    """Run the per-file rules and the contract pass over sources."""
+    """Run the per-file rules over sources."""
 
     def __init__(self, package_root: Path | None = None):
         self.package_root = package_root
@@ -94,34 +72,22 @@ class LintEngine:
 
     # -- the per-file pipeline ----------------------------------------------
     def _lint(self, sources: dict[str, str]) -> list[Diagnostic]:
-        """Parse each file, run the per-file rules, then the cross-module
-        contract pass over all of them, then each file's pragmas."""
+        """Parse each file and run the rules that apply to it."""
         diagnostics: list[Diagnostic] = []
-        index = ClassIndex()
-        contexts: dict[str, RuleContext] = {}
         for path, source in sources.items():
             try:
                 tree = ast.parse(source, filename=path)
             except SyntaxError as exc:
                 diagnostics.append(Diagnostic(
-                    "syntax-error", Severity.ERROR, path,
-                    exc.lineno or 1, (exc.offset or 1) - 1,
+                    "syntax-error", path, exc.lineno or 1, (exc.offset or 1) - 1,
                     f"file does not parse: {exc.msg}",
                 ))
                 continue
-            ctx = RuleContext(path, self._parts(Path(path)), tree, source)
+            ctx = RuleContext(path, self._parts(Path(path)), tree)
             for rule in PER_FILE_RULES:
                 if rule.applies_to(ctx.parts):
                     rule.check(ctx, rule)
-            index.add_file(path, tree)
-            contexts[path] = ctx
-        # Contract findings land in each file's context so that file's
-        # pragmas can suppress them.
-        check_contracts(index, DEFAULT_CONTRACTS, contexts, CONTRACT_RULE)
-        for path, ctx in contexts.items():
-            pragmas, pragma_diags = collect_pragmas(ctx.source, path)
-            diagnostics += apply_pragmas(ctx.diagnostics, pragmas, path)
-            diagnostics += pragma_diags
+            diagnostics += ctx.diagnostics
         return diagnostics
 
     def lint_source(self, source: str, filename: str = "<string>") -> list[Diagnostic]:
@@ -130,28 +96,24 @@ class LintEngine:
 
     def lint_paths(self, paths: Iterable[str | Path]) -> LintReport:
         """Lint files and directory trees; directories recurse over *.py."""
-        files: list[Path] = []
+        files: dict[Path, Path] = {}     # resolved path -> first spelling given
         for p in paths:
             p = Path(p)
-            if p.is_dir():
-                files.extend(
-                    f for f in sorted(p.rglob("*.py"))
-                    if not any(part in _SKIP_DIRS for part in f.parts)
-                )
-            else:
-                files.append(p)
+            found = [
+                f for f in sorted(p.rglob("*.py"))
+                if not any(part in _SKIP_DIRS for part in f.parts)
+            ] if p.is_dir() else [p]
+            for f in found:
+                files.setdefault(f.resolve(), f)
 
         report = LintReport()
         sources: dict[str, str] = {}
-        for f in files:
+        for f in files.values():
             try:
                 sources[str(f)] = f.read_text()
             except OSError as exc:
                 report.diagnostics.append(
-                    Diagnostic(
-                        "io-error", Severity.ERROR, str(f), 1, 0,
-                        f"cannot read file: {exc}",
-                    )
+                    Diagnostic("io-error", str(f), 1, 0, f"cannot read file: {exc}")
                 )
         report.files_scanned = len(sources)
         report.diagnostics += self._lint(sources)
@@ -166,14 +128,11 @@ def lint_source(source: str, filename: str = "<string>") -> list[Diagnostic]:
     return LintEngine().lint_source(source, filename)
 
 
-def self_check() -> LintReport:
-    """Lint the installed :mod:`repro` tree — the CI gate.
-
-    Must pass clean: every intentional violation carries an auditable
-    ``# repro: allow[rule]`` pragma.
-    """
+def self_check(extra: Iterable[str | Path] = ()) -> LintReport:
+    """Lint the installed :mod:`repro` tree, plus any ``extra`` paths, in
+    one run — the CI gate.  It must find nothing."""
     import repro
 
     root = Path(repro.__file__).parent
     engine = LintEngine(package_root=root.parent)
-    return engine.lint_paths([root])
+    return engine.lint_paths([root, *extra])

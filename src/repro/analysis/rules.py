@@ -2,14 +2,10 @@
 
 Each rule is an :class:`ast.NodeVisitor` targeting one reproducibility
 hazard this repo has been bitten by (or guards against with golden
-fixtures).  Rules carry a stable name — the pragma key — and an optional
-*scope*: directory names the rule is confined to, so e.g. wall-clock
-reads are flagged inside ``sim/`` and ``core/`` (the deterministic hot
-paths) but not in ``benchmarks/`` where timing is the point.
-
-The cross-module protocol-contract rule lives in
-:mod:`repro.analysis.contracts`; it needs a whole-tree class index and is
-run by the engine after the per-file pass.
+fixtures).  Rules carry a stable name and an optional *scope*: directory
+names the rule is confined to, so e.g. wall-clock reads are flagged
+inside ``sim/`` and ``core/`` (the deterministic hot paths) but not in
+``benchmarks/`` where timing is the point.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic
 
 __all__ = ["Rule", "RuleContext", "PER_FILE_RULES"]
 
@@ -30,7 +26,6 @@ class RuleContext:
     path: str                       # path string used in diagnostics
     parts: tuple[str, ...]          # path components relative to the package
     tree: ast.AST
-    source: str
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
@@ -39,7 +34,6 @@ class Rule:
     """A registered lint rule."""
 
     name: str
-    severity: Severity
     description: str
     check: Callable[["RuleContext", "Rule"], None]
     scope: tuple[str, ...] = ()     # directory names; empty = everywhere
@@ -53,7 +47,7 @@ class Rule:
 def _emit(ctx: RuleContext, rule: Rule, node: ast.AST, message: str) -> None:
     ctx.diagnostics.append(
         Diagnostic(
-            rule.name, rule.severity, ctx.path,
+            rule.name, ctx.path,
             getattr(node, "lineno", 1), getattr(node, "col_offset", 0),
             message,
             end_line=getattr(node, "end_lineno", None),
@@ -150,11 +144,14 @@ class _UnseededRng(_ImportTracker):
                     f"draws are order-dependent — use "
                     f"np.random.default_rng(seed)",
                 )
-            elif q.split(".")[-1] in ("default_rng", "RandomState") and (
+            elif q.split(".")[-1] in ("default_rng", "RandomState", "Random") and (
                 q.split(".")[0] in ("numpy", "np", "random")
                 or q in ("default_rng", "RandomState")
                 or ".random." in f".{q}."
             ):
+                seed = node.args[0] if node.args else next(
+                    (k.value for k in node.keywords if k.arg == "seed"), None
+                )
                 if not node.args and not node.keywords:
                     _emit(
                         self.ctx, self.rule, node,
@@ -162,12 +159,11 @@ class _UnseededRng(_ImportTracker):
                         f"from OS entropy and every run differs — pass an "
                         f"explicit seed",
                     )
-                elif node.args and isinstance(node.args[0], ast.Constant) \
-                        and node.args[0].value is None:
+                elif isinstance(seed, ast.Constant) and seed.value is None:
                     _emit(
                         self.ctx, self.rule, node,
-                        f"'{q}(None)' is an entropy seed — pass an explicit "
-                        f"integer seed",
+                        f"a None seed makes '{q}' seed itself from OS "
+                        f"entropy — pass an explicit integer seed",
                     )
         self.generic_visit(node)
 
@@ -269,15 +265,22 @@ class _UnorderedIteration(ast.NodeVisitor):
         self.rule = rule
         self.set_names: set[str] = set()
 
-    def visit_Assign(self, node: ast.Assign):
+    def _bind(self, target: ast.expr, value: ast.expr | None) -> None:
         # Track local names bound to set expressions so `s = set(...);
         # for x in s:` is seen through.
-        if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-            name = node.targets[0].id
-            if _is_set_expr(node.value, self.set_names):
-                self.set_names.add(name)
+        if isinstance(target, ast.Name) and value is not None:
+            if _is_set_expr(value, self.set_names):
+                self.set_names.add(target.id)
             else:
-                self.set_names.discard(name)
+                self.set_names.discard(target.id)
+
+    def visit_Assign(self, node: ast.Assign):
+        if len(node.targets) == 1:
+            self._bind(node.targets[0], node.value)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign):
+        self._bind(node.target, node.value)
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For):
@@ -389,23 +392,23 @@ def _check_mutable_default(ctx: RuleContext, rule: Rule) -> None:
 
 PER_FILE_RULES: tuple[Rule, ...] = (
     Rule(
-        "unseeded-rng", Severity.ERROR,
+        "unseeded-rng",
         "module-state or entropy-seeded RNG use (non-reproducible draws)",
         _check_unseeded_rng,
     ),
     Rule(
-        "wall-clock", Severity.ERROR,
+        "wall-clock",
         "host-clock read inside the deterministic sim/ and core/ paths",
         _check_wall_clock, scope=("sim", "core"),
     ),
     Rule(
-        "unordered-iteration", Severity.ERROR,
+        "unordered-iteration",
         "set iteration feeding order-sensitive (float) accumulation in "
         "solver/simulator hot paths",
         _check_unordered_iteration, scope=("sim", "core"),
     ),
     Rule(
-        "mutable-default", Severity.ERROR,
+        "mutable-default",
         "mutable default argument shared across calls",
         _check_mutable_default,
     ),

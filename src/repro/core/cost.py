@@ -465,7 +465,7 @@ class ScaledBinary(BinaryCost):
         return {"kind": "scaled_binary", "factor": self.factor, "base": self.base.to_dict()}
 
 
-class LambdaUnary(UnaryCost):  # repro: allow[protocol-contract]
+class LambdaUnary(UnaryCost):
     """Wrap an arbitrary vectorised callable ``f(p)`` as a unary cost.
 
     Used by workloads whose *true* behaviour includes terms outside the
@@ -484,7 +484,7 @@ class LambdaUnary(UnaryCost):  # repro: allow[protocol-contract]
         return f"LambdaUnary({self.name})"
 
 
-class LambdaBinary(BinaryCost):  # repro: allow[protocol-contract]
+class LambdaBinary(BinaryCost):
     """Wrap an arbitrary vectorised callable ``f(ps, pr)`` as a binary cost."""
 
     def __init__(self, fn, name: str = "lambda"):

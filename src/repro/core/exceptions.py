@@ -34,8 +34,8 @@ class Violation:
     """One structured finding about a plan.
 
     ``code`` is stable and machine-readable (``structure``, ``budget``,
-    ``replication``, ``memory``, ``geometry``, ``deadlock``, and the
-    performance smells ``idle`` and ``imbalance``); ``module`` is
+    ``replication``, ``memory``, ``geometry``, and the performance
+    smells ``idle`` and ``imbalance``); ``module`` is
     the offending module index when the finding is localised.
     """
 

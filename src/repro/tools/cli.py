@@ -113,10 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", dest="json_out", metavar="OUT.json", default=None,
         help="also write machine-readable diagnostics (file:line spans)",
     )
-    p_lint.add_argument(
-        "--show-suppressed", action="store_true",
-        help="list findings suppressed by '# repro: allow[rule]' pragmas",
-    )
 
     p_size = sub.add_parser("size", help="minimum processors for a throughput target")
     add_workload_args(p_size)
@@ -202,18 +198,18 @@ def _cmd_lint(args) -> int:
         if args.paths and not args.self_check:
             lint_report = lint_paths(args.paths)
         else:
-            lint_report = self_check()
-            if args.paths:
-                lint_report.diagnostics.extend(
-                    lint_paths(args.paths).diagnostics
-                )
-        print(lint_report.render(show_suppressed=args.show_suppressed))
+            lint_report = self_check(args.paths)
+        print(lint_report.render())
         print("OK" if lint_report.ok else "FAIL")
         ok = ok and lint_report.ok
         payload["lint"] = lint_report.to_dict()
 
     if args.plan is not None:
-        plan = load_plan(args.plan)
+        try:
+            plan = load_plan(args.plan)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         if plan.chain is None and args.workload is not None:
             machine = machine_by_name(args.machine or "iwarp64-message")
             plan.chain = workload_by_name(args.workload, machine).chain

@@ -6,14 +6,7 @@ import json
 
 import pytest
 
-from repro.analysis import (
-    QueueState,
-    Reassignment,
-    StaticPlan,
-    load_plan,
-    verify_plan,
-    verify_redistribution,
-)
+from repro.analysis import StaticPlan, load_plan, verify_plan
 from repro.core import (
     Edge,
     Mapping,
@@ -162,62 +155,6 @@ class TestVerifyPlan:
         assert err.value.violations
 
 
-class TestRedistributionDeadlock:
-    # A 2-module mapping, module 1 with two instances degrading to one.
-    REPLICAS = [1, 2]
-
-    def queues(self, highs=(5, 3), alive=(True, True)):
-        return [
-            QueueState(1, 0, highs[0], alive[0]),
-            QueueState(1, 1, highs[1], alive[1]),
-        ]
-
-    def test_ascending_move_accepted(self):
-        moves = [Reassignment(1, 4, "exec", 1)]
-        assert verify_redistribution(self.REPLICAS, self.queues(), moves) == []
-
-    def test_insert_behind_larger_dataset_is_deadlock(self):
-        # Instance 0 already started data set 5; moving data set 4 onto
-        # it breaks queue ascent.
-        moves = [Reassignment(1, 4, "exec", 0)]
-        v = verify_redistribution(self.REPLICAS, self.queues(), moves)
-        assert any(x.code == "deadlock" for x in v)
-
-    def test_move_to_dead_instance_is_deadlock(self):
-        moves = [Reassignment(1, 9, "recv", 1)]
-        v = verify_redistribution(
-            self.REPLICAS, self.queues(alive=(True, False)), moves
-        )
-        assert any(x.code == "deadlock" for x in v)
-
-    def test_duplicate_dataset_ownership_is_deadlock(self):
-        moves = [
-            Reassignment(1, 7, "exec", 0),
-            Reassignment(1, 7, "send", 1),
-        ]
-        v = verify_redistribution(self.REPLICAS, self.queues(), moves)
-        assert any(x.code == "deadlock" for x in v)
-
-    def test_sequential_moves_update_high_water(self):
-        # Second move lands behind the first on the same queue: deadlock.
-        moves = [
-            Reassignment(1, 8, "exec", 1),
-            Reassignment(1, 6, "exec", 1),
-        ]
-        v = verify_redistribution(self.REPLICAS, self.queues(), moves)
-        assert any(x.code == "deadlock" for x in v)
-
-    def test_unknown_stage_reported(self):
-        moves = [Reassignment(1, 4, "warp", 1)]
-        v = verify_redistribution(self.REPLICAS, self.queues(), moves)
-        assert any("stage" in str(x) for x in v)
-
-    def test_bad_target_instance_reported(self):
-        moves = [Reassignment(1, 4, "exec", 5)]
-        v = verify_redistribution(self.REPLICAS, self.queues(), moves)
-        assert any(x.code == "structure" for x in v)
-
-
 class TestPreflightHooks:
     def test_simulate_rejects_bad_coverage_with_plan_error(self):
         chain = three_task_chain()
@@ -265,6 +202,8 @@ class TestLoadPlan:
         assert verify_plan(plan).ok
 
     def test_plan_check_kind_with_redistribution(self, tmp_path):
+        # Nothing verifies a redistribution section, so a file carrying
+        # one is rejected rather than silently half-checked.
         payload = {
             "kind": "plan-check",
             "mapping": {"modules": [
@@ -272,21 +211,15 @@ class TestLoadPlan:
             ]},
             "total_procs": 8,
             "redistribution": {
-                "queues": [
-                    {"module": 0, "instance": 0, "high": 5},
-                    {"module": 0, "instance": 1, "high": 3},
-                ],
-                "moves": [
-                    {"module": 0, "dataset": 4, "stage": "exec",
-                     "instance": 0},
-                ],
+                "queues": [{"module": 0, "instance": 0, "high": 5}],
+                "moves": [{"module": 0, "dataset": 4, "stage": "exec",
+                           "instance": 0}],
             },
         }
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(payload))
-        report = verify_plan(load_plan(path))
-        assert not report.ok
-        assert any(v.code == "deadlock" for v in report.violations)
+        with pytest.raises(ValueError, match="'redistribution'"):
+            load_plan(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "x.json"
@@ -315,22 +248,43 @@ class TestLoadPlan:
         assert plan.machine == machine_by_name("iwarp64-message")
         assert [v.code for v in verify_plan(plan).violations] == ["budget"]
 
-    @pytest.mark.parametrize("move", [
-        {"dataset": "x"},
-        {"module": 0, "dataset": 4, "stage": "exec"},
-        {"module": 0, "dataset": "x", "instance": 0},
+    @pytest.mark.parametrize("field, value, message", [
+        ("machine", 64, "machine"),
+        ("machine", {"name": "iwarp64-message"}, "machine"),
+        ("machine", ["iwarp64-message"], "machine"),
+        ("total_procs", "8", "total_procs"),
+        ("total_procs", 8.5, "total_procs"),
+        ("total_procs", True, "total_procs"),
+        ("mem_per_proc_mb", "64", "mem_per_proc_mb"),
+        ("mem_per_proc_mb", [64], "mem_per_proc_mb"),
+        ("mapping", [], "mapping must be an object"),
+        ("mapping", {"modules": 5}, "modules must be a list"),
+        ("chain", [1], "chain is malformed"),
+        ("fitted_chain", {"tasks": 3}, "chain is malformed"),
     ])
-    def test_malformed_redistribution_entry_reported(self, tmp_path, move):
+    def test_malformed_field_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({
             "kind": "plan-check",
             "mapping": {"modules": [{"start": 0, "stop": 2, "procs": 1}]},
-            "redistribution": {"queues": [{"module": 0}], "moves": [move]},
+            field: value,
         }))
-        report = verify_plan(load_plan(path))
-        assert [v.code for v in report.violations] == ["structure", "structure"]
-        assert "queues entry 0" in str(report.violations[0])
-        assert "moves entry 0" in str(report.violations[1])
+        with pytest.raises(ValueError, match=message):
+            load_plan(path)
+
+    def test_well_typed_context_fields_load(self):
+        plan = StaticPlan.from_dict({
+            "kind": "plan-check", "total_procs": 8, "mem_per_proc_mb": 64,
+            "mapping": {"modules": [{"start": 0, "stop": 2, "procs": 1}]},
+        })
+        assert (plan.total_procs, plan.mem_per_proc_mb) == (8, 64)
+        assert verify_plan(plan).ok
+
+    def test_non_object_payload_rejected(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_plan(path)
 
 
 def _nonreplicable_chain():

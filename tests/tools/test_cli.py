@@ -135,11 +135,29 @@ class TestCommands:
         assert "plan ok" in out
         assert "[warning] idle: 60 of 64 processors are idle" in out
 
-    def test_lint_self_passes(self, capsys):
-        assert main(["lint", "--self"]) == 0
+    def test_lint_self_passes(self, capsys, tmp_path):
+        # Extra paths are linted in the same run and counted with the tree;
+        # a tree file named again is linted and counted once.
+        import json
+        from pathlib import Path
+
+        import repro
+
+        tree = [
+            f for f in Path(repro.__file__).parent.rglob("*.py")
+            if "__pycache__" not in f.parts
+        ]
+        extra = tmp_path / "extra.py"
+        extra.write_text("x = 1\n")
+        out_path = tmp_path / "diag.json"
+        assert main([
+            "lint", "--self", str(extra), str(tree[0]), "--json", str(out_path),
+        ]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
-        assert "file(s) scanned" in out
+        assert f"{len(tree) + 1} file(s) scanned: 0 error(s)" in out
+        lint = json.loads(out_path.read_text())["lint"]
+        assert (lint["files_scanned"], lint["diagnostics"]) == (len(tree) + 1, [])
 
     def test_lint_paths_finds_violations(self, capsys, tmp_path):
         bad = tmp_path / "bad.py"
@@ -157,11 +175,29 @@ class TestCommands:
         out_path = tmp_path / "diag.json"
         assert main(["lint", str(bad), "--json", str(out_path)]) == 1
         payload = json.loads(out_path.read_text())
-        assert payload["lint"]["format"] == "repro-lint/v1"
+        assert payload["lint"]["format"] == "repro-lint/v2"
         entry = payload["lint"]["diagnostics"][0]
         assert entry["rule"] == "mutable-default"
         assert entry["path"] == str(bad)
         assert entry["line"] == 1
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"kind": "plan-check", "machine": 64}', "machine"),
+        ('{"kind": "plan-check", "machine": "iwarp64-mesage"}', "unknown machine"),
+        ("{not json", "Expecting"),
+        (None, "No such file"),
+    ])
+    def test_lint_plan_malformed_file_fails_cleanly(
+        self, capsys, tmp_path, content, message
+    ):
+        path = tmp_path / "plan.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["lint", "--plan", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
 
     def test_lint_plan_verifies_saved_mapping(self, capsys, tmp_path):
         from repro.core import Mapping, ModuleSpec
