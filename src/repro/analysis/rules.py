@@ -121,6 +121,12 @@ _NP_RANDOM_MODULE_FNS = {
     "standard_normal", "seed", "exponential", "poisson", "binomial",
     "beta", "gamma", "bytes", "random_integers", "get_state", "set_state",
 }
+# Generator and bit-generator constructors (and ``SeedSequence``, which
+# takes ``entropy``): each seeds itself from OS entropy without a seed.
+_SEEDABLE = {
+    "default_rng", "RandomState", "Random", "PCG64", "PCG64DXSM", "Philox",
+    "MT19937", "SFC64", "SeedSequence",
+}
 
 
 class _UnseededRng(_ImportTracker):
@@ -144,13 +150,14 @@ class _UnseededRng(_ImportTracker):
                     f"draws are order-dependent — use "
                     f"np.random.default_rng(seed)",
                 )
-            elif q.split(".")[-1] in ("default_rng", "RandomState", "Random") and (
+            elif q.split(".")[-1] in _SEEDABLE and (
                 q.split(".")[0] in ("numpy", "np", "random")
                 or q in ("default_rng", "RandomState")
                 or ".random." in f".{q}."
             ):
                 seed = node.args[0] if node.args else next(
-                    (k.value for k in node.keywords if k.arg == "seed"), None
+                    (k.value for k in node.keywords
+                     if k.arg in ("seed", "entropy")), None
                 )
                 if not node.args and not node.keywords:
                     _emit(

@@ -74,7 +74,8 @@ class ModuleChain:
     """A chain of modules: what the assignment solvers actually map.
 
     ``infos[i]`` describes module ``i``; ``ecoms[i]`` is the external
-    communication cost between modules ``i`` and ``i+1``.
+    communication cost between modules ``i`` and ``i+1``; ``cache`` is the
+    :class:`SegmentCache` its response factors are read through.
     """
 
     def __init__(
@@ -82,7 +83,7 @@ class ModuleChain:
         chain: TaskChain,
         infos: list[ModuleInfo],
         ecoms: list[BinaryCost],
-        cache: "SegmentCache | None" = None,
+        cache: "SegmentCache",
     ):
         if len(ecoms) != len(infos) - 1:
             raise InvalidMappingError("module chain needs l-1 boundary communications")
@@ -114,23 +115,19 @@ class ModuleChain:
         communication plus execution and ``denom`` the replica count.
         Returning the 2-D factors lets the DP assemble ``R`` directly into a
         reusable buffer (any memory layout) and lets the segment
-        cache share them across clusterings.  Arrays are cached when the
-        chain carries a :class:`SegmentCache` — treat them as read-only.
+        cache share them across clusterings.  The arrays are the cache's
+        and read-only.
         """
-        if self.cache is not None:
-            return self.cache.parts(self, i, max_procs)
-        return _compute_parts(self, i, max_procs)
+        return self.cache.parts(self, i, max_procs)
 
     def throughput_bound(self, i: int, max_procs: int) -> np.ndarray:
         """Upper bound on module ``i``'s throughput at each of its totals
         ``0..max_procs``, over every allocation of its neighbours (0 where
         the total is unusable).  Float rounding is monotone, so no
         allocation beats the bound, bit for bit.  Computed without the
-        response parts (:func:`_throughput_bound`) and memoised when the
-        chain carries a :class:`SegmentCache`."""
-        if self.cache is not None:
-            return self.cache.throughput_bound(self, i, max_procs)
-        return _throughput_bound(self, i, max_procs)
+        response parts (:func:`_throughput_bound`) and memoised in the
+        chain's :class:`SegmentCache`."""
+        return self.cache.throughput_bound(self, i, max_procs)
 
     def response_tensor(self, i: int, max_procs: int) -> np.ndarray:
         """Effective response of module ``i`` for every allocation triple.
@@ -186,40 +183,31 @@ def _exec_table(
     return exec_part, denom, feasible
 
 
-def _boundary(
-    mchain: ModuleChain, j: int, P: int, cache: "SegmentCache | None"
-) -> np.ndarray:
+def _boundary(mchain: ModuleChain, j: int, P: int) -> np.ndarray:
     """The communication grid from module ``j`` to module ``j+1``: the grid
     of the edge's unscaled model times its factor, which gives the bits of
     evaluating the scaled model (one IEEE product per entry)."""
     a, b = mchain.infos[j], mchain.infos[j + 1]
     model, factor = mchain.ecoms[j].unscaled()
-    if cache is not None:
-        grid = cache.ecom_grid(a.stop, model, a, b, P)
-    else:
-        grid = _ecom_grid(model, a, b, P)
+    grid = mchain.cache.ecom_grid(a.stop, model, a, b, P)
     return grid if factor == 1.0 else factor * grid
 
 
 def _compute_parts(
-    mchain: ModuleChain, i: int, P: int, cache: "SegmentCache | None" = None
+    mchain: ModuleChain, i: int, P: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Build the separable response factors for module ``i`` from its exec
-    table and its boundary grids, read through ``cache`` when given."""
-    info = mchain.infos[i]
-    if cache is not None:
-        exec_part, denom, feasible = cache.exec_table(info, P)
-    else:
-        exec_part, denom, feasible = _exec_table(info, P)
+    table and its boundary grids, read through the chain's cache."""
+    exec_part, denom, feasible = mchain.cache.exec_table(mchain.infos[i], P)
     # Incoming communication: grid over (q, pl).
     if i > 0:
-        com_in = _boundary(mchain, i - 1, P, cache)
+        com_in = _boundary(mchain, i - 1, P)
     else:
         com_in = np.zeros((P + 1, P + 1))
         com_in[:, ~feasible] = np.inf
     # Outgoing communication: grid over (pl, pn).
     if i < len(mchain.infos) - 1:
-        com_out = _boundary(mchain, i, P, cache)
+        com_out = _boundary(mchain, i, P)
     else:
         com_out = np.zeros((P + 1, P + 1))
         com_out[~feasible, :] = np.inf
@@ -235,25 +223,18 @@ def _grid_minima(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grid[1:].min(axis=0), grid[:, 1:].min(axis=1)
 
 
-def _boundary_minimum(
-    mchain: ModuleChain, j: int, P: int, cache: "SegmentCache | None", side: int
-) -> np.ndarray:
+def _boundary_minimum(mchain: ModuleChain, j: int, P: int, side: int) -> np.ndarray:
     """One of :func:`_grid_minima` (``side`` 0 or 1) of the boundary from
     module ``j`` to module ``j+1``, scaled like :func:`_boundary`.  A
     positive factor commutes with the minimum: ``min fl(f*g) = fl(f*min g)``
     because rounding is monotone."""
     a, b = mchain.infos[j], mchain.infos[j + 1]
     model, factor = mchain.ecoms[j].unscaled()
-    if cache is not None:
-        minima = cache.ecom_minima(a.stop, model, a, b, P)
-    else:
-        minima = _grid_minima(_ecom_grid(model, a, b, P))
+    minima = mchain.cache.ecom_minima(a.stop, model, a, b, P)
     return minima[side] if factor == 1.0 else factor * minima[side]
 
 
-def _throughput_bound(
-    mchain: ModuleChain, i: int, P: int, cache: "SegmentCache | None" = None
-) -> np.ndarray:
+def _throughput_bound(mchain: ModuleChain, i: int, P: int) -> np.ndarray:
     """``1 / LB[pl]``, where ``LB[pl] = (min_q ce[q, pl] + min_pn
     com_out[pl, pn]) / denom[pl]`` bounds module ``i``'s effective response
     at total ``pl`` from below over every real neighbour total (``1..P``,
@@ -263,14 +244,10 @@ def _throughput_bound(
     response parts: ``min_q fl(com_in[q, pl] + exec[pl])`` is
     ``fl(min_q com_in[q, pl] + exec[pl])`` since rounding is monotone, so
     the bits are those of minimising the parts."""
-    info = mchain.infos[i]
-    if cache is not None:
-        exec_part, denom, feasible = cache.exec_table(info, P)
-    else:
-        exec_part, denom, feasible = _exec_table(info, P)
+    exec_part, denom, feasible = mchain.cache.exec_table(mchain.infos[i], P)
     # The φ index of a chain end costs 0.0, as in _compute_parts.
-    in_min = _boundary_minimum(mchain, i - 1, P, cache, 0) if i > 0 else 0.0
-    out_min = (_boundary_minimum(mchain, i, P, cache, 1)
+    in_min = _boundary_minimum(mchain, i - 1, P, 0) if i > 0 else 0.0
+    out_min = (_boundary_minimum(mchain, i, P, 1)
                if i < len(mchain.infos) - 1 else 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         bound = 1.0 / (((in_min + exec_part) + out_min) / denom)
@@ -423,7 +400,7 @@ class SegmentCache:
         key = self._part_key(mchain, i, P)
         got = self._parts.get(key)
         if got is None:
-            got = _frozen(_compute_parts(mchain, i, P, self))
+            got = _frozen(_compute_parts(mchain, i, P))
             self._parts[key] = got
             self.part_misses += 1
         return got
@@ -434,7 +411,7 @@ class SegmentCache:
         key = self._part_key(mchain, i, P)
         got = self._bounds.get(key)
         if got is None:
-            got = _throughput_bound(mchain, i, P, self)
+            got = _throughput_bound(mchain, i, P)
             got.setflags(write=False)
             self._bounds[key] = got
         return got
@@ -544,10 +521,13 @@ def build_module_chain(
 ) -> ModuleChain:
     """Compose the module-level view of ``chain`` under ``clustering``.
 
-    Passing a :class:`SegmentCache` (bound to the same chain and memory
-    limit) reuses memoised per-segment characteristics and attaches the
-    cache to the result so response factors are shared across clusterings.
+    The result reads its segments and response factors through ``cache``:
+    a :class:`SegmentCache` bound to the same chain and memory limit
+    shares them across clusterings, and a fresh one is built when none is
+    given.
     """
+    if cache is None:
+        cache = SegmentCache(chain, mem_per_proc_mb)
     spans = list(clustering)
     if spans[0][0] != 0 or spans[-1][1] != len(chain) - 1:
         raise InvalidMappingError(f"clustering {spans} does not cover the chain")
@@ -555,10 +535,7 @@ def build_module_chain(
     for start, stop in spans:
         if infos and start != infos[-1].stop + 1:
             raise InvalidMappingError(f"clustering {spans} is not contiguous")
-        infos.append(
-            cache.info(start, stop) if cache is not None
-            else module_info(chain, start, stop, mem_per_proc_mb)
-        )
+        infos.append(cache.info(start, stop))
     ecoms = [chain.edges[info.stop].ecom for info in infos[:-1]]
     return ModuleChain(chain, infos, ecoms, cache=cache)
 

@@ -26,12 +26,12 @@ data set ``d`` (served by instance ``d mod r_i`` of each module):
 
 :func:`_run_scalar` replays exactly this chain of ``max`` and ``+``
 operations in the same association order the event engine uses, so
-noise-free results are **bit-identical** to the event engine, not merely
-close (the test suite compares the arrays with ``np.array_equal``).  Every
+results are **bit-identical** to the event engine, not merely close (the
+test suite compares the arrays with ``np.array_equal``).  Every
 operation's duration comes from one matrix (:func:`_durations`, one row per
-data set); with stationary jitter its rows are priced from batch-drawn
-noise factors consumed in data-set order instead of event order, so noisy
-runs are statistically — not bitwise — equivalent to event runs.
+data set); under drift its rows are priced from the noise model's batched
+factors, which are pure functions of each operation's data set and so
+equal the event engine's per-operation draws.
 
 Bottleneck evaluation
 ---------------------
@@ -47,9 +47,10 @@ does not hold; :func:`_evaluate` recomputes from there on the scalar loop
 for a short, growing stretch and speculates again.  Committed rows are
 therefore the scalar recurrence's bits, whatever the guess.
 
-Faulted runs never get here at all: ``simulate(engine="auto")`` routes
-them, like any run with random or contention-dependent noise, to the
-event engine.  The stream runner in :mod:`repro.sim.pipeline` calls
+Faulted, traced, jittered and interfering runs never get here at all:
+the engine dispatcher sends them to the event engine, so
+:func:`run_segment` sees only silent noise or jitter-free,
+interference-free drift.  The stream runner in :mod:`repro.sim.pipeline` calls
 :func:`run_segment` once per segment — once for a plain run, once per
 epoch for a controlled one.
 """
@@ -367,9 +368,8 @@ def run_segment(pipe: _Pipeline, completions, injections, datasets: range,
         stop = min(done + _BLOCK, d1)
         draws = None
         if noise.active:
-            # Batched noise: one factor per operation in data-set order,
-            # with each draw's (data set, is-transfer) context for
-            # non-stationary models.
+            # Drift: one factor per operation in data-set order, keyed by
+            # each draw's (data set, is-transfer) context.
             ds = np.repeat(np.arange(done, stop), epd)
             cm = np.tile(pipe.comm_template, stop - done)
             draws = noise.factors((stop - done) * epd, datasets=ds, comm=cm)

@@ -14,14 +14,15 @@ reproduces both effect classes:
 
 Draw context
 ------------
-Every sampling method accepts an optional ``dataset`` index (the global
-position of the data set whose operation is being priced).  The base model
-ignores it — stationary jitter depends only on the RNG stream — but
-non-stationary models key their time dependence on it, which makes a draw's
-value independent of *draw order and batching*: the event engine (one
-:meth:`factor` call per operation, in event-time order) and the fast path
-(one :meth:`factors` call per block, in data-set order) price the same
-operation identically.
+Every sampling method accepts a ``dataset`` index (the global position of
+the data set whose operation is being priced).  The base model ignores it —
+jitter depends only on the RNG stream, drawn in event-time order — but
+:class:`DriftNoiseModel` keys its drift on it, which makes a drift factor
+independent of *draw order and batching*.  Only RNG-free noise can be
+batched: :meth:`NoiseModel.factors` prices a block of operations for the
+fast path, which therefore serves exactly the deterministic models (silent
+noise, jitter-free and interference-free drift), where it is bit-identical
+to the event engine's one :meth:`NoiseModel.factor` call per operation.
 """
 
 from __future__ import annotations
@@ -72,18 +73,11 @@ class NoiseModel:
     def _refill(self) -> None:
         self._buf.extend(self._draw(BLOCK)[::-1].tolist())
 
-    def _jitter_factor(self) -> float:
-        """The next truncated-normal multiplicative jitter sample."""
-        buf = self._buf
-        if not buf:
-            self._refill()
-        return buf.pop()
-
     def factor(self, dataset: int | None = None) -> float:
         """One multiplicative jitter sample for an execution-side operation.
 
         ``dataset`` is the global index of the data set being processed;
-        the stationary base model ignores it.  The event engine pops this
+        the base model ignores it.  The event engine pops this
         model's buffer inline (:meth:`factor_buffer`) and calls this only
         to refill it.
         """
@@ -99,24 +93,17 @@ class NoiseModel:
         return self._buf if type(self).factor is NoiseModel.factor else None
 
     def factors(self, n: int, datasets=None, comm=None) -> np.ndarray:
-        """``n`` jitter samples drawn in one batch.
+        """``n`` factors priced in one batch, without the RNG.
 
-        Same marginal distribution (and, for the base model, the same
-        underlying RNG stream) as ``n`` successive :meth:`factor` calls;
-        the fast-path simulator uses this to price whole blocks of
-        operations at once.  ``datasets`` (per-draw data-set indices) and
-        ``comm`` (per-draw transfer mask) give non-stationary subclasses
-        the same context the per-operation methods get; the base model
-        ignores both.  The RNG *consumption order* differs from an
-        event-driven run — batched draws are assigned per operation in
-        data-set order, not in event-time order — so jittered fast runs are
-        statistically, not bitwise, equivalent to event runs.
+        The fast path prices whole blocks of operations with this, so only
+        jitter-free models batch: jitter is drawn in event-time order,
+        which only the event engine reproduces, and a jittered model
+        raises ``ValueError``.  ``datasets`` (per-draw data-set indices)
+        and ``comm`` (per-draw transfer mask) give drift the context the
+        per-operation methods get; the base model's factors are all ones.
         """
-        buf = self._buf
-        cut = max(0, len(buf) - n)
-        head = buf[cut:][::-1]
-        del buf[cut:]
-        return np.concatenate([head, self._draw(n - len(head))])
+        _require_jitter_free(self)
+        return np.ones(n)
 
     def comm_factor(self, concurrent_transfers: int, dataset: int | None = None) -> float:
         """Jitter plus contention for a transfer starting while
@@ -134,28 +121,13 @@ class NoiseModel:
         return self.jitter > 0 or self.comm_interference > 0
 
     @property
-    def stationary(self) -> bool:
-        """Is the noise distribution time-invariant?"""
-        return True
-
-    @property
-    def batchable(self) -> bool:
-        """Can :meth:`factors` price a block given per-draw context?
-
-        The fast path requires this.  Stationary models are trivially
-        batchable; non-stationary subclasses must opt in by implementing
-        context-keyed :meth:`factors` (see :class:`DriftNoiseModel`).
-        """
-        return self.stationary
-
-    @property
     def deterministic(self) -> bool:
         """Are draw values pure functions of their context (no RNG)?
 
         True for jitter-free, interference-free models: every factor is
         then reproducible from the ``dataset`` index alone, so batched and
         per-operation sampling agree *bitwise* — the condition under which
-        the engine dispatcher may take the fast path for an active model.
+        the engine dispatcher takes the fast path.
         """
         return self.jitter == 0 and self.comm_interference == 0
 
@@ -177,7 +149,7 @@ class DriftNoiseModel(NoiseModel):
     counter makes the inflation independent of draw order *and* batching,
     so the event engine and the batched fast path price every operation
     identically — with ``jitter=0`` and ``comm_interference=0`` a drifting
-    fast run is bit-identical to the event run.
+    run takes the fast path, bit-identical to the event run.
 
     ``comm_drift`` defaults to ``drift`` (uniform drift).  Setting them
     apart models differential drift — e.g. compute slowing while the
@@ -190,10 +162,9 @@ class DriftNoiseModel(NoiseModel):
     rounding sequence however the table is grown, keeping runs byte-stable
     across platforms and batch splits.
 
-    Calls without a ``dataset`` context fall back to a per-draw counter
-    (the pre-context legacy semantics: draw ``n`` is scaled by
-    ``(1 + drift)**(n+1)``); such draws cannot be batched, so
-    :meth:`factors` demands explicit ``datasets`` indices.
+    Every draw needs its data set: :meth:`factor` and :meth:`comm_factor`
+    without ``dataset``, and :meth:`factors` without ``datasets``, raise
+    ``ValueError``.
     """
 
     def __init__(self, seed: int = 0, jitter: float = 0.02,
@@ -207,7 +178,6 @@ class DriftNoiseModel(NoiseModel):
             raise ValueError("comm_drift must be non-negative")
         self.drift = drift
         self.comm_drift = drift if comm_drift is None else comm_drift
-        self._draws = 0  # legacy per-draw index for context-free calls
         self._tables: dict[float, np.ndarray] = {}
 
     # -- drift scales ------------------------------------------------------
@@ -226,23 +196,22 @@ class DriftNoiseModel(NoiseModel):
 
     def _scale(self, rate: float, dataset: int | None) -> float:
         if dataset is None:
-            dataset = self._draws
-            self._draws += 1
+            raise ValueError("drifting noise needs the data set of every draw")
         if rate == 0.0:
             return 1.0
         return float(self._table(rate, dataset + 1)[dataset])
 
     # -- sampling ----------------------------------------------------------
     def factor(self, dataset: int | None = None) -> float:
-        return self._jitter_factor() * self._scale(self.drift, dataset)
+        scale = self._scale(self.drift, dataset)
+        return super().factor() * scale
 
     def comm_factor(self, concurrent_transfers: int, dataset: int | None = None) -> float:
-        base = self._jitter_factor() * (
-            1.0 + self.comm_interference * max(0, concurrent_transfers)
-        )
-        return base * self._scale(self.comm_drift, dataset)
+        scale = self._scale(self.comm_drift, dataset)
+        return super().comm_factor(concurrent_transfers) * scale
 
     def factors(self, n: int, datasets=None, comm=None) -> np.ndarray:
+        _require_jitter_free(self)
         if datasets is None:
             raise ValueError(
                 "drifting noise needs per-draw context: pass datasets= "
@@ -251,9 +220,6 @@ class DriftNoiseModel(NoiseModel):
         d = np.asarray(datasets, dtype=np.intp)
         if d.shape != (n,):
             raise ValueError(f"datasets must have shape ({n},), got {d.shape}")
-        # Jitter-free draws are all ones (and touch no RNG): the product
-        # with them is the scale itself, so it is skipped.
-        base = super().factors(n) if self.jitter != 0 else None
         top = int(d.max()) + 1 if n else 1
         scale = self._table(self.drift, top)[d]
         if comm is not None and self.comm_drift != self.drift:
@@ -264,19 +230,17 @@ class DriftNoiseModel(NoiseModel):
                 np.putmask(scale, mask, 1.0)  # a zero rate's table is all ones
             else:
                 scale = np.where(mask, self._table(self.comm_drift, top)[d], scale)
-        return scale if base is None else base * scale
+        return scale
 
     # -- classification ----------------------------------------------------
     @property
     def active(self) -> bool:
         return super().active or self.drift > 0 or self.comm_drift > 0
 
-    @property
-    def stationary(self) -> bool:
-        return self.drift == 0 and self.comm_drift == 0
 
-    @property
-    def batchable(self) -> bool:
-        # The drift index is the data-set index, so batched draws with
-        # explicit ``datasets`` context reproduce per-operation draws.
-        return True
+def _require_jitter_free(noise: NoiseModel) -> None:
+    if noise.jitter != 0:
+        raise ValueError(
+            "jittered noise is drawn in event order and cannot be "
+            "batch-sampled; run it on the event engine"
+        )

@@ -419,13 +419,12 @@ def _pick_engine(engine: str, noise: NoiseModel, faults: FaultModel | None,
                  collect_trace: bool) -> str:
     """Pick (or validate) the engine that runs every segment of a stream.
 
-    ``"auto"`` takes the fast path exactly when it is bit-identical to the
-    event engine: no active faults, no trace, and noise that is silent or
-    both batchable and deterministic (jitter-free, interference-free
-    :class:`~repro.sim.noise.DriftNoiseModel` drift).  ``"fast"``
-    additionally admits stationary jitter — batched draws, statistically
-    rather than bitwise equivalent — and raises for anything the recurrence
-    cannot represent.
+    The fast path runs exactly the streams it reproduces bit for bit: no
+    active faults, no trace, and deterministic noise (silent, or
+    jitter-free and interference-free
+    :class:`~repro.sim.noise.DriftNoiseModel` drift).  ``"auto"`` takes it
+    for those and the event engine otherwise; ``"fast"`` raises for the
+    rest.
     """
     if engine == "event":
         return "event"
@@ -433,24 +432,16 @@ def _pick_engine(engine: str, noise: NoiseModel, faults: FaultModel | None,
         raise SimulationError(
             f"unknown engine {engine!r}: expected 'auto', 'event' or 'fast'"
         )
-    problem = None
-    if faults is not None and faults.active:
-        problem = ("fast engine cannot inject faults; use engine='event' or "
-                   "simulate_fault_tolerant()")
-    elif collect_trace:
-        problem = "fast engine does not record traces; use engine='event'"
-    elif not noise.batchable:
-        problem = ("fast engine needs batchable noise (stationary, or "
-                   "context-keyed like DriftNoiseModel); use engine='event'")
-    elif noise.comm_interference > 0:
-        problem = ("fast engine cannot model transfer interference; use "
-                   "engine='event'")
+    eligible = ((faults is None or not faults.active) and not collect_trace
+                and noise.deterministic)
+    if eligible:
+        return "fast"
     if engine == "fast":
-        if problem is not None:
-            raise SimulationError(problem)
-        return "fast"
-    if problem is None and (not noise.active or noise.deterministic):
-        return "fast"
+        raise SimulationError(
+            "fast engine runs only what it reproduces bit for bit: no "
+            "faults, no trace, no jitter and no transfer interference; use "
+            "engine='event' (or simulate_fault_tolerant() for faults)"
+        )
     return "event"
 
 
@@ -803,10 +794,11 @@ def simulate(
 
     ``engine`` selects the executor: ``"event"`` always runs the
     discrete-event engine; ``"fast"`` runs the vectorised recurrence of
-    :mod:`repro.sim.fastpath` (raises for faults, traces, interference or
-    non-batchable noise); ``"auto"`` (default) takes the fast path exactly
-    when it is bit-identical to the event engine (no faults, no trace, and
-    silent or deterministic drift noise) and the event engine otherwise.
+    :mod:`repro.sim.fastpath`, bit-identical to the event engine, and
+    raises unless the run has no active faults, no trace and deterministic
+    noise (silent, or jitter-free and interference-free drift);
+    ``"auto"`` (default) takes the fast path exactly for those runs and
+    the event engine otherwise.
 
     ``placements`` (per-module lists of instance :class:`Rect` objects, one
     per replica, as produced by the feasibility checker; other counts

@@ -62,6 +62,35 @@ class TestUnseededRng:
         src = f"import random\nimport numpy as np\nrng = {call}\n"
         assert "unseeded-rng" not in rules_fired(src)
 
+    @pytest.mark.parametrize("call", [
+        "np.random.Generator(np.random.PCG64())",
+        "np.random.default_rng(np.random.SeedSequence())",
+        "np.random.PCG64DXSM()",
+        "np.random.Philox()",
+        "np.random.MT19937()",
+        "np.random.SFC64()",
+        "np.random.PCG64(None)",
+        "np.random.Philox(seed=None)",
+        "np.random.SeedSequence(entropy=None)",
+    ])
+    def test_entropy_seeded_bit_generator_flagged(self, call):
+        src = f"import numpy as np\nrng = {call}\n"
+        assert "unseeded-rng" in rules_fired(src, CORE_PATH)
+
+    def test_imported_bit_generator_flagged(self):
+        src = "from numpy.random import PCG64\nbits = PCG64()\n"
+        assert "unseeded-rng" in rules_fired(src, CORE_PATH)
+
+    @pytest.mark.parametrize("call", [
+        "np.random.Generator(np.random.PCG64(1))",
+        "np.random.default_rng(np.random.SeedSequence(7))",
+        "np.random.SeedSequence(entropy=7)",
+        "np.random.Philox(seed=3)",
+    ])
+    def test_seeded_bit_generator_ok(self, call):
+        src = f"import numpy as np\nrng = {call}\n"
+        assert "unseeded-rng" not in rules_fired(src, CORE_PATH)
+
     def test_seeded_generator_ok(self):
         src = (
             "import numpy as np\n"

@@ -68,35 +68,36 @@ class TestDriftContext:
         assert (a.comm_factor(0.0, dataset=31)
                 == b.comm_factor(0.0, dataset=31))
 
-    def test_context_free_draws_keep_legacy_counter(self):
-        noise = drift_noise(drift=1e-2)
-        first = noise.factor()
-        second = noise.factor()
-        assert second > first                  # counter advanced
-        assert first == drift_noise(drift=1e-2).factor()
+    def test_context_free_drift_draws_raise(self):
+        def model():
+            return DriftNoiseModel(seed=3, jitter=0.05, comm_interference=0.0,
+                                   drift=1e-2)
 
-    @pytest.mark.parametrize("jitter,drift,comm_drift", [
-        (0.0, 1e-3, 0.0),       # both shortcuts at once
-        (0.03, 1e-3, 0.0),      # zero comm rate under jitter
-        (0.0, 1e-3, 5e-4),      # jitter-free under a nonzero comm rate
-        (0.0, 0.0, 2e-3),       # zero execution rate, jitter-free
+        noise = model()
+        with pytest.raises(ValueError, match="data set"):
+            noise.factor()
+        with pytest.raises(ValueError, match="data set"):
+            noise.comm_factor(1)
+        # The refused draws took nothing from the jitter stream.
+        assert noise.factor(dataset=4) == model().factor(dataset=4)
+
+    @pytest.mark.parametrize("drift,comm_drift", [
+        (1e-3, 0.0),        # zero comm rate
+        (1e-3, 5e-4),       # nonzero comm rate
+        (0.0, 2e-3),        # zero execution rate
     ])
     def test_zero_rate_shortcuts_match_the_unskipped_formula(
-            self, jitter, drift, comm_drift):
-        """``factors`` skips the all-ones comm table and the all-ones
-        jitter base; both skips are exact, and the draws after them stay
-        in step with a model that took the long way."""
+            self, drift, comm_drift):
+        """``factors`` skips the all-ones comm table; the skip is exact."""
 
         def model():
-            return DriftNoiseModel(seed=5, jitter=jitter, comm_interference=0.0,
+            return DriftNoiseModel(seed=5, jitter=0.0, comm_interference=0.0,
                                    drift=drift, comm_drift=comm_drift)
 
         def unskipped(noise, d, comm):
-            base = NoiseModel.factors(noise, len(d))
             top = int(d.max()) + 1
             scale = noise._table(noise.drift, top)[d]
-            scale = np.where(comm, noise._table(noise.comm_drift, top)[d], scale)
-            return base * scale
+            return np.where(comm, noise._table(noise.comm_drift, top)[d], scale)
 
         rng = np.random.default_rng(0)
         fast, slow = model(), model()
@@ -106,7 +107,6 @@ class TestDriftContext:
             got = fast.factors(n, datasets=d, comm=comm)
             want = unskipped(slow, d, comm)
             assert got.tobytes() == want.tobytes()
-        assert fast.factor(dataset=11) == slow.factor(dataset=11)
 
     def test_drift_factors_require_datasets(self):
         with pytest.raises(ValueError, match="datasets"):
@@ -115,6 +115,15 @@ class TestDriftContext:
     def test_stationary_base_model_allows_datasets_free_batch(self):
         noise = NoiseModel.silent()
         assert noise.factors(5).tolist() == [1.0] * 5
+
+    def test_jittered_models_refuse_to_batch(self):
+        """Jitter is drawn in event order; a batch would reorder it."""
+        for model in (NoiseModel(seed=5, jitter=0.05, comm_interference=0.0),
+                      DriftNoiseModel(seed=5, jitter=0.05, drift=1e-3)):
+            before = model._rng.bit_generator.state
+            with pytest.raises(ValueError, match="event order"):
+                model.factors(5, datasets=np.arange(5))
+            assert model._rng.bit_generator.state == before
 
 
 class _ScalarReference:
@@ -173,7 +182,9 @@ _OPS = st.lists(
 
 class TestBufferedDraws:
     """Jitter is drawn in blocks and handed out in order; every call sees
-    the values one scalar draw per operation gives."""
+    the values one scalar draw per operation gives.  Batches price only
+    jitter-free draws; a jittered model refuses them without touching its
+    stream."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -204,6 +215,11 @@ class TestBufferedDraws:
             else:
                 datasets = op[1]
                 comm = [d % 3 == 0 for d in datasets]
+                if jitter:
+                    with pytest.raises(ValueError, match="event order"):
+                        model.factors(len(datasets), datasets=datasets,
+                                      comm=comm)
+                    continue
                 got = model.factors(len(datasets), datasets=datasets,
                                     comm=comm)
                 assert got.dtype == np.float64
@@ -224,24 +240,23 @@ class TestClassification:
     def test_silent_base_model_flags(self):
         noise = NoiseModel.silent()
         assert not noise.active
-        assert noise.stationary and noise.batchable and noise.deterministic
+        assert noise.deterministic
 
     def test_jittered_base_model_flags(self):
         noise = NoiseModel(seed=1, jitter=0.05, comm_interference=0.0)
-        assert noise.active and noise.stationary and noise.batchable
+        assert noise.active
         assert not noise.deterministic
 
     def test_deterministic_drift_flags(self):
         noise = drift_noise()
-        assert noise.active and noise.batchable and noise.deterministic
-        assert not noise.stationary
+        assert noise.active and noise.deterministic
 
     def test_jittered_drift_flags(self):
         noise = DriftNoiseModel(
             seed=1, jitter=0.05, comm_interference=0.0, drift=1e-4,
         )
-        assert noise.active and noise.batchable
-        assert not noise.stationary and not noise.deterministic
+        assert noise.active
+        assert not noise.deterministic
 
 
 class TestEngineAgreement:

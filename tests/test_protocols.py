@@ -84,7 +84,7 @@ class _DroppedDefault(NoiseModel):
 
 
 class _MethodNotProperty(NoiseModel):
-    def stationary(self):
+    def deterministic(self):
         return True
 
 
@@ -97,7 +97,7 @@ class _ExtraOptional(NoiseModel):
     (UnaryCost, _Renamed, "procs"),
     (BinaryCost, _ExtraRequired, "adds required scale"),
     (NoiseModel, _DroppedDefault, "dataset"),
-    (NoiseModel, _MethodNotProperty, "stationary is no longer a property"),
+    (NoiseModel, _MethodNotProperty, "deterministic is no longer a property"),
     (NoiseModel, _ExtraOptional, None),
 ], ids=["renamed", "added-required", "dropped-default", "property-to-method",
         "added-optional"])
