@@ -6,9 +6,12 @@ greedy heuristic across a ``(k, P)`` grid, each as the best of
 :data:`TIMING_RUNS` cold runs, **asserts the optimized solvers return
 byte-identical mappings** to a verbatim copy of the seed solver embedded
 below, and asserts bisect reaches the exhaustive optimum within its
-tolerance.  Each cell also times exhaustive search bounded by the greedy
-heuristic's throughput, asserts it returns the unbounded plan byte for
-byte, and records how many clusterings it kept.  The heuristic itself is asserted
+tolerance.  Exhaustive search bounds itself by the best result it has
+found, so ``exhaustive_s`` times fewer DPs than the seed's one per
+clustering, and ``clusterings_solved`` counts the DPs it ran.  Each cell
+also times exhaustive search bounded by the greedy heuristic's
+throughput as well, asserts it returns the unbounded plan byte for byte,
+and records how many clusterings it kept.  The heuristic itself is asserted
 bit-identical to the unpruned clustering hill-climb embedded below, and
 each cell records how many clusterings it scored with a greedy run.  The
 full grid also asserts that greedy, the paper's cheap alternative (§4),

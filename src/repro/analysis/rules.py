@@ -215,8 +215,19 @@ def _check_wall_clock(ctx: RuleContext, rule: Rule) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _dotted(node: ast.expr) -> str | None:
+    """``"a.b.c"`` for a name or a chain of attributes on a name."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
 def _is_set_expr(node: ast.expr, set_names: set[str]) -> bool:
-    """Is this expression an unordered collection (a set)?"""
+    """Is this expression an unordered collection (a set)?  ``set_names``
+    holds the names and dotted attribute paths (``self.s``) bound to one."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
@@ -227,7 +238,9 @@ def _is_set_expr(node: ast.expr, set_names: set[str]) -> bool:
             "intersection", "union", "difference", "symmetric_difference",
         ):
             return _is_set_expr(f.value, set_names)
-    if isinstance(node, ast.Name) and node.id in set_names:
+    if isinstance(node, (ast.Name, ast.Attribute)) and (
+        _dotted(node) in set_names
+    ):
         return True
     if isinstance(node, ast.BinOp) and isinstance(
         node.op, (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
@@ -273,13 +286,20 @@ class _UnorderedIteration(ast.NodeVisitor):
         self.set_names: set[str] = set()
 
     def _bind(self, target: ast.expr, value: ast.expr | None) -> None:
-        # Track local names bound to set expressions so `s = set(...);
-        # for x in s:` is seen through.
-        if isinstance(target, ast.Name) and value is not None:
-            if _is_set_expr(value, self.set_names):
-                self.set_names.add(target.id)
-            else:
-                self.set_names.discard(target.id)
+        # Track names and attribute paths bound to set expressions so
+        # `s = set(...); for x in s:` and `self.s = set(...); sum(self.s)`
+        # are seen through.  Rebinding a name or path clears it and every
+        # path under it.
+        key = _dotted(target)
+        if key is None or value is None:
+            return
+        is_set = _is_set_expr(value, self.set_names)
+        self.set_names = {
+            n for n in self.set_names
+            if n != key and not n.startswith(key + ".")
+        }
+        if is_set:
+            self.set_names.add(key)
 
     def visit_Assign(self, node: ast.Assign):
         if len(node.targets) == 1:

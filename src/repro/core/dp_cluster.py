@@ -5,17 +5,18 @@ length (:data:`EXHAUSTIVE_MAX_TASKS`).
 
 :func:`exhaustive_mapping`
     Enumerates all ``2**(k-1)`` contiguous clusterings and runs the §3.1/§3.2
-    assignment DP on each.  Provably optimal; the paper's own footnote (§4.2)
-    notes exhaustive clustering is practical for small ``k``, and every chain
-    in the paper's evaluation has ``k <= 4``.  Given an ``incumbent`` — a
-    throughput some mapping of the chain already reaches, e.g. the §4
-    heuristic's — it skips every clustering that provably cannot reach it:
-    a per-module lower bound on the effective response at each total,
-    read off the cached response factors, leaves each module a set of
-    admissible totals, and a clustering whose smallest admissible totals
-    already overrun the machine cannot reach the incumbent either.  The
-    result is bit-identical for any incumbent (an unreachable one falls
-    back to the full search); only the number of DPs run changes.
+    assignment DP on each that might win.  Provably optimal; the paper's own
+    footnote (§4.2) notes exhaustive clustering is practical for small
+    ``k``, and every chain in the paper's evaluation has ``k <= 4``.  A
+    branch and bound: a per-module lower bound on the effective response
+    at each total, read off the cached exec tables and grid minima, leaves
+    each module a set of admissible totals, and a clustering whose smallest
+    admissible totals already overrun the machine cannot reach the bar.
+    The bar is the best priced throughput found so far and, given one, the
+    caller's ``incumbent`` — a throughput some mapping of the chain already
+    reaches, e.g. the §4 heuristic's.  The result is bit-identical to
+    solving every clustering (an unreachable incumbent falls back to the
+    clusterings it skipped); only the number of DPs run changes.
 
 :func:`bisect_mapping`
     A polynomial-time algorithm in the spirit of the paper's Lemma 2
@@ -38,6 +39,7 @@ and agree with the brute-force oracle in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,11 +118,14 @@ def optimal_mapping(
 
     ``incumbent`` is a throughput some mapping of ``chain`` already reaches
     on at most ``total_procs`` processors (the heuristic's, or the mapping
-    currently deployed).  The exhaustive search then runs the DP only on
-    clusterings that might reach it; ``clusterings_examined`` counts the
-    DPs that ran.  The returned mapping is the same, bit for bit, for any
-    incumbent: if none of the surviving clusterings reaches it, the skipped
-    ones are solved too.  Bisection ignores ``incumbent``.
+    currently deployed).  The exhaustive search runs the DP only on
+    clusterings that might reach it and that might win against the best
+    result found so far: a clustering after the running winner in
+    enumeration order must beat its throughput strictly, one before it
+    need only tie.  ``clusterings_examined`` counts the DPs that ran.  The
+    returned mapping is the same, bit for bit, for any incumbent: if no
+    result reaches it, the clusterings it alone skipped are solved too.
+    Bisection ignores ``incumbent``.
     """
     args = (chain, total_procs, mem_per_proc_mb, replication,
             instance_size_ok, cache)
@@ -171,11 +176,16 @@ def _may_reach(mchain, total_procs: int, incumbent: float) -> bool:
     """Can some allocation of ``mchain`` reach throughput ``incumbent``?
 
     A ``False`` is a proof that every allocation of at most ``total_procs``
-    processors has throughput strictly below ``incumbent``.  Module ``j``
-    can only hold the totals whose throughput bound
+    processors has throughput strictly below ``incumbent``; an
+    instance-size mask only removes allocations, so the proof holds under
+    one too.  Module ``j`` can only hold the totals whose throughput bound
     (:meth:`~repro.core.response.ModuleChain.throughput_bound`) reaches
     ``incumbent`` — the comparison ``throughput`` itself makes — and the
     smallest of them must fit on the machine together.
+
+    To ask whether a clustering can *beat* a throughput ``T`` strictly,
+    pass ``math.nextafter(T, math.inf)``: a ``False`` then proves that
+    every allocation prices at most ``T``.
     """
     P = total_procs
     floor = 0
@@ -196,27 +206,57 @@ def _clusterings(k: int) -> tuple:
     return tuple(all_clusterings(k))
 
 
-def _winner(results):
-    """The best ``(enumeration index, clustering, DPResult)``: the highest
-    priced throughput, then the first clustering in enumeration order.
+class _Podium:
+    """The running winner of an exhaustive search.
 
+    :meth:`add` takes ``(enumeration index, clustering, DPResult)`` entries
+    in any order; :attr:`best` is then the one with the highest priced
+    throughput, ties going to the first clustering in enumeration order.
     Only results whose DP value lies within :data:`PRICE_MARGIN` of the
-    smallest are priced; any other prices strictly below the smallest's.
+    smallest added so far are priced; any other prices strictly below the
+    smallest's.  The margin's cut only falls, so a result it leaves out
+    never comes back.
     """
-    if not results:
-        return None
-    cut = min(res.bottleneck_response for _, _, res in results)
-    cut *= 1.0 + PRICE_MARGIN
-    best = None
-    for entry in results:
-        at, _, res = entry
-        if res.bottleneck_response > cut:
-            continue
-        if best is None or res.throughput > best[2].throughput or (
-            res.throughput == best[2].throughput and at < best[0]
+
+    __slots__ = ("best", "cut", "low", "priced")
+
+    def __init__(self):
+        self.best = None
+        self.low = math.inf
+        self.cut = math.inf
+        self.priced = []
+
+    def add(self, entry) -> None:
+        value = entry[2].bottleneck_response
+        if value < self.low:
+            # A new smallest DP value narrows the cut: re-admit the priced.
+            self.low, self.cut = value, value * (1.0 + PRICE_MARGIN)
+            kept, self.priced, self.best = self.priced, [], None
+            for old in kept:
+                self.add(old)
+        elif value > self.cut:
+            return
+        self.priced.append(entry)
+        self._consider(entry)
+
+    def _consider(self, entry) -> None:
+        best = self.best
+        if best is None or entry[2].throughput > best[2].throughput or (
+            entry[2].throughput == best[2].throughput and entry[0] < best[0]
         ):
-            best = entry
-    return best
+            self.best = entry
+
+    def bar(self, at: int) -> float | None:
+        """The throughput the clustering at enumeration index ``at`` must
+        reach to win — the winner's, one ulp up when ``at`` comes after the
+        winner's (a tie goes to the winner) — or ``None`` if it has none."""
+        if self.best is None:
+            return None
+        won_at, _, res = self.best
+        target = res.throughput
+        if not target > 0:
+            return None
+        return math.nextafter(target, math.inf) if at > won_at else target
 
 
 def exhaustive_mapping(
@@ -232,6 +272,17 @@ def exhaustive_mapping(
 
     Arguments as for :func:`optimal_mapping`; a non-positive ``incumbent``
     is ignored.
+
+    A branch and bound: the best DP result so far (:class:`_Podium`) bars
+    every clustering still to come.  Before its DP, the clustering at
+    enumeration index ``at`` is dropped when :func:`_may_reach` proves it
+    cannot win against the running winner's priced throughput ``T`` — at
+    ``math.nextafter(T, math.inf)`` when ``at`` comes after the winner's
+    index, since it must beat ``T`` strictly, and at ``T`` when it comes
+    before, since a tie goes to it.  A dropped clustering is never solved.
+    The caller's ``incumbent`` bars clusterings the same way but
+    provisionally: those it alone skips are solved after all if no result
+    reaches it.  ``clusterings_examined`` counts the DPs that ran.
     """
     # One segment cache shared by every clustering, so each distinct
     # (span, neighbour-context) builds its tensors exactly once.  A
@@ -241,8 +292,14 @@ def exhaustive_mapping(
     ok_size = _size_mask(total_procs, instance_size_ok)
     if incumbent is not None and not incumbent > 0:
         incumbent = None
-    results = []  # (enumeration index, clustering, DPResult)
+    podium = _Podium()
     examined = 0
+
+    def may_reach(mchain, target):
+        return _may_reach(
+            mchain if replication else strip_replication(mchain),
+            total_procs, target,
+        )
 
     def solve(at, clustering, mchain):
         nonlocal examined
@@ -258,26 +315,30 @@ def exhaustive_mapping(
             )
         except InfeasibleError:
             return
-        results.append((at, clustering, res))
+        podium.add((at, clustering, res))
 
     skipped = []
     for at, clustering in enumerate(_clusterings(len(chain))):
         mchain = cache.module_chain(clustering)
         if mchain.total_min_procs > total_procs:
             continue
-        if incumbent is not None and not _may_reach(
-            mchain if replication else strip_replication(mchain),
-            total_procs, incumbent,
-        ):
-            skipped.append((at, clustering, mchain))
+        bar = podium.bar(at)
+        if incumbent is not None and (bar is None or bar < incumbent):
+            # Reaching the incumbent implies reaching the lower bar.
+            if not may_reach(mchain, incumbent):
+                skipped.append((at, clustering, mchain))
+                continue
+        elif bar is not None and not may_reach(mchain, bar):
             continue
         solve(at, clustering, mchain)
-    best = _winner(results)
+    best = podium.best
     if best is None or (incumbent is not None and best[2].throughput < incumbent):
         # The incumbent was out of reach, so skipping proved nothing.
-        for args in skipped:
-            solve(*args)
-        best = _winner(results)
+        for at, clustering, mchain in skipped:
+            bar = podium.bar(at)
+            if bar is None or may_reach(mchain, bar):
+                solve(at, clustering, mchain)
+        best = podium.best
     if best is None:
         raise InfeasibleError(
             f"no clustering of {chain.name!r} fits on {total_procs} processors"

@@ -249,7 +249,7 @@ def _throughput_bound(mchain: ModuleChain, i: int, P: int) -> np.ndarray:
     in_min = _boundary_minimum(mchain, i - 1, P, 0) if i > 0 else 0.0
     out_min = (_boundary_minimum(mchain, i, P, 1)
                if i < len(mchain.infos) - 1 else 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         bound = 1.0 / (((in_min + exec_part) + out_min) / denom)
     bound[~feasible] = 0.0
     return bound

@@ -5,6 +5,13 @@ of processors is large, particularly when mapping tasks dynamically".
 This experiment measures wall-clock solve time of both mappers while
 sweeping the machine size ``P`` (fixed ``k``) and the chain length ``k``
 (fixed ``P``), and reports the measured growth exponents.
+
+The "full DP" column times the paper's algorithm as the paper states it:
+one assignment DP per clustering that fits, every clustering solved.
+:func:`~repro.core.dp_cluster.optimal_mapping` returns the same optimum
+with fewer DPs, since its branch and bound drops clusterings that cannot
+beat the best result found so far, so its time does not show the
+algorithm's worst-case growth.
 """
 
 from __future__ import annotations
@@ -15,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.cluster_greedy import heuristic_mapping
-from ..core.dp_cluster import optimal_mapping
+from ..core.dp import optimal_assignment
+from ..core.exceptions import InfeasibleError
+from ..core.mapping import all_clusterings
+from ..core.response import SegmentCache
 from ..tools.report import render_table
 from ..workloads.synthetic import random_chain
 
@@ -26,15 +36,30 @@ __all__ = ["ScalePoint", "run", "render"]
 class ScalePoint:
     k: int
     P: int
-    dp_seconds: float            # full mapper: clustering x assignment DP
+    dp_seconds: float            # full DP: one assignment DP per clustering
     greedy_seconds: float        # full heuristic: clustering + greedy
     assign_dp_seconds: float     # §3.1 assignment DP alone (fixed clustering)
     assign_greedy_seconds: float # §4.1 greedy assignment alone
     same_result: bool
 
 
+def _every_clustering(chain, P) -> list:
+    """The assignment DP's result on every clustering of ``chain`` that fits
+    on ``P`` processors: the paper's exhaustive algorithm, unbounded."""
+    cache = SegmentCache(chain)
+    results = []
+    for clustering in all_clusterings(len(chain)):
+        mchain = cache.module_chain(clustering)
+        if mchain.total_min_procs > P:
+            continue
+        try:
+            results.append(optimal_assignment(mchain, P))
+        except InfeasibleError:
+            continue
+    return results
+
+
 def _solve_both(chain, P) -> ScalePoint:
-    from ..core.dp import optimal_assignment
     from ..core.greedy import greedy_assignment
     from ..core.mapping import singleton_clustering
     from ..core.response import build_module_chain
@@ -42,14 +67,14 @@ def _solve_both(chain, P) -> ScalePoint:
     # Warm-up pass: the growth exponents measure the solvers' asymptotic
     # work, so exclude one-time costs (workspace arena allocation, memoized
     # cost tables) that would otherwise dominate the small-P points.
-    optimal_mapping(chain, P)
+    _every_clustering(chain, P)
     heuristic_mapping(chain, P)
     _wchain = build_module_chain(chain, singleton_clustering(len(chain)))
     optimal_assignment(_wchain, P)
     greedy_assignment(_wchain, P)
 
     t0 = time.perf_counter()
-    dp = optimal_mapping(chain, P)
+    dp = _every_clustering(chain, P)
     t1 = time.perf_counter()
     heur = heuristic_mapping(chain, P)
     t2 = time.perf_counter()
@@ -59,7 +84,8 @@ def _solve_both(chain, P) -> ScalePoint:
     t4 = time.perf_counter()
     greedy_assignment(mchain, P)
     t5 = time.perf_counter()
-    same = abs(heur.throughput - dp.throughput) <= 1e-9 * dp.throughput
+    best = max(res.throughput for res in dp)
+    same = abs(heur.throughput - best) <= 1e-9 * best
     return ScalePoint(
         k=len(chain), P=P,
         dp_seconds=t1 - t0, greedy_seconds=t2 - t1,

@@ -167,6 +167,28 @@ class TestUnorderedIteration:
         )
         assert "unordered-iteration" not in rules_fired(src, CORE_PATH)
 
+    def test_sum_over_set_attribute_flagged(self):
+        src = (
+            "class Pool:\n"
+            "    def __init__(self, xs):\n"
+            "        self.s = set(xs)\n"
+            "    def total(self):\n"
+            "        return sum(self.s)\n"
+        )
+        assert "unordered-iteration" in rules_fired(src, CORE_PATH)
+
+    def test_attribute_rebound_to_sorted_list_ok(self):
+        src = (
+            "def total(a, xs):\n"
+            "    a.s = set(xs)\n"
+            "    a.s = sorted(a.s)\n"
+            "    acc = 0.0\n"
+            "    for c in a.s:\n"
+            "        acc += c\n"
+            "    return acc\n"
+        )
+        assert "unordered-iteration" not in rules_fired(src, CORE_PATH)
+
     def test_sorted_iteration_ok(self):
         src = (
             "def total(costs):\n"

@@ -15,7 +15,9 @@ from repro.core import (
     Task,
     TaskChain,
     ZeroUnary,
+    all_clusterings,
 )
+from repro.core.response import strip_replication
 
 try:
     from hypothesis import HealthCheck, settings as hyp_settings
@@ -89,6 +91,21 @@ def make_random_chain(
             )
         )
     return TaskChain(tasks, edges, name=f"random-k{k}-s{seed}")
+
+
+def build_every_part(cache, P: int, replication: bool = True) -> None:
+    """Build the response parts of every module of every clustering that
+    fits on ``P`` processors: what one assignment DP per clustering reads.
+    The exhaustive search skips clusterings that cannot win, so a solve
+    alone leaves only some of them."""
+    for clustering in all_clusterings(len(cache.chain)):
+        mchain = cache.module_chain(clustering)
+        if mchain.total_min_procs > P:
+            continue
+        if not replication:
+            mchain = strip_replication(mchain)
+        for i in range(len(mchain)):
+            mchain.response_parts(i, P)
 
 
 def make_three_task_chain() -> TaskChain:

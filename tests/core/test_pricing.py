@@ -39,6 +39,7 @@ from repro.core import (
 from repro.core.response import UNFIT, ResponseReader, strip_replication
 from repro.machine import feasibility, presets
 from repro.workloads import airshed, fft_hist, radar, random_chain, sar, stereo
+from tests.conftest import build_every_part
 from tests.core.test_solver_plans_golden import GOLDEN
 
 
@@ -169,10 +170,20 @@ def test_heuristic_reads_the_dps_factors(name):
     P, mem = w.machine.total_procs, w.machine.mem_per_proc_mb
     cache = SegmentCache(w.chain, mem)
     optimal_mapping(w.chain, P, mem, cache=cache)
+    build_every_part(cache, P)
     dp_misses = cache.part_misses
     assert dp_misses > 0
+    reads = []
+    built = cache.parts
+
+    def read(*args):
+        reads.append(args)
+        return built(*args)
+
+    cache.parts = read
     heur = heuristic_mapping(w.chain, P, mem, cache=cache)
-    assert cache.part_misses == dp_misses
+    assert reads   # the heuristic prices through the shared cache ...
+    assert cache.part_misses == dp_misses   # ... and builds nothing new
     alone = heuristic_mapping(w.chain, P, mem)
     assert repr(heur.mapping) == repr(alone.mapping)
     assert float.hex(heur.throughput) == float.hex(alone.throughput)

@@ -34,7 +34,7 @@ from repro.core.replication import effective_tables
 from repro.core.resolve import ChainDelta
 from repro.core.response import build_module_chain, evaluate_module_chain
 
-from ..conftest import make_random_chain, make_three_task_chain
+from ..conftest import build_every_part, make_random_chain, make_three_task_chain
 
 PROCS = 8
 
@@ -358,6 +358,7 @@ class TestFactoredCache:
         counting = TaskChain(list(chain.tasks), edges, name=chain.name)
         cache = SegmentCache(counting, 6.0)
         for replication in (True, False):
+            build_every_part(cache, PROCS, replication)
             optimal_mapping(counting, PROCS, 6.0, replication=replication,
                             cache=cache)
         per_edge = {}

@@ -11,6 +11,9 @@ picks.
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,7 +35,8 @@ from repro.core import (
     optimal_mapping,
     scale_chain,
 )
-from repro.core.dp_cluster import PRICE_MARGIN, _winner, exhaustive_mapping
+from repro.core import dp_cluster
+from repro.core.dp_cluster import PRICE_MARGIN, _Podium, exhaustive_mapping
 from repro.core.mapping import all_clusterings
 from repro.core.response import (
     UNFIT,
@@ -54,7 +58,7 @@ def bound_from_parts(mchain, i, P):
     ce, com_out, denom, feasible = _compute_parts(mchain, i, P)
     ce_min = ce[1:].min(axis=0) if i > 0 else ce[0]
     out_min = com_out[:, 1:].min(axis=1) if i < len(mchain) - 1 else com_out[:, 0]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         bound = 1.0 / ((ce_min + out_min) / denom)
     bound[~feasible] = 0.0
     return bound
@@ -121,6 +125,31 @@ def test_unfit_segment_bounds_to_zero():
     assert not merged.throughput_bound(0, PROCS).any()
 
 
+def test_subnormal_cost_bounds_without_a_warning():
+    """A subnormal lower bound overflows its reciprocal to inf, which is
+    the bound; no ``RuntimeWarning`` may escape, because every solve with
+    more than one clustering reads bounds."""
+    tiny = [Task(f"t{i}", PolynomialExec(1e-310, 0.0)) for i in range(3)]
+    chain = TaskChain(tiny, [Edge(icom=ZeroUnary(), ecom=ZeroBinary())] * 2,
+                      name="tiny")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = _throughput_bound(build_module_chain(chain, [(0, 2)]), 0, PROCS)
+        got = optimal_mapping(chain, PROCS)
+        again = optimal_mapping(chain, PROCS, incumbent=got.throughput)
+    assert np.isinf(bound[1:]).all()
+    assert again.mapping == got.mapping and got.throughput == np.inf
+
+
+def bound_every_module(cache, P):
+    """Read every clustering's bounds, as a search that skips clusterings
+    before their DP leaves them: bounds without their parts."""
+    for clustering in all_clusterings(len(cache.chain)):
+        mchain = cache.module_chain(clustering)
+        for i in range(len(mchain)):
+            mchain.throughput_bound(i, P)
+
+
 def test_bound_without_its_part_is_evicted_with_it():
     """A clustering the search skips leaves a bound and no part; a
     comm-only update must evict that bound as it would the part, and the
@@ -128,18 +157,11 @@ def test_bound_without_its_part_is_evicted_with_it():
     base = make_random_chain(4, seed=11)
     planner = RemapPlanner(base)
     deployed = planner.plan(PROCS)
-    lone = set(planner.cache._bounds) - set(planner.cache._parts)
-    assert not lone   # an unbounded solve bounds nothing
-    planner.update_chain(scale_chain(base, comm_scale=1.01))
-    current = evaluate_module_chain(
-        planner.cache.module_chain(deployed.clustering),
-        [(m.procs, m.replicas) for m in deployed.mapping.modules],
-    )
-    planner.plan(PROCS, incumbent=current.throughput)
-    lone = set(planner.cache._bounds) - set(planner.cache._parts)
-    assert lone   # skipped clusterings left their bounds behind
     whole = (0, len(base) - 1)   # borders no edge: its bound stays valid
-    for comm in (3.0, 0.2):
+    for comm in (1.01, 3.0, 0.2):
+        bound_every_module(planner.cache, PROCS)
+        lone = set(planner.cache._bounds) - set(planner.cache._parts)
+        assert lone
         planner.update_chain(scale_chain(base, comm_scale=comm))
         stale = {key for key in lone if key[:2] != whole}
         assert stale and not stale & set(planner.cache._bounds)
@@ -151,7 +173,6 @@ def test_bound_without_its_part_is_evicted_with_it():
         cold = optimal_mapping(planner.chain, PROCS)
         assert warm.mapping == cold.mapping
         assert warm.throughput == cold.throughput   # bit-equal
-        lone = set(planner.cache._bounds) - set(planner.cache._parts)
 
 
 # -- winner-only pricing -------------------------------------------------------
@@ -215,30 +236,85 @@ def test_winner_only_pricing_matches_pricing_everything(
     assert_same_winner(got, ref)
 
 
+class RecordSolves:
+    """Records, in order, the clusterings the exhaustive search runs its DP
+    on and the results the DP returns."""
+
+    def __init__(self, monkeypatch):
+        self.clusterings = []
+        self.results = []
+        real = dp_cluster.optimal_assignment
+
+        def recorded(mchain, *args, **kwargs):
+            self.clusterings.append(mchain.clustering())
+            res = real(mchain, *args, **kwargs)
+            self.results.append(res)
+            return res
+
+        monkeypatch.setattr(dp_cluster, "optimal_assignment", recorded)
+
+    def running_cut(self):
+        """How many results lie, when computed, within the margin of the
+        smallest DP value computed so far: the ones the search may price."""
+        low, admitted = math.inf, 0
+        for res in self.results:
+            low = min(low, res.bottleneck_response)
+            admitted += res.bottleneck_response <= low * (1.0 + PRICE_MARGIN)
+        return admitted
+
+
+def winner(results):
+    """The podium's best after every result is added, in the given order."""
+    podium = _Podium()
+    for entry in results:
+        podium.add(entry)
+    return podium.best
+
+
+def every_result(chain, P):
+    """``(enumeration index, clustering, DPResult)`` of every clustering,
+    the smallest DP value first."""
+    return sorted(
+        ((at, c, optimal_assignment(build_module_chain(chain, c), P))
+         for at, c in enumerate(all_clusterings(len(chain)))),
+        key=lambda entry: entry[2].bottleneck_response,
+    )
+
+
 def test_exact_tie_prices_only_the_tied_results(monkeypatch):
     # Two 2-module clusterings of the uniform 5-chain tie exactly at P=12.
     chain = uniform_chain(5)
-    results = [
-        optimal_assignment(build_module_chain(chain, c), 12)
-        for c in all_clusterings(5)
-    ]
-    best = min(r.bottleneck_response for r in results)
-    tied = sum(r.bottleneck_response <= best * (1 + PRICE_MARGIN)
-               for r in results)
+    entries = every_result(chain, 12)
+    best = min(res.bottleneck_response for _, _, res in entries)
+    tied = sum(res.bottleneck_response <= best * (1 + PRICE_MARGIN)
+               for _, _, res in entries)
     assert tied == 2
     counter = CountPricing(monkeypatch)
-    got = exhaustive_mapping(chain, 12)
+    # Smallest DP value first: the margin's cut is final from the start.
+    assert winner(entries)[1] == ((0, 1), (2, 4))   # the first of the two
     assert counter.calls == tied
-    assert got.clustering == ((0, 1), (2, 4))   # the first of the two
+    counter.calls = 0
+    solves = RecordSolves(monkeypatch)
+    got = exhaustive_mapping(chain, 12)
+    assert counter.calls == solves.running_cut()
+    assert got.clustering == ((0, 1), (2, 4))
     assert_same_winner(got, price_everything(chain, 12))
 
 
 def test_one_pricing_per_solve(monkeypatch):
     chain = make_random_chain(5, seed=3)
+    entries = every_result(chain, PROCS)
+    assert len(entries) == 16
     counter = CountPricing(monkeypatch)
+    best = winner(entries)
+    assert best[2].throughput > 0
+    assert counter.calls == 1   # the one result within the margin
+    counter.calls = 0
+    solves = RecordSolves(monkeypatch)
     got = exhaustive_mapping(chain, PROCS)
-    assert got.clusterings_examined == 16
-    assert counter.calls == 1
+    assert counter.calls == solves.running_cut()
+    assert got.clusterings_examined == len(solves.results)
+    assert_same_winner(got, best)
 
 
 class Stub:
@@ -262,10 +338,10 @@ def test_winner_prices_results_one_ulp_apart():
     # so priced, and it wins.
     results = [(0, "a", Stub(v, 4.0)), (1, "b", Stub(up, 4.0 + 1e-15)),
                (2, "c", Stub(v * (1 + 4 * PRICE_MARGIN), 9.0))]
-    assert _winner(results)[1] == "b"
+    assert winner(results)[1] == "b"
     assert results[2][2].priced == 0   # out of the margin: never priced
     # Exact price ties go to the first clustering in enumeration order,
     # whatever order the results arrive in.
     tied = [(3, "late", Stub(up, 4.0)), (1, "early", Stub(v, 4.0))]
-    assert _winner(tied)[1] == "early"
-    assert _winner([]) is None
+    assert winner(tied)[1] == "early"
+    assert winner([]) is None

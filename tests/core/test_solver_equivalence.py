@@ -16,7 +16,9 @@ from hypothesis import given, strategies as st
 from repro.core import (
     Edge,
     InfeasibleError,
+    PolynomialEComm,
     PolynomialExec,
+    PolynomialIComm,
     SegmentCache,
     SolverWorkspace,
     Task,
@@ -31,6 +33,7 @@ from repro.core import (
     optimal_mapping,
     throughput_of_totals,
 )
+from repro.core import dp_cluster
 from repro.core.dp_cluster import (
     BISECT_TOL,
     bisect_mapping,
@@ -41,6 +44,7 @@ from repro.core.response import UNFIT
 from repro.fjgraph import FJGraph, build_modules, greedy_fj_mapping
 from repro.core.mapping import all_clusterings, singleton_clustering
 from repro.workloads.synthetic import random_chain
+from tests.core.test_resolve_costs import RecordSolves
 from tests.core.test_solver_plans_golden import GOLDEN, _chain_cases
 
 RTOL = 1e-9
@@ -309,6 +313,61 @@ def test_bounded_search_matches_unbounded(case):
         assert got.clusterings_examined <= ref.clusterings_examined
 
 
+def price_everything(chain, P, mem, replication, size_ok):
+    """The paper's search, unbounded: one DP per clustering that fits, every
+    result priced, the highest throughput winning and ties going to the
+    first clustering.  Returns ``(plan bits, DPs run)``; bits ``None`` if
+    no clustering is feasible."""
+    ok_size = dp_cluster._size_mask(P, size_ok)
+    best, runs = None, 0
+    for clustering in all_clusterings(len(chain)):
+        mchain = build_module_chain(chain, clustering, mem)
+        if mchain.total_min_procs > P:
+            continue
+        runs += 1
+        try:
+            res = optimal_assignment(
+                mchain, P, replication=replication,
+                allowed_totals=dp_cluster._totals_filter(
+                    mchain, P, replication, ok_size),
+            )
+        except InfeasibleError:
+            continue
+        if best is None or res.throughput > best[1].throughput:
+            best = (clustering, res)
+    if best is None:
+        return None, runs
+    clustering, res = best
+    return (clustering, res.totals, repr(res.mapping),
+            float.hex(res.throughput)), runs
+
+
+@given(case=bounded_cases())
+def test_branch_and_bound_matches_pricing_everything(case):
+    """With or without each incumbent, the self-bounded search returns the
+    bits of pricing every clustering's DP result, in no more DPs."""
+    chain, P, mem, replication, size_ok = case
+    ref, runs = price_everything(chain, P, mem, replication, size_ok)
+    kw = dict(replication=replication, instance_size_ok=size_ok)
+    if ref is None:
+        with pytest.raises(InfeasibleError):
+            exhaustive_mapping(chain, P, mem, **kw)
+        return
+    throughput = float.fromhex(ref[3])
+    incumbents = [None, throughput, 0.0, 2 * throughput,
+                  math.nextafter(throughput, math.inf)]
+    try:
+        incumbents.append(
+            heuristic_mapping(chain, P, mem, replication=replication).throughput
+        )
+    except InfeasibleError:
+        pass
+    for incumbent in incumbents:
+        got = exhaustive_mapping(chain, P, mem, incumbent=incumbent, **kw)
+        assert _plan_bits(got) == ref, incumbent
+        assert got.clusterings_examined <= runs
+
+
 @given(case=bounded_cases())
 def test_bisect_matches_exhaustive(case):
     """Bisection reaches the exhaustive optimum to its tolerance under the
@@ -336,15 +395,65 @@ class TestIncumbentBound:
         assert _plan_bits(got) == _plan_bits(ref)
         assert got.clusterings_examined < ref.clusterings_examined
 
-    def test_unreachable_incumbent_falls_back(self):
-        """An incumbent above the optimum proves nothing: every clustering
-        is solved, each once, and the unbounded plan comes back."""
+    def test_unreachable_incumbent_falls_back(self, monkeypatch):
+        """An incumbent above the optimum proves nothing: the clusterings
+        it skipped are solved after all, none twice, and the unbounded
+        plan comes back.  One out of every bound's reach skips every
+        clustering first, so the fallback alone repeats the unbounded
+        search."""
         ref = optimal_mapping(self.CHAIN, self.P)
-        got = optimal_mapping(
-            self.CHAIN, self.P, incumbent=ref.throughput * (1 + 1e-12)
-        )
-        assert _plan_bits(got) == _plan_bits(ref)
+        for factor in (1 + 1e-12, 1e6):
+            solved = RecordSolves(monkeypatch).clusterings
+            got = optimal_mapping(
+                self.CHAIN, self.P, incumbent=ref.throughput * factor
+            )
+            assert _plan_bits(got) == _plan_bits(ref)
+            assert len(set(solved)) == len(solved) == got.clusterings_examined
         assert got.clusterings_examined == ref.clusterings_examined
+
+    def test_later_exact_tie_is_skipped(self, monkeypatch):
+        """Two clusterings of a communication-free chain tie exactly, and
+        the bound of the later one is tight: it cannot beat the first
+        strictly, so it gets no DP, with or without an incumbent equal to
+        their throughput."""
+        chain = TaskChain(
+            [Task("a", PolynomialExec(8.0, 4.0), replicable=False),
+             Task("b", PolynomialExec(4.0, 8.0), replicable=False),
+             Task("c", PolynomialExec(0.0, 2.0), replicable=False)],
+            [Edge(ZeroUnary(), ZeroBinary())] * 2, name="tied-free",
+        )
+        first, later = ((0, 0), (1, 2)), ((0, 0), (1, 1), (2, 2))
+        tie = optimal_assignment(build_module_chain(chain, later), 8)
+        assert tie.throughput == optimal_assignment(
+            build_module_chain(chain, first), 8).throughput
+        for incumbent in (None, tie.throughput):
+            solved = RecordSolves(monkeypatch).clusterings
+            got = exhaustive_mapping(chain, 8, incumbent=incumbent)
+            assert got.clustering == first
+            assert first in solved and later not in solved
+
+    def test_earlier_clustering_ties_a_later_incumbent(self, monkeypatch):
+        """An unreachable incumbent skips the earlier of two exactly tied
+        clusterings, whose bound is tight, and lets the later one through.
+        The fallback must then solve the earlier one at the later winner's
+        throughput itself, not one ulp up, because a tie goes to it."""
+        chain = TaskChain(
+            [Task("a", PolynomialExec(0.5, 4.0), replicable=False),
+             Task("b", PolynomialExec(0.5, 4.0), replicable=False),
+             Task("c", PolynomialExec(0.0, 4.0), replicable=False)],
+            [Edge(PolynomialIComm(1.0), PolynomialEComm(0.0, 1.0, 2.0)),
+             Edge(PolynomialIComm(2.0), ZeroBinary())],
+            name="tied-late",
+        )
+        early, late = ((0, 1), (2, 2)), ((0, 0), (1, 1), (2, 2))
+        results = {c: optimal_assignment(build_module_chain(chain, c), 6)
+                   for c in (early, late)}
+        assert results[early].throughput == results[late].throughput
+        solved = RecordSolves(monkeypatch).clusterings
+        got = exhaustive_mapping(chain, 6, incumbent=0.27)
+        assert solved == [late, early]   # the later first, then the fallback
+        assert got.clustering == early
+        assert _plan_bits(got) == _plan_bits(exhaustive_mapping(chain, 6))
 
     def test_zero_cost_chain_with_infinite_incumbent(self):
         chain = _zero_cost(4)
