@@ -581,6 +581,29 @@ def _first_max(values: Sequence[float]) -> int:
     return best
 
 
+def _price(
+    execs: Sequence[float], comms: Sequence[float], reps: Sequence[int]
+) -> tuple[list[float], list[float], int, float]:
+    """Responses, effective responses, bottleneck and throughput of modules
+    with execution costs ``execs``, external communication costs ``comms``
+    (edge ``i`` joins modules ``i`` and ``i + 1``) and replica counts
+    ``reps``: each response adds the incoming, then the outgoing transfer
+    to the execution.  The one copy of this arithmetic, so every caller
+    gets :func:`evaluate_module_chain`'s bits."""
+    l = len(execs)
+    responses = []
+    for i, t in enumerate(execs):
+        if i > 0:
+            t += comms[i - 1]
+        if i < l - 1:
+            t += comms[i]
+        responses.append(t)
+    effective = [t / r for t, r in zip(responses, reps)]
+    bottleneck = _first_max(effective)
+    throughput = 1.0 / effective[bottleneck] if effective[bottleneck] > 0 else float("inf")
+    return responses, effective, bottleneck, throughput
+
+
 def evaluate_module_chain(
     mchain: ModuleChain, allocations: Sequence[tuple[int, int]]
 ) -> MappingPerformance:
@@ -608,16 +631,7 @@ def evaluate_module_chain(
 
     execs = [float(info.exec_cost(p)) for info, p in zip(mchain.infos, sizes)]
     comms = [float(mchain.ecoms[i](sizes[i], sizes[i + 1])) for i in range(l - 1)]
-    responses = []
-    for i, t in enumerate(execs):
-        if i > 0:
-            t += comms[i - 1]
-        if i < l - 1:
-            t += comms[i]
-        responses.append(t)
-    effective = [t / r for t, r in zip(responses, reps)]
-    bottleneck = _first_max(effective)
-    throughput = 1.0 / effective[bottleneck] if effective[bottleneck] > 0 else float("inf")
+    responses, effective, bottleneck, throughput = _price(execs, comms, reps)
     latency = sum(execs) + sum(comms)
 
     modules = [

@@ -45,9 +45,9 @@ from ..core.remap import RemapPlanner
 from ..core.resolve import scale_chain
 from ..core.response import (
     UNLIMITED_MEMORY_MB,
+    _price,
     build_module_chain,
     evaluate_mapping,
-    evaluate_module_chain,
 )
 from ..core.task import TaskChain
 
@@ -211,7 +211,7 @@ class AdaptiveController:
         self.records: list[ControllerRecord] = []
         self.audit: list[dict] = []
         self.remap_count = 0
-        self._busy = None  # (mapping, e_m, c_m) of _busy_model
+        self._busy = None  # (mapping, e_m, c_m, comms, ecoms) of _busy_model
 
     # -- introspection -----------------------------------------------------
     @property
@@ -361,7 +361,9 @@ class AdaptiveController:
         """Per-module ``(e_m, c_m)`` of the deployed mapping on the base
         chain, for :meth:`_estimate_scales`.  They change only when the
         mapping does (initial plan, adopt, remap), so they are memoised on
-        the mapping object."""
+        the mapping object, together with the per-edge comms they sum and
+        the base chain's models of those edges, which
+        :meth:`_price_deployed` reads."""
         mapping = self.mapping
         if self._busy is None or self._busy[0] is not mapping:
             mchain = build_module_chain(
@@ -387,8 +389,32 @@ class AdaptiveController:
                     c += comms[i]
                 es.append(float(info.exec_cost(sizes[i])))
                 cs.append(c)
-            self._busy = (mapping, es, cs)
+            self._busy = (mapping, es, cs, comms, mchain.ecoms)
         return self._busy[1], self._busy[2]
+
+    def _price_deployed(self, believed: TaskChain) -> float:
+        """Throughput of the deployed mapping on ``believed``, bit for bit
+        :func:`~repro.core.response.evaluate_module_chain`'s, from the
+        busy model's memo.
+
+        ``believed`` is the base chain with rescaled external comms (see
+        :meth:`_resolve`): its execution costs are the memoised ones, and a
+        believed comm model whose :meth:`~repro.core.cost.BinaryCost.unscaled`
+        model is the base edge's costs ``factor`` times the memoised comm,
+        bit for bit.  Any other comm model is evaluated.
+        """
+        self._busy_model()
+        _, es, _, comms, base_ecoms = self._busy
+        modules = self.mapping.modules
+        believed_comms = []
+        for i, (c, base) in enumerate(zip(comms, base_ecoms)):
+            ecom = believed.edges[modules[i].stop].ecom
+            if ecom is not base:
+                model, factor = ecom.unscaled()
+                c = (factor * c if model is base
+                     else float(ecom(modules[i].procs, modules[i + 1].procs)))
+            believed_comms.append(c)
+        return _price(es, believed_comms, [m.replicas for m in modules])[3]
 
     def _resolve(self, s_x: float, s_c: float, obs: EpochObservation):
         """Incrementally re-solve under the believed slowdowns.
@@ -407,13 +433,10 @@ class AdaptiveController:
             name=f"{self.base_chain.name}@drift",
         )
         delta = self.planner.update_chain(believed)
-        mchain = self.planner.cache.module_chain(self.mapping.clustering())
-        perf = evaluate_module_chain(
-            mchain, [(m.procs, m.replicas) for m in self.mapping.modules]
-        )
-        plan = self.planner.plan(self.total_procs, incumbent=perf.throughput)
+        current = self._price_deployed(believed)
+        plan = self.planner.plan(self.total_procs, incumbent=current)
         t_new = plan.throughput / s_x
-        t_cur = perf.throughput / s_x
+        t_cur = current / s_x
         self.audit.append({
             "epoch": obs.index, "chain": believed, "plan": plan,
             "delta": delta, "s_exec": s_x, "s_comm": s_c,

@@ -12,9 +12,14 @@ A target is a plain callable (fault scripts, and any caller of
 :meth:`Simulator.schedule`) or a :class:`Worker`: one module instance, whose
 event is the completion of its current phase or of the transfer it
 receives.  The loop never calls a worker.  It reads the worker's integer
-state and advances it in place — the next phase (draw, busy time, trace
-hook, push), the next in- or out-edge rendezvous, the data-set boundary —
-until the worker blocks.  A blocked worker has made at most one event, and
+state and advances it in place — the next phase (draw, busy time,
+sample and trace hooks, push), the next in- or out-edge rendezvous, the
+data-set boundary — until the worker blocks.  A profiling run's module
+graph carries sample lists (a ``samples`` slot per phase tuple, an
+``edge_samples`` list per edge); the loop appends each busy interval's duration to its list in
+event order, as :attr:`TraceEvent.duration
+<repro.sim.trace.TraceEvent.duration>` computes it, with no call per
+interval.  A blocked worker has made at most one event, and
 the loop pushes it together with the next pop in one ``heappushpop``.
 :class:`~repro.sim.pipeline._Run` sets a pipeline run up on this engine.
 """
@@ -72,7 +77,7 @@ class Worker:
         self.key = (module, instance)     # busy-time key
         self.ins = ins
         self.outs = outs
-        self.phases = phases              # [(kind, label, base_duration)]
+        self.phases = phases              # [(kind, label, base, samples)]
         self.queue = datasets
         self.head = 0
         self.stages: dict[int, int] = {}
@@ -216,6 +221,7 @@ class Simulator:
         graph = self.graph
         if graph is not None:
             esrc, ebase, elabel = graph.edge_src, graph.edge_base, graph.edge_label
+            esamples = graph.edge_samples
             hop, n_edges = graph.hop, len(esrc)
         solo = w is not None
         worker_cls = Worker
@@ -291,13 +297,15 @@ class Simulator:
                         phases = w.phases
                         if idx < len(phases):
                             w.idx = idx + 1
-                            kind, label, base = phases[idx]
+                            kind, label, base, samples = phases[idx]
                             d = w.d
                             dur = base * (draws.pop() if draws else factor(d))
                             if not w.ran:
                                 w.ran = True
                                 busy_order.append(w)
                             w.busy += dur
+                            if samples is not None:
+                                samples.append((now + dur) - now)
                             if trace is not None:
                                 trace.add(w.module, w.instance, kind, label, d,
                                           now, now + dur)
@@ -401,6 +409,8 @@ class Simulator:
                         sender.state = XFER_SEND
                     if receiver.state and receiver.d == d:
                         receiver.state = XFER_RECV
+                    if esamples is not None:
+                        esamples[edge].append((now + total) - (now + wasted))
                     if trace is not None:
                         label = elabel[edge]
                         if wasted > 0.0:

@@ -23,14 +23,20 @@ __all__ = ["ModuleGraph", "chain_graph", "module_phases"]
 class ModuleGraph:
     """Phases, replicas and edge table of one mapped module graph.
 
-    ``phases[i]`` lists module ``i``'s ``(kind, label, base duration)``
-    execution phases; ``edges`` lists ``(src, dst, base, label)`` per
-    external edge.  The graph has one source (the module without
-    in-edges, whose execution start is a data set's injection) and one
-    ``sink`` (the module without out-edges, whose execution end is its
-    completion).  ``hop`` (chains with a placement model only) holds the
-    transfer slowdown ``hop[e][sender instance][receiver instance]``.
+    ``phases[i]`` lists module ``i``'s ``(kind, label, base duration,
+    samples)`` execution phases; ``edges`` lists ``(src, dst, base, label)``
+    per external edge.  A phase's ``samples`` is ``None``, or (in a
+    profiling run's graph) the list the event engine appends every
+    duration of that phase to; ``edge_samples`` is ``None``, or one such
+    list per edge, which gets each transfer's receive duration.  The graph
+    has one source (the module without in-edges, whose execution start is
+    a data set's injection) and one ``sink`` (the module without
+    out-edges, whose execution end is its completion).  ``hop`` (chains
+    with a placement model only) holds the transfer slowdown
+    ``hop[e][sender instance][receiver instance]``.
     """
+
+    edge_samples: list[list[float]] | None = None
 
     def __init__(self, phases: list, replicas: list[int], edges: list,
                  hop: list | None = None):
@@ -51,18 +57,19 @@ class ModuleGraph:
         return len(self.phases)
 
 
-def module_phases(chain: TaskChain, m: ModuleSpec) -> list[tuple[str, str, float]]:
-    """A module's execution phases at its instance size: each task, then
-    the internal redistribution to the next task when it costs anything."""
+def module_phases(chain: TaskChain, m: ModuleSpec) -> list[tuple[str, str, float, None]]:
+    """A module's execution phases at its instance size, with no sample
+    lists: each task, then the internal redistribution to the next task
+    when it costs anything."""
     phases = []
     for t in range(m.start, m.stop + 1):
         task = chain.tasks[t]
-        phases.append(("task", task.name, float(task.exec_cost(m.procs))))
+        phases.append(("task", task.name, float(task.exec_cost(m.procs)), None))
         if t < m.stop:
             icom = float(chain.edges[t].icom(m.procs))
             if icom > 0:
                 label = f"{task.name}->{chain.tasks[t + 1].name}"
-                phases.append(("icom", label, icom))
+                phases.append(("icom", label, icom, None))
     return phases
 
 

@@ -150,7 +150,10 @@ class _Run(Simulator):
     instances) and owns what the event loop does not: fault scheduling and
     failure semantics.  ``trace`` is ``None`` or a recorder: any object with
     :meth:`TraceLog.add <repro.sim.trace.TraceLog.add>`'s signature, told
-    every busy interval in event order.
+    every busy interval in event order.  A module's instances share its
+    phase tuples, so a sampled graph's phase sample lists (see
+    :class:`~repro.sim.modulegraph.ModuleGraph`) pool every instance's
+    durations in event order.
     """
 
     def __init__(self, graph: ModuleGraph, datasets,
@@ -697,7 +700,8 @@ def _run_segments(chain: TaskChain | None, policy: _Once, n: int,
     state; at each boundary the policy decides the next segment (mapping,
     data sets, release time) or ends the stream.  Segments run on the
     chain's description of their mapping, or on ``graph`` when given (a
-    fork/join module graph: one ``_Once`` segment on the event engine).
+    fork/join module graph, or a profiling run's chain graph with sample
+    lists: one ``_Once`` segment on the event engine).
     ``trace`` is ``None`` or a recorder (see :class:`_Run`); a recorder
     keeps the stream on the event engine.  Raises when a data set never
     completed.

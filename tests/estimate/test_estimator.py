@@ -2,16 +2,88 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    Edge,
     Mapping,
     ModuleSpec,
+    PolynomialEComm,
+    PolynomialExec,
+    PolynomialIComm,
+    Task,
+    TaskChain,
+    ZeroUnary,
     evaluate_mapping,
     optimal_mapping,
 )
 from repro.estimate import estimate_chain, profile_chain, training_mappings, validate_model
-from repro.sim import NoiseModel, simulate
+from repro.sim import NoiseModel, TraceLog
+from repro.sim.pipeline import _Once, _run_segments
 from tests.conftest import make_random_chain
+
+
+def _traced_samples(chain, mappings, n_datasets, noise):
+    """The profile samples of the traced path: run each mapping's stream
+    with a recorded trace (one noise model across the runs, and no result
+    summary, as the profiler does), group its events by ``(kind, label)``
+    in trace order and take ``np.mean`` of each group.  Labels must be
+    unique in ``chain``."""
+    want = {"exec": {}, "icom": {}, "ecom": {}}
+    for mapping in mappings:
+        trace = _run_segments(chain, _Once(mapping, n_datasets), n_datasets,
+                              noise, "event", trace=TraceLog()).trace
+        groups = {}
+        for ev in trace:
+            groups.setdefault((ev.kind, ev.label), []).append(ev.duration)
+
+        def mean(kind, label):
+            return float(np.mean(groups[kind, label]))
+
+        for m in mapping.modules:
+            for t in range(m.start, m.stop + 1):
+                want["exec"].setdefault(t, []).append(
+                    (m.procs, mean("task", chain.tasks[t].name)))
+            for e in range(m.start, m.stop):
+                label = f"{chain.tasks[e].name}->{chain.tasks[e + 1].name}"
+                if ("icom", label) in groups:
+                    want["icom"].setdefault(e, []).append(
+                        (m.procs, mean("icom", label)))
+        for a, b in zip(mapping.modules, mapping.modules[1:]):
+            label = f"{chain.tasks[a.stop].name}->{chain.tasks[b.start].name}"
+            want["ecom"].setdefault(a.stop, []).append(
+                (a.procs, b.procs, mean("recv", label)))
+    return want
+
+
+def _hex(samples):
+    """Samples with every duration as ``float.hex``."""
+    return {key: [(*sizes, t.hex()) for *sizes, t in group]
+            for key, group in samples.items()}
+
+
+@st.composite
+def profiled_cases(draw):
+    """A random chain (mixed replicability, some internal redistributions
+    free, so they run no phase), the training set plus one replicated
+    mapping, a stream length and jittered, interfering noise."""
+    k = draw(st.integers(1, 5))
+    base = make_random_chain(k, seed=draw(st.integers(0, 2**16)),
+                             replicable_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    edges = [Edge(icom=ZeroUnary(), ecom=e.ecom) if draw(st.booleans()) else e
+             for e in base.edges]
+    chain = TaskChain(base.tasks, edges, name=base.name)
+    modules, start = [], 0
+    for t in range(k):
+        if t == k - 1 or draw(st.booleans()):
+            replicable = all(task.replicable for task in chain.tasks[start:t + 1])
+            modules.append(ModuleSpec(start, t, draw(st.integers(1, 3)),
+                                      2 if replicable else 1))
+            start = t + 1
+    mappings = training_mappings(chain, 16) + [Mapping(modules)]
+    n = draw(st.one_of(st.integers(2, 300), st.sampled_from([128, 129, 257])))
+    return (chain, mappings, n, draw(st.integers(0, 2**16)),
+            draw(st.floats(0.0, 0.05)), draw(st.floats(0.0, 0.05)))
 
 
 class TestProfiler:
@@ -39,37 +111,52 @@ class TestProfiler:
             return NoiseModel(seed=9, jitter=0.03, comm_interference=0.02)
 
         data = profile_chain(chain, mappings, n_datasets=60, noise=noise())
-
-        traced_noise = noise()
-        want = {"exec": {}, "icom": {}, "ecom": {}}
-        for mapping in mappings:
-            trace = simulate(chain, mapping, n_datasets=60, noise=traced_noise,
-                             collect_trace=True).trace
-            groups = {}
-            for ev in trace:
-                groups.setdefault((ev.kind, ev.label), []).append(ev.duration)
-
-            def mean(kind, label):
-                return float(np.mean(groups[kind, label]))
-
-            for m in mapping.modules:
-                for t in range(m.start, m.stop + 1):
-                    want["exec"].setdefault(t, []).append(
-                        (m.procs, mean("task", chain.tasks[t].name)))
-                for e in range(m.start, m.stop):
-                    label = f"{chain.tasks[e].name}->{chain.tasks[e + 1].name}"
-                    if ("icom", label) in groups:
-                        want["icom"].setdefault(e, []).append(
-                            (m.procs, mean("icom", label)))
-            for a, b in zip(mapping.modules, mapping.modules[1:]):
-                label = f"{chain.tasks[a.stop].name}->{chain.tasks[b.start].name}"
-                want["ecom"].setdefault(a.stop, []).append(
-                    (a.procs, b.procs, mean("recv", label)))
-
+        want = _traced_samples(chain, mappings, 60, noise())
         assert want["icom"] and any(m.replicas > 1 for m in mappings[-1].modules)
         assert data.exec_samples == want["exec"]
         assert data.icom_samples == want["icom"]
         assert data.ecom_samples == want["ecom"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=profiled_cases())
+    def test_samples_equal_the_traced_path_property(self, case):
+        """The batched mean of the event loop's samples has the bits of the
+        traced path's per-group ``np.mean``, for any chain, training set
+        and stream length (129 data sets and more cross ``np.mean``'s
+        pairwise-summation block)."""
+        chain, mappings, n, seed, jitter, interference = case
+
+        def noise():
+            return NoiseModel(seed=seed, jitter=jitter,
+                              comm_interference=interference)
+
+        data = profile_chain(chain, mappings, n_datasets=n, noise=noise())
+        want = _traced_samples(chain, mappings, n, noise())
+        assert _hex(data.exec_samples) == _hex(want["exec"])
+        assert _hex(data.icom_samples) == _hex(want["icom"])
+        assert _hex(data.ecom_samples) == _hex(want["ecom"])
+
+    @pytest.mark.parametrize("kind", ["icom", "ecom"])
+    def test_samples_of_edges_with_equal_labels_stay_apart(self, kind):
+        """Task names may contain ``->``: here edges 0 and 2 are both
+        labelled ``a->b->c``.  Each edge keeps its own samples, on one
+        merged module (internal redistributions) and on one module per
+        task (external transfers)."""
+        names = ["a", "b->c", "a->b", "c"]
+        tasks = [Task(n, PolynomialExec(c_fixed=1.0)) for n in names]
+        edges = [Edge(icom=PolynomialIComm(c_fixed=c),
+                      ecom=PolynomialEComm(c_fixed=c)) for c in (0.2, 0.4, 0.6)]
+        chain = TaskChain(tasks, edges, name="labels")
+        if kind == "icom":
+            mapping = Mapping([ModuleSpec(0, 3, 4)])
+        else:
+            mapping = Mapping([ModuleSpec(i, i, 1) for i in range(4)])
+        data = profile_chain(chain, [mapping], n_datasets=20)
+        samples = data.icom_samples if kind == "icom" else data.ecom_samples
+        assert sorted(samples) == [0, 1, 2]
+        for e, c in enumerate((0.2, 0.4, 0.6)):
+            (*_, observed), = samples[e]
+            assert observed == pytest.approx(c, rel=1e-12)
 
     def test_noiseless_samples_match_models(self):
         chain = make_random_chain(2, seed=6)

@@ -12,8 +12,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import Mapping, ModuleSpec, PlanError, SimulationError
+from repro.core import (
+    Edge,
+    Mapping,
+    ModuleSpec,
+    PlanError,
+    ScaledBinary,
+    SimulationError,
+    TaskChain,
+    ZeroBinary,
+)
+from repro.core.resolve import scale_chain
+from repro.core.response import build_module_chain, evaluate_module_chain
 from repro.experiments import drift_study
 from repro.machine import Rect
 from repro.sim import (
@@ -26,7 +38,7 @@ from repro.sim import (
     simulate,
 )
 
-from ..conftest import make_three_task_chain
+from ..conftest import make_random_chain, make_three_task_chain
 
 #: Quick configuration: 10x drift over a 10x shorter stream keeps both
 #: clustering transitions of the full study inside the run.
@@ -263,6 +275,48 @@ class TestContracts:
             assert fields[6] in ("ok", "anchor", "remap")
             epochs.append(int(fields[0]))
         assert epochs == sorted(epochs)
+
+
+@st.composite
+def deployed_cases(draw):
+    """A random chain (some external edges free, some comm models already
+    scaled), a mapping of it, and a believed comm scale."""
+    k = draw(st.integers(1, 5))
+    base = make_random_chain(k, seed=draw(st.integers(0, 2**16)))
+    edges = []
+    for e in base.edges:
+        ecom = draw(st.sampled_from(
+            [e.ecom, ZeroBinary(), ScaledBinary(e.ecom, 0.5)]))
+        edges.append(Edge(icom=e.icom, ecom=ecom))
+    chain = TaskChain(base.tasks, edges, name=base.name)
+    modules, start = [], 0
+    for t in range(k):
+        if t == k - 1 or draw(st.booleans()):
+            replicable = all(task.replicable for task in chain.tasks[start:t + 1])
+            modules.append(ModuleSpec(start, t, draw(st.integers(1, 3)),
+                                      draw(st.integers(1, 2)) if replicable else 1))
+            start = t + 1
+    scale = draw(st.one_of(st.sampled_from([1.0, 1e300, float("inf")]),
+                           st.floats(1e-3, 1e3)))
+    return chain, Mapping(modules), scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=deployed_cases())
+def test_deployed_pricing_equals_the_evaluator(case):
+    """The controller prices the deployed mapping on a believed chain from
+    its busy-model memo with :func:`evaluate_module_chain`'s bits: scaled,
+    free and pre-scaled comm models, and a scale the memo cannot use
+    (``inf`` is no ``unscaled`` factor)."""
+    chain, mapping, scale = case
+    ctrl = AdaptiveController(chain, 32)
+    ctrl.adopt(mapping)
+    believed = scale_chain(chain, comm_scale=scale)
+    want = evaluate_module_chain(
+        build_module_chain(believed, mapping.clustering()),
+        [(m.procs, m.replicas) for m in mapping.modules],
+    ).throughput
+    assert ctrl._price_deployed(believed).hex() == want.hex()
 
 
 class TestMeasureWiring:

@@ -123,7 +123,7 @@ def evaluator_cases(draw):
     k = draw(st.integers(1, 5))
     reps = [draw(st.integers(1, 4)) for _ in range(k)]
     dur = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
-    phases = [[("task", f"t{m}.{j}", draw(dur))
+    phases = [[("task", f"t{m}.{j}", draw(dur), None)
                for j in range(draw(st.integers(1, 3)))] for m in range(k)]
     edges = [(e, e + 1, draw(dur), f"e{e}") for e in range(k - 1)]
     hop = None
