@@ -21,6 +21,16 @@ event order, as :attr:`TraceEvent.duration
 <repro.sim.trace.TraceEvent.duration>` computes it, with no call per
 interval.  A blocked worker has made at most one event, and
 the loop pushes it together with the next pop in one ``heappushpop``.
+
+Under the base noise model the loop takes every jitter draw straight from
+the model's buffer (:meth:`~repro.sim.noise.NoiseModel.factor_buffer`,
+:meth:`~repro.sim.noise.NoiseModel.comm_buffer`) and prices a transfer's
+interference from a per-run table indexed by the count of transfers in
+flight, the values ``factor`` and ``comm_factor`` would return; it calls
+them only to refill the buffer, or for a model that overrides them.
+Workers hold their edge and phase counts, and the in-flight count lives
+in a local, so a phase or transfer step takes no ``len()`` of an edge or
+phase list, and no noise-model call.
 :class:`~repro.sim.pipeline._Run` sets a pipeline run up on this engine.
 """
 
@@ -67,8 +77,8 @@ class Worker:
     """
 
     __slots__ = ("module", "instance", "key", "ins", "outs", "phases",
-                 "queue", "head", "stages", "alive", "state", "high", "busy",
-                 "ran", "d", "idx", "peer", "first")
+                 "nin", "nout", "nph", "queue", "head", "stages", "alive",
+                 "state", "high", "busy", "ran", "d", "idx", "peer", "first")
 
     def __init__(self, module: int, instance: int, ins: list, outs: list,
                  phases: list, datasets, busy: float):
@@ -78,6 +88,9 @@ class Worker:
         self.ins = ins
         self.outs = outs
         self.phases = phases              # [(kind, label, base, samples)]
+        # Never rebound (a profiling run replaces phase entries in place),
+        # so their lengths are fixed.
+        self.nin, self.nout, self.nph = len(ins), len(outs), len(phases)
         self.queue = datasets
         self.head = 0
         self.stages: dict[int, int] = {}
@@ -127,6 +140,8 @@ class Simulator:
     factor = None           # noise draw per phase: factor(dataset)
     draws = None            # the buffer factor pops, if it is a plain pop
     comm_factor = None      # per transfer: comm_factor(in_flight, dataset)
+    comm_draws = None       # the buffer comm_factor pops, if it is a plain pop
+    interference = None     # ... times interference[in_flight]
     trace = None            # None, or a recorder told every busy interval
     faults = None           # FaultModel drawing transient transfer faults
     completions = injections = None   # per-data-set sink end / source start
@@ -207,15 +222,18 @@ class Simulator:
 
         Hot state lives in locals: the clock (synced to :attr:`now`
         before a callable runs and when the loop exits), the sequence
-        counter (likewise), the event count and the pending push.  Only a
+        counter and the in-flight count :attr:`active_transfers`
+        (likewise, and also around the recursion for a receiver that died
+        mid-transfer; the two are read back after a callable or that
+        recursion), the event count and the pending push.  Only a
         callable can :meth:`stop` the loop, so the flag is read only after
         one.
         """
         heap = self._heap
         pop, pushpop, push = heappop, heappushpop, heappush
-        now, seq = self.now, self._seq
+        now, seq, active = self.now, self._seq, self.active_transfers
         factor, comm_factor, trace = self.factor, self.comm_factor, self.trace
-        draws = self.draws
+        draws, cdraws, interf = self.draws, self.comm_draws, self.interference
         faults, busy_order, rv = self.faults, self.busy_order, self._rendezvous
         completions, injections = self.completions, self.injections
         graph = self.graph
@@ -244,9 +262,10 @@ class Simulator:
                         raise SimulationError(
                             "event queue corrupted: time went backwards")
                     if w.__class__ is not worker_cls:
-                        self.now, self._seq = now, seq
+                        self.now, self._seq, self.active_transfers = (
+                            now, seq, active)
                         w()
-                        seq = self._seq
+                        seq, active = self._seq, self.active_transfers
                         n += 1
                         w = None
                         if self._stopped:
@@ -256,7 +275,7 @@ class Simulator:
                     if st == EXEC:          # a phase completed
                         step = PHASE
                     elif st == XFER_RECV:   # the transfer w receives completed
-                        self.active_transfers -= 1
+                        active -= 1
                         peer = w.peer
                         if not w.alive:
                             # The receiver died mid-transfer.  The data
@@ -264,14 +283,15 @@ class Simulator:
                             # to a surviving instance, or drop it for
                             # end-of-stream replay.  (A dead *sender* needs
                             # nothing: downstream has the data.)
-                            self.now, self._seq = now, seq
+                            self.now, self._seq, self.active_transfers = (
+                                now, seq, active)
                             if not w.first and peer.alive:
                                 self._loop(peer, SEND)
                             w.state = IDLE
                             self.reassign_or_drop(w.module, w.d, BEGIN)
                             if w.first and peer.alive:
                                 self._loop(peer, SEND)
-                            seq = self._seq
+                            seq, active = self._seq, self.active_transfers
                             n += 1
                             w = None
                             continue
@@ -294,10 +314,9 @@ class Simulator:
                 while True:
                     if step == PHASE:
                         idx = w.idx
-                        phases = w.phases
-                        if idx < len(phases):
+                        if idx < w.nph:
                             w.idx = idx + 1
-                            kind, label, base, samples = phases[idx]
+                            kind, label, base, samples = w.phases[idx]
                             d = w.d
                             dur = base * (draws.pop() if draws else factor(d))
                             if not w.ran:
@@ -321,14 +340,14 @@ class Simulator:
                         step = SEND
                     if step == SEND:
                         k = w.idx
-                        outs = w.outs
-                        if k < len(outs):
+                        nout = w.nout
+                        if k < nout:
                             w.idx = k + 1
                             w.state = WAIT_SEND
-                            edge = outs[k]
+                            edge = w.outs[k]
                             step = ARRIVE
                         else:
-                            if not outs:
+                            if not nout:
                                 completions[w.d] = now
                                 self.left -= 1
                             step = PUMP
@@ -350,17 +369,16 @@ class Simulator:
                             continue
                     if step == RECV:
                         k = w.idx
-                        ins = w.ins
-                        if k < len(ins):
+                        if k < w.nin:
                             w.idx = k + 1
                             w.state = WAIT_RECV
-                            edge = ins[k]
+                            edge = w.ins[k]
                             step = ARRIVE
                         else:
                             step = BEGIN
                     if step == BEGIN:
                         w.state = EXEC
-                        if not w.ins:
+                        if not w.nin:
                             injections[w.d] = now
                         w.idx = 0
                         step = PHASE
@@ -376,8 +394,10 @@ class Simulator:
                         sender, receiver = wa, w
                     else:
                         sender, receiver = w, wa
-                    active = self.active_transfers
-                    dur = ebase[edge] * comm_factor(active, d)
+                    if cdraws:
+                        dur = ebase[edge] * (cdraws.pop() * interf[active])
+                    else:
+                        dur = ebase[edge] * comm_factor(active, d)
                     if hop is not None:
                         dur *= hop[edge][sender.instance][receiver.instance]
                     # Transient communication faults: each failed attempt
@@ -394,7 +414,7 @@ class Simulator:
                                 receiver.instance,
                                 f"{retries} retries on {elabel[edge]}"))
                     total = wasted + dur
-                    self.active_transfers = active + 1
+                    active += 1
                     # Both endpoints are busy throughout; ``wa`` arrived
                     # first, so it is the first of the two to become busy.
                     if not wa.ran:
@@ -442,5 +462,5 @@ class Simulator:
             if pending is not None:
                 push(heap, pending)
         finally:
-            self.now, self._seq = now, seq
+            self.now, self._seq, self.active_transfers = now, seq, active
             self.events_processed += n

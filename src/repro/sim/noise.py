@@ -107,13 +107,27 @@ class NoiseModel:
 
     def comm_factor(self, concurrent_transfers: int, dataset: int | None = None) -> float:
         """Jitter plus contention for a transfer starting while
-        ``concurrent_transfers`` others are active."""
+        ``concurrent_transfers`` others are active.  The event engine
+        prices the base model's transfers inline (:meth:`comm_buffer`) and
+        calls this only to refill the buffer."""
         buf = self._buf
         if not buf:
             self._refill()
         return buf.pop() * (
             1.0 + self.comm_interference * max(0, concurrent_transfers)
         )
+
+    def comm_buffer(self, in_flight: int) -> tuple[list[float], list[float]] | None:
+        """The buffer :meth:`comm_factor` pops and the interference factor
+        it applies for each count ``0 .. in_flight - 1`` of transfers
+        already in flight, when :meth:`comm_factor` is exactly that pop
+        times that factor (the base model's), else ``None``.  The event
+        loop prices a transfer as ``base * (pop * table[count])`` itself
+        and calls :meth:`comm_factor` only when the buffer runs empty."""
+        if type(self).comm_factor is not NoiseModel.comm_factor:
+            return None
+        ci = self.comm_interference
+        return self._buf, [1.0 + ci * max(0, a) for a in range(in_flight)]
 
     @property
     def active(self) -> bool:

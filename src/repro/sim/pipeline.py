@@ -171,6 +171,10 @@ class _Run(Simulator):
         self.factor = noise.factor
         self.draws = noise.factor_buffer()
         self.comm_factor = noise.comm_factor
+        # Each transfer in flight has its own receiver, so fewer transfers
+        # than workers are ever in flight when another starts.
+        self.comm_draws, self.interference = (
+            noise.comm_buffer(sum(graph.replicas)) or (None, None))
         self.trace = trace
         self.completions = completions
         self.injections = injections

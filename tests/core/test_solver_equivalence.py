@@ -384,6 +384,29 @@ def test_bisect_matches_exhaustive(case):
     assert got.throughput == pytest.approx(ref.throughput, rel=BISECT_TOL)
 
 
+def test_clustering_one_processor_short_gets_no_dp(monkeypatch):
+    """The merged module of this chain holds all three tasks' fixed memory,
+    so the first clustering in enumeration order needs exactly one
+    processor more than the machine has.  The search skips it without a
+    DP, which ``clusterings_examined`` would count even though it raises."""
+    P, mem = 8, 4.0
+    chain = TaskChain(
+        [Task(f"t{i}", PolynomialExec(0.1, 10.0 + i, 0.01), replicable=True,
+              mem_fixed_mb=1.0, mem_parallel_mb=3.0) for i in range(3)],
+        [Edge(PolynomialIComm(0.01, 1.0, 0.001),
+              PolynomialEComm(0.02, 1.0, 1.0, 0.002, 0.002))] * 2,
+        name="memory-bound",
+    )
+    merged = next(iter(all_clusterings(3)))
+    assert merged == ((0, 2),)
+    assert build_module_chain(chain, merged, mem).total_min_procs == P + 1
+    solved = RecordSolves(monkeypatch).clusterings
+    got = exhaustive_mapping(chain, P, mem_per_proc_mb=mem)
+    assert solved == [((0, 0), (1, 2))]
+    assert got.clusterings_examined == 1
+    assert got.clustering == ((0, 0), (1, 2))
+
+
 class TestIncumbentBound:
     CHAIN = random_chain(5, seed=23)
     P = 16

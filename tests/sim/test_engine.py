@@ -1,5 +1,7 @@
 """Unit tests for the DES kernel."""
 
+from heapq import heappush
+
 import pytest
 
 from repro.core import SimulationError
@@ -133,3 +135,16 @@ class TestRunResume:
         sim.schedule_at(sim.now - 1e-15, lambda: hits.append(sim.now))
         sim.run()
         assert hits == [0.7, 0.7]
+
+    def test_an_event_before_the_clock_is_refused(self):
+        # schedule() and schedule_at() never queue an event in the past,
+        # so only a corrupted heap can: the loop refuses one a microsecond
+        # before the clock instead of running it and moving time back.
+        sim = Simulator()
+        hits = []
+        sim.schedule(1.0, lambda: hits.append(sim.now))
+        sim.run()
+        heappush(sim._heap, (sim.now - 1e-6, sim._seq, lambda: hits.append(0)))
+        with pytest.raises(SimulationError, match="time went backwards"):
+            sim.run()
+        assert hits == [1.0] and sim.now == 1.0
